@@ -16,6 +16,7 @@ Self-describing container, all integers little-endian:
 For a quantized group the float array stores the shadow (pre-quantization)
 weights and the codes reconstruct the quantized values as code * delta, which
 is bit-exact with what the quantizer produced. Round-trips are bit-exact.
+Loading rejects a code outside +/-(M-1)/2 and any non-finite float.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import struct
 
 import numpy as np
 
-from .errors import DataFormatError
-from .nn import Network, NetworkSpec, build_from_spec
-from .quantizer import QuantizerSpec
+from .errors import ConfigError, DataFormatError
+from .nn import Network, NetworkSpec, WeightGroup, group_shapes
+from .quantizer import QuantizerSpec, codes
 from .tensor import Tensor
 
 MAGIC = b"QNETCKPT"
@@ -116,9 +117,7 @@ def save_checkpoint(net: Network, path: str) -> None:
                 fh.write(struct.pack("<B", 1))
                 fh.write(struct.pack("<I", group.quantizer.M))
                 fh.write(struct.pack("<d", group.quantizer.delta))
-                q = np.rint(
-                    group.weights.ndarray / group.quantizer.delta
-                ).astype(np.int8)
+                q = codes(group.weights.ndarray, group.quantizer).astype(np.int8)
                 fh.write(q.tobytes())
             else:
                 _write_array(fh, group.weights.ndarray)
@@ -146,53 +145,61 @@ def load_checkpoint(path: str) -> Network:
         spec_dict = json.loads(r.blob().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: malformed network spec block: {exc}") from exc
-    spec = NetworkSpec.from_dict(spec_dict)
-    net = build_from_spec(spec, seed=0)
+    try:
+        spec = NetworkSpec.from_dict(spec_dict)
+        shapes = group_shapes(spec)
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataFormatError(f"{path}: invalid network spec: {exc!r}") from exc
     n_groups = r.u32()
-    if n_groups != len(net.groups):
+    if n_groups != len(shapes):
         raise DataFormatError(
             f"{path}: checkpoint has {n_groups} weight groups, "
-            f"spec defines {len(net.groups)}"
+            f"spec defines {len(shapes)}"
         )
+    groups: dict[str, WeightGroup] = {}
     for _ in range(n_groups):
         name = r.blob().decode("utf-8")
-        if name not in net.groups:
-            raise DataFormatError(f"{path}: unknown weight group {name!r}")
-        group = net.groups[name]
+        if name not in shapes or name in groups:
+            raise DataFormatError(f"{path}: unknown or repeated weight group {name!r}")
+        w_shape, b_shape = shapes[name]
         floats = r.array()
-        if floats.shape != group.weights.shape:
+        if floats.shape != w_shape:
             raise DataFormatError(
                 f"{path}: group {name!r} weight shape {floats.shape} does not "
-                f"match spec shape {group.weights.shape}"
+                f"match spec shape {w_shape}"
             )
         bias = r.array()
-        if bias.shape != group.bias.shape:
+        if bias.shape != b_shape:
             raise DataFormatError(
                 f"{path}: group {name!r} bias shape {bias.shape} does not "
-                f"match spec shape {group.bias.shape}"
+                f"match spec shape {b_shape}"
             )
-        group.bias = Tensor._wrap(bias)
+        if not (np.isfinite(floats).all() and np.isfinite(bias).all()):
+            raise DataFormatError(f"{path}: group {name!r} has non-finite values")
+        group = WeightGroup(name=name, weights=Tensor._wrap(floats),
+                            bias=Tensor._wrap(bias))
         if r.u8() == 1:
             m = r.u32()
             delta = r.f64()
-            raw = r.take(floats.size)
-            q = np.frombuffer(raw, dtype=np.int8).astype(np.float64)
-            group.shadow_weights = Tensor._wrap(floats)
-            group.weights = Tensor._wrap((q * delta).reshape(floats.shape))
             try:
-                group.quantizer = QuantizerSpec(M=m, delta=delta)
-            except Exception as exc:
+                quantizer = QuantizerSpec(M=m, delta=delta)
+            except ConfigError as exc:
                 raise DataFormatError(
                     f"{path}: group {name!r} carries an invalid quantizer "
                     f"(M={m}, delta={delta}): {exc}"
                 ) from exc
-        else:
-            group.weights = Tensor._wrap(floats)
-            group.shadow_weights = None
-            group.quantizer = None
+            q = np.frombuffer(r.take(floats.size), dtype=np.int8).astype(np.float64)
+            if np.abs(q).max(initial=0.0) > quantizer.max_code:
+                raise DataFormatError(
+                    f"{path}: group {name!r} has a code beyond "
+                    f"+/-{quantizer.max_code} (M={m})"
+                )
+            group.shadow_weights = group.weights
+            group.weights = Tensor._wrap((q * delta).reshape(w_shape))
+            group.quantizer = quantizer
+        groups[name] = group
     if r.pos != len(data):
         raise DataFormatError(
             f"{path}: {len(data) - r.pos} trailing bytes after last group"
         )
-    net.mark_params_changed()
-    return net
+    return Network(spec, {name: groups[name] for name in shapes})

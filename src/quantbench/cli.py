@@ -23,6 +23,11 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetSplit, load_cifar10, load_csv, synthetic_split
 from .errors import ConfigError, DataFormatError, DivergenceError, QuantbenchError
 from .experiments import (
+    DEFAULT_SEED_REPS,
+    DEPTH_SWEEP_BASE_MAPS,
+    DEPTH_SWEEP_WIDTH,
+    MODES,
+    SCALES,
     SweepRecord,
     baseline_curve,
     emit_report,
@@ -32,12 +37,20 @@ from .experiments import (
     write_ecr_csv,
     write_records_csv,
 )
-from .nn import build_cnn, build_ffdnn, count_params, set_dropout_rate
+from .nn import (
+    build_cnn,
+    build_ffdnn,
+    cnn_group_names,
+    count_params,
+    ffdnn_group_names,
+    set_dropout_rate,
+)
 from .quantizer import bits_to_levels, direct_quantize, write_reports
 from .tensor import Tensor
 from .trainer import (
     TrainConfig,
     evaluate,
+    retrain_config,
     retrain_quantized,
     train_float,
     write_train_log,
@@ -255,19 +268,9 @@ def _expected_groups(network: dict) -> list[str]:
     """Weight-group names the declared architecture will create."""
     family = network.get("family")
     if family == "ffdnn":
-        depth = network.get("hidden_layers", 1)
-        if depth == 0:
-            return ["In-out"]
-        names = []
-        prev = "In"
-        for i in range(1, depth + 1):
-            names.append(f"{prev}-h{i}")
-            prev = f"h{i}"
-        names.append(f"{prev}-out")
-        return names
+        return ffdnn_group_names(network.get("hidden_layers", 1))
     if family == "cnn":
-        maps = network.get("map_counts", [])
-        return [f"C{i}" for i in range(1, len(maps) + 1)] + ["FC", "Out"]
+        return cnn_group_names(len(network.get("map_counts", [])))
     raise ConfigError(
         f"network.family: expected 'ffdnn' or 'cnn', got {family!r}"
     )
@@ -287,11 +290,11 @@ def _validate_references(cfg: dict) -> None:
             )
     sweep = cfg.get("sweep", {})
     if "modes" in sweep:
-        bad = [m for m in sweep["modes"] if m not in ("float", "direct", "retrained")]
+        bad = [m for m in sweep["modes"] if m not in MODES]
         if bad:
             raise ConfigError(f"sweep.modes: unknown mode(s) {bad}")
-    if "scale" in sweep and sweep["scale"] not in ("linear", "log2"):
-        raise ConfigError(f"sweep.scale: expected 'linear' or 'log2'")
+    if "scale" in sweep and sweep["scale"] not in SCALES:
+        raise ConfigError(f"sweep.scale: expected one of {list(SCALES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +427,10 @@ def _out_dir(cfg: dict, flag_out: str | None) -> str:
     return out
 
 
+def _quantized_ckpt(out_dir: str, n_bits: int) -> str:
+    return os.path.join(out_dir, f"quantized_{n_bits}bit.ckpt")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -453,13 +460,13 @@ def cmd_train(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
 def cmd_quantize(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
                  jobs: int) -> int:
     quant = cfg.get("quant", {})
-    ckpt_in = _require(quant, "checkpoint", "quant")
+    ckpt_in = quant.get("checkpoint", os.path.join(out_dir, FLOAT_CKPT))
     n_bits = _require(quant, "n_bits", "quant")
     bits_to_levels(n_bits)  # range check before touching the checkpoint
     groups = quant.get("groups", "all")
     net = load_checkpoint(ckpt_in)
     qnet, reports = direct_quantize(net, n_bits, groups=groups)
-    ckpt_out = os.path.join(out_dir, f"quantized_{n_bits}bit.ckpt")
+    ckpt_out = _quantized_ckpt(out_dir, n_bits)
     save_checkpoint(qnet, ckpt_out)
     report_path = os.path.join(out_dir, "quant_report.csv")
     write_reports(reports, report_path)
@@ -473,13 +480,13 @@ def cmd_quantize(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
 
 def cmd_retrain(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
                 jobs: int) -> int:
-    quant = cfg.get("quant", {})
-    ckpt_in = _require(quant, "checkpoint", "quant")
-    net = load_checkpoint(ckpt_in)
+    n_bits = _require(cfg.get("quant", {}), "n_bits", "quant")
+    bits_to_levels(n_bits)
+    net = load_checkpoint(_quantized_ckpt(out_dir, n_bits))
     split = _build_split(cfg, seed, seed_overridden)
     family = cfg.get("network", {}).get("family", "ffdnn")
     split = _flatten_for_family(split, family)
-    tcfg = _train_config(cfg, seed, seed_overridden)
+    tcfg = retrain_config(_train_config(cfg, seed, seed_overridden))
     if "dropout_rate" in cfg.get("network", {}):
         set_dropout_rate(net, cfg["network"]["dropout_rate"])
     best, log = retrain_quantized(net, split, tcfg)
@@ -507,8 +514,8 @@ def cmd_sweep(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
     split = _flatten_for_family(split, family)
     tcfg = _train_config(cfg, seed, seed_overridden)
     bits = cfg.get("quant", {}).get("bits", [2])
-    modes = sw.get("modes", ["float", "direct", "retrained"])
-    reps = sw.get("seed_reps", 3)
+    modes = sw.get("modes", MODES)
+    reps = sw.get("seed_reps", DEFAULT_SEED_REPS)
     if axis == "width":
         sizes = _require(sw, "sizes", "sweep")
         records = run_width_sweep(
@@ -520,8 +527,8 @@ def cmd_sweep(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
         depths = _require(sw, "depths", "sweep")
         records = run_depth_sweep(
             family, depths, bits, modes, split, tcfg,
-            width=sw.get("width", 512),
-            base_maps=sw.get("base_maps", (32, 32, 64)),
+            width=sw.get("width", DEPTH_SWEEP_WIDTH),
+            base_maps=sw.get("base_maps", DEPTH_SWEEP_BASE_MAPS),
             seed_reps=reps, jobs=jobs,
         )
     path = os.path.join(out_dir, "records.csv")

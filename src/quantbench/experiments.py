@@ -1,5 +1,5 @@
-"""Experiment matrix: size/depth/precision sweeps, per-group sensitivity,
-and the effective compression ratio.
+"""Experiment matrix: size/depth/precision sweeps and the effective
+compression ratio.
 
 A sweep point is one (architecture, seed) pair. Its pipeline is: train a
 float network, evaluate, then for each precision setting direct-quantize the
@@ -39,6 +39,8 @@ from .trainer import TrainConfig, evaluate, retrain_config, retrain_quantized, t
 FLOAT_BITS = 32
 DEFAULT_SEED_REPS = 3
 DEPTH_SWEEP_WIDTH = 512
+DEPTH_SWEEP_BASE_MAPS = (32, 32, 64)
+SCALES = ("linear", "log2")  # interpolation axes of a baseline curve
 
 RECORD_FIELDS = [
     "family",
@@ -104,7 +106,7 @@ class FloatBaselineCurve:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.scale not in ("linear", "log2"):
+        if self.scale not in SCALES:
             raise ConfigError(f"unknown interpolation scale {self.scale!r}")
         counts = [p for p, _ in self.points]
         if any(b <= a for a, b in zip(counts, counts[1:])):
@@ -247,7 +249,7 @@ def run_depth_sweep(
     data: DatasetSplit,
     cfg: TrainConfig,
     width: int = DEPTH_SWEEP_WIDTH,
-    base_maps: Sequence[int] = (32, 32, 64),
+    base_maps: Sequence[int] = DEPTH_SWEEP_BASE_MAPS,
     seed_reps: int = DEFAULT_SEED_REPS,
     jobs: int = 1,
 ) -> list[SweepRecord]:
@@ -279,50 +281,6 @@ def run_depth_sweep(
             point_seed = derive_seed(cfg.seed, f"{family}|w{label}|d{depth}|s{rep}")
             points.append((family, size, depth, bits, modes, data, cfg, point_seed))
     return _run_points(points, jobs)
-
-
-# ---------------------------------------------------------------------------
-# Per-group sensitivity
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SensitivityRow:
-    groups: tuple[str, ...]  # empty tuple = float reference
-    n_bits: int
-    val_metric: float
-    delta_vs_float: float
-
-
-def run_group_sensitivity(
-    net: Network,
-    n_bits: int,
-    group_subsets: Sequence[Sequence[str]],
-    eval_ds,
-) -> list[SensitivityRow]:
-    """Quantize one group subset at a time, always from the same float net.
-
-    The empty subset evaluates the float network itself and its metric is the
-    reference the other rows' deltas are taken against.
-    """
-    float_metric = evaluate(net, eval_ds)
-    rows = []
-    for subset in group_subsets:
-        subset = tuple(subset)
-        if subset:
-            qnet, _ = direct_quantize(net, n_bits, groups=list(subset))
-            metric = evaluate(qnet, eval_ds)
-        else:
-            metric = evaluate(net, eval_ds)
-        rows.append(
-            SensitivityRow(
-                groups=subset,
-                n_bits=n_bits,
-                val_metric=metric,
-                delta_vs_float=metric - float_metric,
-            )
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

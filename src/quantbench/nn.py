@@ -16,7 +16,7 @@ quantized point while updates accumulate in float shadow copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -366,27 +366,19 @@ def cross_entropy(probs: Tensor, targets: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _init_group(name: str, w_shape: tuple, fan_in: int, rng: Rng) -> WeightGroup:
-    # Zero-mean uniform with half-width sqrt(6 / fan_in); biases start at 0.
-    lim = math.sqrt(6.0 / fan_in)
-    w = rng.uniform(w_shape, -lim, lim)
-    bias_len = w_shape[-1] if len(w_shape) == 2 else w_shape[0]
-    return WeightGroup(
-        name=name, weights=Tensor._wrap(w), bias=Tensor.zeros((bias_len,))
-    )
-
-
-def build_from_spec(spec: NetworkSpec, seed: int = 0) -> Network:
-    """Materialize a network from its spec with fresh seeded initialization."""
-    rng = Rng(seed).spawn("init")
-    groups: dict[str, WeightGroup] = {}
+def group_shapes(spec: NetworkSpec) -> dict[str, tuple[tuple, tuple]]:
+    """(weight shape, bias shape) of every weight group of ``spec``, in layer
+    order. Validates the layer stack without drawing any initialization."""
+    shapes: dict[str, tuple[tuple, tuple]] = {}
     shape = tuple(spec.input_shape)
     for ls in spec.layers:
+        if ls.group is not None and ls.group in shapes:
+            raise ConfigError(f"weight group {ls.group!r} is declared twice")
         if ls.kind == "dense":
             fan_in = int(np.prod(shape))
             if ls.units is None or ls.units <= 0 or ls.group is None:
                 raise ConfigError(f"bad dense layer spec {ls}")
-            groups[ls.group] = _init_group(ls.group, (fan_in, ls.units), fan_in, rng)
+            shapes[ls.group] = ((fan_in, ls.units), (ls.units,))
             shape = (ls.units,)
         elif ls.kind == "conv5x5":
             if len(shape) != 3:
@@ -394,10 +386,7 @@ def build_from_spec(spec: NetworkSpec, seed: int = 0) -> Network:
             if ls.maps is None or ls.maps <= 0 or ls.group is None:
                 raise ConfigError(f"bad conv layer spec {ls}")
             c, h, w = shape
-            fan_in = c * KERNEL_SIZE * KERNEL_SIZE
-            groups[ls.group] = _init_group(
-                ls.group, (ls.maps, c, KERNEL_SIZE, KERNEL_SIZE), fan_in, rng
-            )
+            shapes[ls.group] = ((ls.maps, c, KERNEL_SIZE, KERNEL_SIZE), (ls.maps,))
             shape = (ls.maps, h, w)
         elif ls.kind == "maxpool2":
             c, h, w = shape
@@ -408,7 +397,36 @@ def build_from_spec(spec: NetworkSpec, seed: int = 0) -> Network:
         raise ConfigError(
             f"layer stack produces shape {shape}, expected ({spec.classes},)"
         )
+    return shapes
+
+
+def _init_group(name: str, w_shape: tuple, b_shape: tuple, rng: Rng) -> WeightGroup:
+    # Zero-mean uniform with half-width sqrt(6 / fan_in); biases start at 0.
+    fan_in = int(np.prod(w_shape)) // b_shape[0]  # weights feeding one output
+    lim = math.sqrt(6.0 / fan_in)
+    w = rng.uniform(w_shape, -lim, lim)
+    return WeightGroup(name=name, weights=Tensor._wrap(w), bias=Tensor.zeros(b_shape))
+
+
+def build_from_spec(spec: NetworkSpec, seed: int = 0) -> Network:
+    """Materialize a network from its spec with fresh seeded initialization."""
+    rng = Rng(seed).spawn("init")
+    groups = {
+        name: _init_group(name, w_shape, b_shape, rng)
+        for name, (w_shape, b_shape) in group_shapes(spec).items()
+    }
     return Network(spec, groups)
+
+
+def ffdnn_group_names(hidden_layers: int) -> list[str]:
+    """Weight-group names of an FFDNN: In-h1, h1-h2, ..., h{L}-out (In-out at L=0)."""
+    nodes = ["In"] + [f"h{i}" for i in range(1, hidden_layers + 1)] + ["out"]
+    return [f"{a}-{b}" for a, b in zip(nodes, nodes[1:])]
+
+
+def cnn_group_names(levels: int) -> list[str]:
+    """Weight-group names of a CNN with ``levels`` conv stages: C1..Ck, FC, Out."""
+    return [f"C{i}" for i in range(1, levels + 1)] + ["FC", "Out"]
 
 
 def build_ffdnn(
@@ -431,15 +449,13 @@ def build_ffdnn(
         )
     if hidden_layers > 0 and hidden_units <= 0:
         raise ConfigError(f"hidden unit count must be positive, got {hidden_units}")
+    *hidden, out = ffdnn_group_names(hidden_layers)
     layers: list[LayerSpec] = []
-    prev = "In"
-    for i in range(1, hidden_layers + 1):
-        name = f"{prev}-h{i}"
+    for name in hidden:
         layers.append(LayerSpec(kind="dense", units=hidden_units, group=name))
         layers.append(LayerSpec(kind="relu"))
         layers.append(LayerSpec(kind="dropout", rate=dropout_rate))
-        prev = f"h{i}"
-    layers.append(LayerSpec(kind="dense", units=output_dim, group=f"{prev}-out"))
+    layers.append(LayerSpec(kind="dense", units=output_dim, group=out))
     layers.append(LayerSpec(kind="softmax"))
     spec = NetworkSpec(
         input_shape=(input_dim,), classes=output_dim, layers=tuple(layers)
@@ -466,14 +482,15 @@ def build_cnn(
     if any(m <= 0 for m in map_counts) or fc_units <= 0 or classes <= 0:
         raise ConfigError(f"sizes must be positive: maps {map_counts}, "
                           f"fc {fc_units}, classes {classes}")
+    *convs, fc, out = cnn_group_names(len(map_counts))
     layers: list[LayerSpec] = []
-    for i, maps in enumerate(map_counts, start=1):
-        layers.append(LayerSpec(kind="conv5x5", maps=maps, group=f"C{i}"))
+    for name, maps in zip(convs, map_counts):
+        layers.append(LayerSpec(kind="conv5x5", maps=maps, group=name))
         layers.append(LayerSpec(kind="relu"))
         layers.append(LayerSpec(kind="maxpool2"))
-    layers.append(LayerSpec(kind="dense", units=fc_units, group="FC"))
+    layers.append(LayerSpec(kind="dense", units=fc_units, group=fc))
     layers.append(LayerSpec(kind="relu"))
-    layers.append(LayerSpec(kind="dense", units=classes, group="Out"))
+    layers.append(LayerSpec(kind="dense", units=classes, group=out))
     layers.append(LayerSpec(kind="softmax"))
     spec = NetworkSpec(
         input_shape=tuple(input_shape), classes=classes, layers=tuple(layers)

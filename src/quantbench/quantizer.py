@@ -17,8 +17,8 @@ for fixed codes. Biases are never quantized.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -39,8 +39,8 @@ class QuantizerSpec:
     def __post_init__(self):
         if self.M < 3 or self.M % 2 == 0:
             raise ConfigError(f"level count must be odd and >= 3, got {self.M}")
-        if not self.delta > 0:
-            raise ConfigError(f"step size must be positive, got {self.delta}")
+        if not 0.0 < self.delta < float("inf"):
+            raise ConfigError(f"step size must be positive and finite, got {self.delta}")
 
     @property
     def max_code(self) -> int:
@@ -72,27 +72,43 @@ def bits_to_levels(n_bits: int) -> int:
     return 2**n_bits - 1
 
 
+def _grid_codes(w: np.ndarray, delta: float, max_code: float) -> np.ndarray:
+    """sgn(w) * min(floor(|w|/delta + 0.5), max_code) as float64; the grid rule.
+
+    This is the only place the rounding is written. A zero code is +0.0, so
+    the grid has a single zero whatever the sign of the weight.
+    """
+    q = np.abs(w)
+    q /= delta
+    q += 0.5
+    np.floor(q, out=q)
+    np.minimum(q, max_code, out=q)
+    q *= np.sign(w)
+    q += 0.0  # -0.0 + 0.0 == +0.0
+    return q
+
+
 def codes(w: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-    """Integer grid codes for w: sgn(w) * min(floor(|w|/delta + 0.5), max_code)."""
+    """Integer grid codes of w on the grid of ``spec``, as int64."""
     w = np.asarray(w, dtype=np.float64)
-    mag = np.minimum(np.floor(np.abs(w) / spec.delta + 0.5), spec.max_code)
-    return (np.sign(w) * mag).astype(np.int64)
+    q = _grid_codes(w.reshape(-1), spec.delta, spec.max_code)
+    return q.astype(np.int64).reshape(w.shape)
 
 
 def apply(w, spec: QuantizerSpec):
-    """Quantize w onto the grid of ``spec``.
+    """Quantize w onto the grid of ``spec``: codes(w) * delta.
 
     Accepts a scalar, ndarray, or Tensor and returns the same kind. Total
-    function: saturates at +/- max_code * delta, maps 0 to 0 exactly, and is
-    odd-symmetric (apply(-w) == -apply(w) bit for bit).
+    function: saturates at +/- max_code * delta and is odd-symmetric as
+    numbers (apply(-w) == -apply(w)); zero is +0.0.
     """
     if isinstance(w, Tensor):
         return Tensor._wrap(apply(w.ndarray, spec))
     arr = np.asarray(w, dtype=np.float64)
-    mag = np.minimum(np.floor(np.abs(arr) / spec.delta + 0.5), spec.max_code)
-    out = np.sign(arr) * spec.delta * mag
-    if np.isscalar(w) or arr.ndim == 0:
-        return float(out)
+    if arr.ndim == 0:
+        return float(apply(arr.reshape(1), spec)[0])
+    out = _grid_codes(arr, spec.delta, spec.max_code)
+    out *= spec.delta
     return out
 
 
@@ -170,7 +186,7 @@ def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationRepor
     iterations = 0
     for _ in range(_MAX_FIT_ITERATIONS):
         iterations += 1
-        q = np.sign(flat) * np.minimum(np.floor(np.abs(flat) / delta + 0.5), max_code)
+        q = _grid_codes(flat, delta, max_code)
         qq = float(np.dot(q, q))
         if qq == 0.0:
             break  # every weight rounds to zero; no least-squares update exists
@@ -181,7 +197,8 @@ def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationRepor
         delta = new_delta
 
     spec = QuantizerSpec(M=M, delta=delta)
-    saturated = float(np.mean(np.floor(np.abs(flat) / delta + 0.5) > max_code))
+    unclipped = _grid_codes(flat, delta, np.inf)
+    saturated = float(np.mean(np.abs(unclipped) > max_code))
     report = QuantizationReport(
         group=group, M=M, delta=delta, l2_error=l2_error(flat, spec),
         iterations=iterations, saturated_fraction=saturated,

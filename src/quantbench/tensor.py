@@ -7,11 +7,9 @@ this package only ever applies to stored weight values, never to arithmetic.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .errors import DimensionError
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -153,19 +151,6 @@ def derive_seed(seed: int, tag: str) -> int:
     return z ^ (z >> 31)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a [m x k] and b [k x n], accumulated in float64."""
-    if a.ndarray.ndim != 2 or b.ndarray.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-D operands, got shapes {a.shape} and {b.shape}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
-        )
-    return Tensor._wrap(a.ndarray @ b.ndarray)
-
-
 def _im2col(x: np.ndarray, ksize: int, pad: int) -> np.ndarray:
     """Unfold a padded [N, C, H, W] batch into patch rows.
 
@@ -194,31 +179,6 @@ def _col2im(dcols: np.ndarray, shape: tuple, ksize: int, pad: int) -> np.ndarray
     return dxp[:, :, pad : pad + h, pad : pad + w]
 
 
-def conv2d(x: Tensor, kernels: Tensor, pad: int = 2) -> Tensor:
-    """Same-size 2-D cross-correlation of one sample with a 5x5 kernel bank.
-
-    ``x`` is [C_in, H, W]; ``kernels`` is [C_out, C_in, 5, 5]. Borders are
-    zero-padded by ``pad`` (2 keeps the spatial size), and kernels are applied
-    without flipping.
-    """
-    xa, ka = x.ndarray, kernels.ndarray
-    if xa.ndim != 3:
-        raise DimensionError(f"conv2d input must be [C, H, W], got {x.shape}")
-    if ka.ndim != 4 or ka.shape[2:] != (5, 5):
-        raise DimensionError(
-            f"conv2d kernels must be [C_out, C_in, 5, 5], got {kernels.shape}"
-        )
-    if ka.shape[1] != xa.shape[0]:
-        raise DimensionError(
-            f"conv2d channel mismatch: input {x.shape} vs kernels {kernels.shape}"
-        )
-    c_out = ka.shape[0]
-    _, h, w = xa.shape
-    cols = _im2col(xa[None], 5, pad)[0]  # [H*W, C_in*25]
-    out = cols @ ka.reshape(c_out, -1).T  # [H*W, C_out]
-    return Tensor._wrap(out.T.reshape(c_out, h, w))
-
-
 def _maxpool2_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2x2 stride-2 max pooling over [N, C, H, W] with argmax bookkeeping.
 
@@ -242,12 +202,3 @@ def _maxpool2_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     chan = np.arange(c)[None, :, None, None]
     flat = (chan * h + rows) * w + cols
     return out, flat.astype(np.int64)
-
-
-def maxpool2(x: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Max-pool one [C, H, W] sample; see _maxpool2_batch for the rules."""
-    xa = x.ndarray
-    if xa.ndim != 3:
-        raise DimensionError(f"maxpool2 input must be [C, H, W], got {x.shape}")
-    out, idx = _maxpool2_batch(xa[None])
-    return Tensor._wrap(out[0]), idx[0]

@@ -83,7 +83,7 @@ class TrainConfig:
 
 def retrain_config(cfg: TrainConfig) -> TrainConfig:
     """Derive the retraining config: lr cut 10x, epoch budget halved."""
-    lr_init = cfg.lr_init * 0.1
+    lr_init = cfg.lr_init / 10  # not * 0.1: 0.05 * 0.1 != 0.005 in binary
     return dataclasses.replace(
         cfg,
         lr_init=lr_init,
@@ -192,12 +192,8 @@ def _apply_updates(
 
 def _assert_on_grid(net: Network) -> None:
     for name, g in net.groups.items():
-        if g.quantizer is None:
-            continue
-        w = g.weights.ndarray
-        q = np.rint(w / g.quantizer.delta)
-        if np.abs(q).max(initial=0.0) > g.quantizer.max_code or not np.array_equal(
-            q * g.quantizer.delta, w
+        if g.quantizer is not None and not np.array_equal(
+            apply(g.weights.ndarray, g.quantizer), g.weights.ndarray
         ):
             raise UsageError(f"group {name!r} left its quantization grid")
 

@@ -1,6 +1,7 @@
 """Binary checkpoint round-trips and corruption handling."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -39,6 +40,17 @@ class TestFloatRoundTrip:
         b, _ = forward(loaded, x)
         assert np.array_equal(a.ndarray, b.ndarray)
 
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
+        net = build_ffdnn(10, 6, 1, 4, seed=9)
+        p = tmp_path / "net.ckpt"
+        save_checkpoint(net, p)
+
+        def no_draws(self, n):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(Rng, "next_u64", no_draws)
+        assert list(load_checkpoint(p).groups) == list(net.groups)
+
     def test_save_load_save_byte_identical(self, tmp_path):
         net = build_ffdnn(10, 6, 1, 4, seed=9)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -62,11 +74,13 @@ class TestQuantizedRoundTrip:
             assert lg.quantizer is not None
             assert lg.quantizer.M == g.quantizer.M
             assert lg.quantizer.delta == g.quantizer.delta
-            assert np.array_equal(g.weights.ndarray, lg.weights.ndarray)
-            assert np.array_equal(
-                g.shadow_weights.ndarray, lg.shadow_weights.ndarray
+            # bytes, not values: a -0.0 weight reloaded as +0.0 would differ
+            assert g.weights.ndarray.tobytes() == lg.weights.ndarray.tobytes()
+            assert (
+                g.shadow_weights.ndarray.tobytes()
+                == lg.shadow_weights.ndarray.tobytes()
             )
-            assert np.array_equal(g.bias.ndarray, lg.bias.ndarray)
+            assert g.bias.ndarray.tobytes() == lg.bias.ndarray.tobytes()
 
     def test_quantized_save_load_save_byte_identical(self, tmp_path):
         net = self._quantized_net(seed=11)
@@ -141,9 +155,38 @@ class TestCorruption:
         with pytest.raises(DataFormatError):
             load_checkpoint(p)
 
+    def test_spec_missing_keys(self, tmp_path):
+        spec = b'{"classes":2,"input_shape":[4]}'
+        p = tmp_path / "spec.ckpt"
+        p.write_bytes(MAGIC + struct.pack("<II", 1, len(spec)) + spec
+                      + struct.pack("<I", 0))
+        with pytest.raises(DataFormatError, match="invalid network spec"):
+            load_checkpoint(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    def test_code_beyond_grid_rejected(self, tmp_path):
+        net, _ = direct_quantize(build_ffdnn(8, 6, 1, 4, seed=3), 2)
+        p = tmp_path / "q.ckpt"
+        save_checkpoint(net, p)
+        raw = bytearray(p.read_bytes())
+        raw[-1] = 2  # last code of the last group; a 3-level grid allows +/-1
+        p.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="code beyond"):
+            load_checkpoint(p)
+
+    def test_non_finite_shadow_weight_rejected(self, tmp_path):
+        net, _ = direct_quantize(build_ffdnn(8, 6, 1, 4, seed=3), 2)
+        group = net.groups["In-h1"]
+        shadow = group.shadow_weights.ndarray.copy()
+        shadow[0, 0] = np.nan
+        group.shadow_weights = Tensor(shadow)
+        p = tmp_path / "nan.ckpt"
+        save_checkpoint(net, p)
+        with pytest.raises(DataFormatError, match="non-finite"):
+            load_checkpoint(p)
 
 
 class TestSizeAccounting:

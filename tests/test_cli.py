@@ -59,11 +59,7 @@ class TestPipeline:
         out = tmp_path / "out"
         cfg = _base_config(out_dir=str(out))
         cfg["sweep"] = {"axis": "width", "sizes": [4, 8], "seed_reps": 1}
-        cfg["quant"] = {
-            "checkpoint": str(out / "float.ckpt"),
-            "n_bits": 2,
-            "bits": [2],
-        }
+        cfg["quant"] = {"n_bits": 2, "bits": [2]}
         config = _write_config(tmp_path, cfg)
 
         assert _run("train", "--config", config) == 0
@@ -79,8 +75,6 @@ class TestPipeline:
         stdout = capsys.readouterr().out
         assert "M=3" in stdout
 
-        cfg["quant"]["checkpoint"] = str(out / "quantized_2bit.ckpt")
-        config = _write_config(tmp_path, cfg)
         assert _run("retrain", "--config", config) == 0
         assert (out / "retrained.ckpt").exists()
         assert (out / "retrain_log.csv").exists()
@@ -102,6 +96,16 @@ class TestPipeline:
         chosen = tmp_path / "chosen"
         assert _run("train", "--config", config, "--out", str(chosen)) == 0
         assert (chosen / "float.ckpt").exists()
+        assert not (tmp_path / "ignored").exists()
+
+    def test_out_flag_redirects_checkpoint_inputs(self, tmp_path):
+        cfg = _base_config(out_dir=str(tmp_path / "ignored"))
+        cfg["quant"] = {"n_bits": 2}
+        config = _write_config(tmp_path, cfg)
+        chosen = tmp_path / "chosen"
+        for command in ("train", "quantize", "retrain"):
+            assert _run(command, "--config", config, "--out", str(chosen)) == 0
+        assert (chosen / "retrained.ckpt").exists()
         assert not (tmp_path / "ignored").exists()
 
     def test_csv_dataset_kind(self, tmp_path):
@@ -170,10 +174,25 @@ class TestExitCodes:
         cfg = _base_config(out_dir=str(out))
         config = _write_config(tmp_path, cfg)
         assert _run("train", "--config", config) == 0
-        cfg["quant"] = {"checkpoint": str(out / "float.ckpt")}
+        (out / "quantized_2bit.ckpt").write_bytes((out / "float.ckpt").read_bytes())
+        cfg["quant"] = {"n_bits": 2}
         config = _write_config(tmp_path, cfg)
         assert _run("retrain", "--config", config) == 2
         assert "direct-quantized" in capsys.readouterr().err
+
+    def test_retrain_on_off_grid_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["quant"] = {"n_bits": 2}
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 0
+        assert _run("quantize", "--config", config) == 0
+        ckpt = out / "quantized_2bit.ckpt"
+        raw = bytearray(ckpt.read_bytes())
+        raw[-1] = 0x7F  # a code far beyond the ternary grid
+        ckpt.write_bytes(bytes(raw))
+        assert _run("retrain", "--config", config) == 3
+        assert "code beyond" in capsys.readouterr().err
 
     def test_divergence(self, tmp_path, capsys):
         cfg = _base_config(out_dir=str(tmp_path / "out"))

@@ -19,13 +19,11 @@ from quantbench.experiments import (
     emit_report,
     parse_records_csv,
     run_depth_sweep,
-    run_group_sensitivity,
     run_width_sweep,
     write_ecr_csv,
     write_records_csv,
 )
-from quantbench.nn import build_ffdnn
-from quantbench.trainer import TrainConfig, train_float
+from quantbench.trainer import TrainConfig
 
 
 def _tiny_split(seed=3, dim=6, classes=3):
@@ -303,32 +301,6 @@ class TestDepthSweep:
                 "cnn", depths=[4], bit_list=[2], modes=("float",),
                 data=split, cfg=_tiny_cfg(), base_maps=(3, 4), seed_reps=1,
             )
-
-
-class TestGroupSensitivity:
-    def test_rows_and_deltas(self):
-        split = _tiny_split()
-        net = build_ffdnn(6, 8, 1, 3, dropout_rate=0.0, seed=1)
-        trained, _ = train_float(net, split, _tiny_cfg(max_epochs=3))
-        rows = run_group_sensitivity(
-            trained, 2, [(), ("In-h1",), ("In-h1", "h1-out")], split.valid
-        )
-        assert rows[0].groups == ()
-        assert rows[0].delta_vs_float == 0.0
-        assert all(r.n_bits == 2 for r in rows)
-        for row in rows[1:]:
-            assert row.delta_vs_float == pytest.approx(
-                row.val_metric - rows[0].val_metric
-            )
-
-    def test_source_net_untouched(self):
-        split = _tiny_split()
-        net = build_ffdnn(6, 8, 1, 3, seed=1)
-        w = {n: g.weights.ndarray.copy() for n, g in net.groups.items()}
-        run_group_sensitivity(net, 2, [("In-h1",)], split.valid)
-        for n, g in net.groups.items():
-            assert np.array_equal(g.weights.ndarray, w[n])
-            assert g.quantizer is None
 
 
 class TestRecordsCsv:

@@ -11,10 +11,13 @@ from quantbench.nn import (
     build_cnn,
     build_ffdnn,
     build_from_spec,
+    cnn_group_names,
     count_params,
     count_weight_bits,
     cross_entropy,
+    ffdnn_group_names,
     forward,
+    group_shapes,
     set_dropout_rate,
 )
 from quantbench.tensor import Rng, Tensor
@@ -41,6 +44,13 @@ class TestBuilders:
         # 16x16 pooled twice -> 4x4 spatial, 16 maps
         assert net.groups["FC"].weights.shape == (16 * 4 * 4, 32)
         assert net.groups["Out"].weights.shape == (32, 10)
+
+    def test_naming_helpers_match_builders(self):
+        for depth in (0, 1, 3):
+            assert ffdnn_group_names(depth) == list(build_ffdnn(6, 4, depth, 3).groups)
+        for maps in ([2], [2, 3], [2, 3, 4]):
+            net = build_cnn(maps, input_shape=(1, 8, 8), fc_units=4, classes=3)
+            assert cnn_group_names(len(maps)) == list(net.groups)
 
     def test_group_names_stable_across_runs(self):
         assert list(build_ffdnn(8, 4, 2, 3, seed=1).groups) == list(
@@ -88,6 +98,27 @@ class TestSpecRoundTrip:
         rebuilt = build_from_spec(net.spec, seed=11)
         for name in net.groups:
             assert rebuilt.groups[name].weights.shape == net.groups[name].weights.shape
+
+    def test_group_shapes_match_built_groups(self):
+        for net in (build_ffdnn(10, 8, 2, 4), build_cnn([3, 4], input_shape=(2, 9, 9))):
+            shapes = group_shapes(net.spec)
+            assert list(shapes) == list(net.groups)
+            for name, (w_shape, b_shape) in shapes.items():
+                assert net.groups[name].weights.shape == w_shape
+                assert net.groups[name].bias.shape == b_shape
+
+    def test_group_declared_twice_rejected(self):
+        spec = NetworkSpec(
+            input_shape=(4,),
+            classes=4,
+            layers=(
+                LayerSpec(kind="dense", units=4, group="G"),
+                LayerSpec(kind="dense", units=4, group="G"),
+                LayerSpec(kind="softmax"),
+            ),
+        )
+        with pytest.raises(ConfigError, match="twice"):
+            group_shapes(spec)
 
     def test_stack_must_end_at_class_count(self):
         spec = NetworkSpec(

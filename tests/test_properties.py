@@ -1,0 +1,73 @@
+"""Property tests for the grid rule; skipped when hypothesis is not installed."""
+
+import os
+import tempfile
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from quantbench.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
+from quantbench.nn import build_ffdnn  # noqa: E402
+from quantbench.quantizer import QuantizerSpec, apply, codes  # noqa: E402
+from quantbench.tensor import Tensor  # noqa: E402
+
+levels = st.integers(min_value=1, max_value=127).map(lambda h: 2 * h + 1)
+deltas = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
+weights = arrays(
+    np.float64,
+    st.integers(min_value=1, max_value=64),
+    elements=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+)
+SETTINGS = settings(max_examples=200, deadline=None)
+
+
+@SETTINGS
+@given(w=weights, M=levels, delta=deltas)
+def test_apply_is_odd_symmetric_as_numbers(w, M, delta):
+    spec = QuantizerSpec(M=M, delta=delta)
+    assert np.array_equal(apply(-w, spec), -apply(w, spec))
+
+
+@SETTINGS
+@given(w=weights, M=levels, delta=deltas)
+def test_zero_maps_to_positive_zero(w, M, delta):
+    spec = QuantizerSpec(M=M, delta=delta)
+    out = apply(w, spec)
+    assert not np.signbit(out[out == 0.0]).any()
+    assert not np.signbit(apply(np.array([0.0, -0.0]), spec)).any()
+
+
+@SETTINGS
+@given(w=weights, M=levels, delta=deltas)
+def test_codes_bounded_and_times_delta_is_apply(w, M, delta):
+    spec = QuantizerSpec(M=M, delta=delta)
+    q = codes(w, spec)
+    assert np.abs(q).max() <= spec.max_code
+    assert (q * delta).tobytes() == apply(w, spec).tobytes()
+
+
+@SETTINGS
+@given(
+    w=arrays(np.float64, (3, 2),
+             elements=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)),
+    M=levels,
+    delta=deltas,
+)
+def test_quantized_group_round_trips_weight_bytes(w, M, delta):
+    net = build_ffdnn(3, 1, 0, 2)
+    group = net.groups["In-out"]
+    group.quantizer = QuantizerSpec(M=M, delta=delta)
+    group.shadow_weights = Tensor(w)
+    group.weights = apply(group.shadow_weights, group.quantizer)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "q.ckpt")
+        save_checkpoint(net, path)
+        loaded = load_checkpoint(path).groups["In-out"]
+    assert loaded.quantizer == group.quantizer
+    assert loaded.weights.ndarray.tobytes() == group.weights.ndarray.tobytes()
+    assert loaded.shadow_weights.ndarray.tobytes() == w.tobytes()

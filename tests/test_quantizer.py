@@ -32,8 +32,9 @@ class TestQuantizerSpec:
             QuantizerSpec(M=1, delta=0.1)
 
     def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ConfigError):
-            QuantizerSpec(M=3, delta=0.0)
+        for delta in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                QuantizerSpec(M=3, delta=delta)
 
     def test_max_code(self):
         assert QuantizerSpec(M=7, delta=1.0).max_code == 3
@@ -73,6 +74,14 @@ class TestApply:
         assert q.dtype == np.int64
         assert np.abs(q).max() <= spec.max_code
         assert np.array_equal(q * spec.delta, apply(w, spec))
+
+    def test_zero_code_is_positive_zero(self):
+        spec = QuantizerSpec(M=3, delta=0.1)
+        w = np.array([-0.04, -1e-300, -0.0, 0.0, 0.04, -0.2, 0.2])
+        out = apply(w, spec)
+        assert np.array_equal(out, [0.0, 0.0, 0.0, 0.0, 0.0, -0.1, 0.1])
+        assert not np.signbit(out[codes(w, spec) == 0]).any()
+        assert not np.signbit(apply(-0.04, spec))
 
 
 class TestBitsToLevels:

@@ -1,17 +1,13 @@
-"""Tensor container, RNG streams, and the conv/pool primitives."""
+"""Tensor container, RNG streams, and the dense/conv/pool kernels as the
+layers of built networks run them."""
 
 import numpy as np
 import pytest
 
-from quantbench.errors import ConfigError, DimensionError
-from quantbench.tensor import (
-    Rng,
-    Tensor,
-    conv2d,
-    derive_seed,
-    matmul,
-    maxpool2,
-)
+from quantbench.checkpoint import load_checkpoint, save_checkpoint
+from quantbench.errors import DataFormatError, DimensionError
+from quantbench.nn import build_cnn, build_ffdnn, forward
+from quantbench.tensor import Rng, Tensor, derive_seed
 
 
 class TestTensor:
@@ -84,18 +80,20 @@ class TestRng:
 
 
 class TestMatmul:
+    """The dense layer's matrix product, through a build_ffdnn layer."""
+
     def test_matches_numpy(self):
-        rng = Rng(2)
-        a = Tensor(rng.uniform((7, 5), -1, 1))
-        b = Tensor(rng.uniform((5, 9), -1, 1))
-        out = matmul(a, b)
-        assert np.allclose(out.ndarray, a.ndarray @ b.ndarray)
+        net = build_ffdnn(5, 1, 0, 9, seed=2)
+        net.groups["In-out"].bias = Tensor(Rng(3).uniform((9,), -1, 1))
+        a = Rng(2).uniform((7, 5), -1, 1)
+        out, _ = net.layers[0].forward(a, "eval", None)
+        g = net.groups["In-out"]
+        assert np.allclose(out, a @ g.weights.ndarray + g.bias.ndarray)
 
     def test_shape_mismatch_names_both_shapes(self):
-        a = Tensor.zeros((3, 4))
-        b = Tensor.zeros((5, 2))
-        with pytest.raises(DimensionError, match=r"3, 4.*5, 2"):
-            matmul(a, b)
+        net = build_ffdnn(5, 1, 0, 2, seed=2)
+        with pytest.raises(DimensionError, match=r"3, 4.*5,"):
+            forward(net, Tensor.zeros((3, 4)))
 
 
 def _conv_naive(x, k, pad):
@@ -133,42 +131,69 @@ def _pool_naive(x):
     return out, idx
 
 
+def _conv_net(c_in, c_out, h, w, seed=0):
+    net = build_cnn([c_out], input_shape=(c_in, h, w), fc_units=2, classes=2,
+                    seed=seed)
+    net.groups["C1"].bias = Tensor(Rng(seed + 1).uniform((c_out,), -1, 1))
+    return net
+
+
+def _pool_layer():
+    return build_cnn([1], input_shape=(1, 4, 4), fc_units=2, classes=2).layers[2]
+
+
 class TestConv2d:
+    """The conv layer of a build_cnn network against a naive reference."""
+
     @pytest.mark.parametrize("c_in,c_out,h,w", [(1, 1, 6, 6), (3, 4, 8, 7), (2, 5, 5, 5)])
     def test_matches_naive_cross_correlation(self, c_in, c_out, h, w):
         rng = Rng(c_in * 100 + c_out)
-        x = rng.uniform((c_in, h, w), -1, 1)
-        k = rng.uniform((c_out, c_in, 5, 5), -1, 1)
-        got = conv2d(Tensor(x), Tensor(k)).ndarray
-        assert got.shape == (c_out, h, w)
-        assert np.allclose(got, _conv_naive(x, k, 2), atol=1e-12)
+        x = rng.uniform((2, c_in, h, w), -1, 1)
+        net = _conv_net(c_in, c_out, h, w, seed=c_in + c_out)
+        k, b = net.groups["C1"].weights.ndarray, net.groups["C1"].bias.ndarray
+        got, _ = net.layers[0].forward(x, "eval", None)
+        assert got.shape == (2, c_out, h, w)
+        for i in range(2):
+            want = _conv_naive(x[i], k, 2) + b[:, None, None]
+            assert np.allclose(got[i], want, atol=1e-12)
 
     def test_channel_mismatch_raises(self):
-        with pytest.raises(DimensionError):
-            conv2d(Tensor.zeros((3, 6, 6)), Tensor.zeros((4, 2, 5, 5)))
+        conv = _conv_net(2, 4, 6, 6).layers[0]
+        with pytest.raises(DimensionError, match="channel mismatch"):
+            conv.forward(np.zeros((1, 3, 6, 6)), "eval", None)
 
-    def test_kernel_must_be_5x5(self):
-        with pytest.raises(DimensionError):
-            conv2d(Tensor.zeros((2, 6, 6)), Tensor.zeros((4, 2, 3, 3)))
+    def test_kernel_must_be_5x5(self, tmp_path):
+        net = build_cnn([4, 3], input_shape=(2, 12, 12), fc_units=2, classes=2)
+        assert all(net.groups[g].weights.shape[2:] == (5, 5) for g in ("C1", "C2"))
+        # A kernel bank of any other size cannot enter a network.
+        net.groups["C1"].weights = Tensor.zeros((4, 2, 3, 3))
+        save_checkpoint(net, tmp_path / "k3.ckpt")
+        with pytest.raises(DataFormatError, match="spec shape"):
+            load_checkpoint(tmp_path / "k3.ckpt")
 
 
 class TestMaxpool2:
+    """The max-pool layer of a build_cnn network against a naive reference."""
+
     @pytest.mark.parametrize("c,h,w", [(1, 4, 4), (3, 8, 8), (2, 7, 7), (2, 5, 8)])
     def test_matches_naive(self, c, h, w):
-        x = Rng(h * 10 + w).uniform((c, h, w), -1, 1)
-        out, idx = maxpool2(Tensor(x))
-        exp_out, exp_idx = _pool_naive(x)
-        assert np.array_equal(out.ndarray, exp_out)
-        assert np.array_equal(idx, exp_idx)
+        x = Rng(h * 10 + w).uniform((2, c, h, w), -1, 1)
+        out, (idx, _) = _pool_layer().forward(x, "eval", None)
+        for i in range(2):
+            exp_out, exp_idx = _pool_naive(x[i])
+            assert np.array_equal(out[i], exp_out)
+            assert np.array_equal(idx[i], exp_idx)
 
     def test_tie_takes_smallest_flat_index(self):
-        x = np.ones((1, 4, 4))
-        out, idx = maxpool2(Tensor(x))
-        assert np.array_equal(out.ndarray, np.ones((1, 2, 2)))
+        x = np.ones((1, 1, 4, 4))
+        out, (idx, _) = _pool_layer().forward(x, "eval", None)
+        assert np.array_equal(out, np.ones((1, 1, 2, 2)))
         # all-equal windows resolve to the top-left corner of each window
-        assert np.array_equal(idx[0], np.array([[0, 2], [8, 10]]))
+        assert np.array_equal(idx[0, 0], np.array([[0, 2], [8, 10]]))
 
     def test_indices_recover_values(self):
-        x = Rng(77).uniform((3, 9, 6), -5, 5)
-        out, idx = maxpool2(Tensor(x))
-        assert np.array_equal(x.reshape(-1)[idx.reshape(-1)], out.ndarray.reshape(-1))
+        x = Rng(77).uniform((2, 3, 9, 6), -5, 5)
+        out, (idx, _) = _pool_layer().forward(x, "eval", None)
+        for i in range(2):
+            assert np.array_equal(x[i].reshape(-1)[idx[i].reshape(-1)],
+                                  out[i].reshape(-1))

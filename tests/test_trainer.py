@@ -79,6 +79,10 @@ class TestTrainConfig:
         assert r.lr_final == pytest.approx(1e-5)
         assert r.max_epochs == 10
 
+    def test_retrain_config_divides_exactly(self):
+        # 0.05 * 0.1 is 0.005000000000000001; the schedule divides by 10
+        assert retrain_config(TrainConfig(lr_init=0.05, lr_final=1e-4)).lr_init == 0.005
+
     def test_retrain_config_caps_final_rate(self):
         cfg = TrainConfig(lr_init=1e-3, lr_final=5e-4, max_epochs=1)
         r = retrain_config(cfg)
