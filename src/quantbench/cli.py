@@ -6,7 +6,9 @@
 One JSON config per experiment. Unknown keys anywhere in the document are
 errors (catches sweep-definition typos); error messages carry the offending
 field path. Seed precedence: --seed flag, then the QUANTBENCH_SEED
-environment variable, then the config's "seed" key.
+environment variable, then the config's seeds. Either override replaces
+every seed in the config; without one, the "seed" of the dataset or train
+block beats the top-level "seed" for that block.
 
 Exit codes: 0 success, 2 config or usage error, 3 data format error,
 4 numeric divergence during training.
@@ -15,6 +17,7 @@ Exit codes: 0 success, 2 config or usage error, 3 data format error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,9 +30,8 @@ from .experiments import (
     DEPTH_SWEEP_BASE_MAPS,
     DEPTH_SWEEP_WIDTH,
     MODES,
-    SCALES,
     SweepRecord,
-    baseline_curve,
+    baseline_curves,
     emit_report,
     parse_records_csv,
     run_depth_sweep,
@@ -107,102 +109,102 @@ def _as_str_list(value, path: str) -> list[str]:
     return [_as_str(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-_CASTS = {
-    "int": _as_int,
-    "float": _as_float,
-    "str": _as_str,
-    "bool": _as_bool,
-    "int_list": _as_int_list,
-    "str_list": _as_str_list,
+def _as_groups(value, path: str):
+    if value == "all":
+        return value
+    if not isinstance(value, list):
+        raise ConfigError(f'{path}: expected "all" or a list of names')
+    return _as_str_list(value, path)
+
+
+def _as_sizes(value, path: str) -> list:
+    """Hidden-unit counts (ffdnn) or lists of map counts (cnn)."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    if all(isinstance(s, list) for s in value):
+        return [_as_int_list(s, f"{path}[{i}]") for i, s in enumerate(value)]
+    return _as_int_list(value, path)
+
+
+_RECORDS_SCHEMA = {"records": _as_str, "scale": _as_str}
+
+# Each key maps to the cast that checks its value, or to the schema of a block.
+_SCHEMA = {
+    "seed": _as_int,
+    "out_dir": _as_str,
+    "dataset": {
+        "kind": _as_str,
+        "path": _as_str,
+        "labels_path": _as_str,
+        "valid_path": _as_str,
+        "test_path": _as_str,
+        "n_train": _as_int,
+        "n_valid": _as_int,
+        "n_test": _as_int,
+        "classes": _as_int,
+        "dim": _as_int,
+        "spread": _as_float,
+        "shape": _as_int_list,
+        "seed": _as_int,
+    },
+    "network": {
+        "family": _as_str,
+        "hidden_units": _as_int,
+        "hidden_layers": _as_int,
+        "map_counts": _as_int_list,
+        "fc_units": _as_int,
+        "dropout_rate": _as_float,
+    },
+    "train": {
+        "batch_size": _as_int,
+        "lr_init": _as_float,
+        "lr_final": _as_float,
+        "lr_decay": _as_float,
+        "momentum": _as_float,
+        "rmsprop_rho": _as_float,
+        "rmsprop_eps": _as_float,
+        "max_epochs": _as_int,
+        "patience": _as_int,
+        "seed": _as_int,
+        "dropout_active": _as_bool,
+    },
+    "quant": {
+        "checkpoint": _as_str,
+        "n_bits": _as_int,
+        "bits": _as_int_list,
+        "groups": _as_groups,
+    },
+    "sweep": {
+        "axis": _as_str,
+        "sizes": _as_sizes,
+        "depths": _as_int_list,
+        "modes": _as_str_list,
+        "seed_reps": _as_int,
+        "width": _as_int,
+        "base_maps": _as_int_list,
+    },
+    "ecr": _RECORDS_SCHEMA,
+    "report": _RECORDS_SCHEMA,
 }
 
 
-def _check_block(block, schema: dict[str, str], path: str) -> dict:
-    """Validate one config block: unknown keys are errors, types are cast."""
+def _check_block(block, schema: dict, path: str) -> dict:
+    """Validate one config block: unknown keys are errors, values are cast,
+    nested blocks are checked recursively."""
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object, got {_type_name(block)}")
     out = {}
     for key, value in block.items():
+        key_path = f"{path}.{key}" if path else key
         if key not in schema:
             known = ", ".join(sorted(schema))
-            raise ConfigError(f"{path}.{key}: unknown key (known keys: {known})")
-        out[key] = _CASTS[schema[key]](value, f"{path}.{key}")
+            raise ConfigError(f"{key_path}: unknown key (known keys: {known})")
+        check = schema[key]
+        if isinstance(check, dict):
+            out[key] = _check_block(value, check, key_path)
+        else:
+            out[key] = check(value, key_path)
     return out
-
-
-_TOP_SCHEMA = {
-    "seed": "int",
-    "out_dir": "str",
-    "dataset": "block",
-    "network": "block",
-    "train": "block",
-    "quant": "block",
-    "sweep": "block",
-    "ecr": "block",
-    "report": "block",
-}
-
-_DATASET_SCHEMA = {
-    "kind": "str",
-    "path": "str",
-    "labels_path": "str",
-    "valid_path": "str",
-    "test_path": "str",
-    "n_train": "int",
-    "n_valid": "int",
-    "n_test": "int",
-    "classes": "int",
-    "dim": "int",
-    "spread": "float",
-    "shape": "int_list",
-    "seed": "int",
-}
-
-_NETWORK_SCHEMA = {
-    "family": "str",
-    "hidden_units": "int",
-    "hidden_layers": "int",
-    "map_counts": "int_list",
-    "fc_units": "int",
-    "dropout_rate": "float",
-}
-
-_TRAIN_SCHEMA = {
-    "batch_size": "int",
-    "lr_init": "float",
-    "lr_final": "float",
-    "lr_decay": "float",
-    "momentum": "float",
-    "rmsprop_rho": "float",
-    "rmsprop_eps": "float",
-    "max_epochs": "int",
-    "patience": "int",
-    "seed": "int",
-    "dropout_active": "bool",
-}
-
-_QUANT_SCHEMA = {
-    "checkpoint": "str",
-    "n_bits": "int",
-    "bits": "int_list",
-    "groups": "groups",  # "all" or list of names; handled specially
-}
-
-_SWEEP_SCHEMA = {
-    "axis": "str",
-    "sizes": "sizes",  # ints (ffdnn) or lists of ints (cnn); handled specially
-    "depths": "int_list",
-    "modes": "str_list",
-    "seed_reps": "int",
-    "width": "int",
-    "base_maps": "int_list",
-    "scale": "str",
-}
-
-_RECORDS_SCHEMA = {
-    "records": "str",
-    "scale": "str",
-}
 
 
 def load_config(path: str) -> dict:
@@ -216,52 +218,9 @@ def load_config(path: str) -> dict:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
-    cfg: dict = {}
-    for key, value in raw.items():
-        if key not in _TOP_SCHEMA:
-            known = ", ".join(sorted(_TOP_SCHEMA))
-            raise ConfigError(f"{key}: unknown key (known keys: {known})")
-        if _TOP_SCHEMA[key] != "block":
-            cfg[key] = _CASTS[_TOP_SCHEMA[key]](value, key)
-    if "dataset" in raw:
-        cfg["dataset"] = _check_block(raw["dataset"], _DATASET_SCHEMA, "dataset")
-    if "network" in raw:
-        cfg["network"] = _check_block(raw["network"], _NETWORK_SCHEMA, "network")
-    if "train" in raw:
-        cfg["train"] = _check_block(raw["train"], _TRAIN_SCHEMA, "train")
-    if "quant" in raw:
-        block = dict(raw["quant"])
-        groups = block.pop("groups", None)
-        cfg["quant"] = _check_block(
-            block, {k: v for k, v in _QUANT_SCHEMA.items() if v != "groups"}, "quant"
-        )
-        if groups is not None:
-            if groups != "all" and not isinstance(groups, list):
-                raise ConfigError('quant.groups: expected "all" or a list of names')
-            if isinstance(groups, list):
-                groups = _as_str_list(groups, "quant.groups")
-            cfg["quant"]["groups"] = groups
-    if "sweep" in raw:
-        block = dict(raw["sweep"])
-        sizes = block.pop("sizes", None)
-        cfg["sweep"] = _check_block(
-            block, {k: v for k, v in _SWEEP_SCHEMA.items() if v != "sizes"}, "sweep"
-        )
-        if sizes is not None:
-            cfg["sweep"]["sizes"] = _parse_sizes(sizes)
-    for key in ("ecr", "report"):
-        if key in raw:
-            cfg[key] = _check_block(raw[key], _RECORDS_SCHEMA, key)
+    cfg = _check_block(raw, _SCHEMA, "")
     _validate_references(cfg)
     return cfg
-
-
-def _parse_sizes(sizes) -> list:
-    if not isinstance(sizes, list) or not sizes:
-        raise ConfigError("sweep.sizes: expected a non-empty list")
-    if all(isinstance(s, list) for s in sizes):
-        return [_as_int_list(s, f"sweep.sizes[{i}]") for i, s in enumerate(sizes)]
-    return _as_int_list(sizes, "sweep.sizes")
 
 
 def _expected_groups(network: dict) -> list[str]:
@@ -293,8 +252,6 @@ def _validate_references(cfg: dict) -> None:
         bad = [m for m in sweep["modes"] if m not in MODES]
         if bad:
             raise ConfigError(f"sweep.modes: unknown mode(s) {bad}")
-    if "scale" in sweep and sweep["scale"] not in SCALES:
-        raise ConfigError(f"sweep.scale: expected one of {list(SCALES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +265,28 @@ def _require(block: dict, key: str, path: str):
     return block[key]
 
 
-def _effective_seed(cfg: dict, flag_seed: int | None) -> int:
-    if flag_seed is not None:
-        return flag_seed
+def _resolve_seeds(cfg: dict, flag_seed: int | None) -> None:
+    """Write the effective seed into the dataset and train blocks.
+
+    --seed, then QUANTBENCH_SEED, beats every config seed. Without an
+    override, a block's own "seed" beats the top-level one (default 0).
+    """
+    override = flag_seed
     env = os.environ.get(SEED_ENV)
-    if env is not None:
+    if override is None and env is not None:
         try:
-            return int(env)
+            override = int(env)
         except ValueError:
             raise ConfigError(
                 f"{SEED_ENV} must be an integer, got {env!r}"
             ) from None
-    return cfg.get("seed", 0)
+    top = cfg.get("seed", 0) if override is None else override
+    for block in (cfg.get("dataset"), cfg.setdefault("train", {})):
+        if block is not None:
+            block["seed"] = top if override is not None else block.get("seed", top)
 
 
-def _build_split(cfg: dict, seed: int, seed_overridden: bool) -> DatasetSplit:
+def _build_split(cfg: dict) -> DatasetSplit:
     if "dataset" not in cfg:
         raise ConfigError("dataset: required block is missing")
     ds = cfg["dataset"]
@@ -343,7 +307,6 @@ def _build_split(cfg: dict, seed: int, seed_overridden: bool) -> DatasetSplit:
             part.class_count = classes
         return DatasetSplit(train=train, valid=valid, test=test)
     if kind in ("blobs", "spirals", "teacher_net"):
-        ds_seed = seed if seed_overridden else ds.get("seed", seed)
         shape = ds.get("shape")
         return synthetic_split(
             kind,
@@ -351,7 +314,7 @@ def _build_split(cfg: dict, seed: int, seed_overridden: bool) -> DatasetSplit:
             n_valid=ds.get("n_valid", 300),
             n_test=ds.get("n_test", 300),
             classes=ds.get("classes", 4),
-            seed=ds_seed,
+            seed=ds["seed"],
             dim=ds.get("dim", 16),
             spread=ds.get("spread", 0.35),
             shape=tuple(shape) if shape else None,
@@ -362,17 +325,23 @@ def _build_split(cfg: dict, seed: int, seed_overridden: bool) -> DatasetSplit:
     )
 
 
-def _flatten_for_family(split: DatasetSplit, family: str) -> DatasetSplit:
-    if family != "ffdnn":
+def _family(cfg: dict) -> str:
+    return cfg.get("network", {}).get("family", "ffdnn")
+
+
+def _load_split(cfg: dict) -> DatasetSplit:
+    """The configured split, with image features flattened for an ffdnn."""
+    split = _build_split(cfg)
+    if _family(cfg) != "ffdnn":
         return split
 
     def flat(ds):
         f = ds.features.ndarray
         if f.ndim <= 2:
             return ds
-        import dataclasses as dc
-
-        return dc.replace(ds, features=Tensor._wrap(f.reshape(f.shape[0], -1)))
+        return dataclasses.replace(
+            ds, features=Tensor._wrap(f.reshape(f.shape[0], -1))
+        )
 
     return DatasetSplit(
         train=flat(split.train), valid=flat(split.valid), test=flat(split.test)
@@ -414,13 +383,6 @@ def _build_network(cfg: dict, split: DatasetSplit, seed: int):
     raise ConfigError(f"network.family: expected 'ffdnn' or 'cnn', got {family!r}")
 
 
-def _train_config(cfg: dict, seed: int, seed_overridden: bool) -> TrainConfig:
-    tr = dict(cfg.get("train", {}))
-    if seed_overridden or "seed" not in tr:
-        tr["seed"] = seed
-    return TrainConfig(**tr)
-
-
 def _out_dir(cfg: dict, flag_out: str | None) -> str:
     out = flag_out or cfg.get("out_dir", "out")
     os.makedirs(out, exist_ok=True)
@@ -436,12 +398,9 @@ def _quantized_ckpt(out_dir: str, n_bits: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
-              jobs: int) -> int:
-    split = _build_split(cfg, seed, seed_overridden)
-    family = cfg.get("network", {}).get("family", "ffdnn")
-    split = _flatten_for_family(split, family)
-    tcfg = _train_config(cfg, seed, seed_overridden)
+def cmd_train(cfg: dict, out_dir: str, jobs: int) -> int:
+    split = _load_split(cfg)
+    tcfg = TrainConfig(**cfg["train"])
     net = _build_network(cfg, split, seed=tcfg.seed)
     best, log = train_float(net, split, tcfg)
     ckpt = os.path.join(out_dir, FLOAT_CKPT)
@@ -450,15 +409,14 @@ def cmd_train(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
     write_train_log(log, log_path)
     val = evaluate(best, split.valid)
     test = evaluate(best, split.test)
-    print(f"trained {family} ({count_params(best)} params): "
+    print(f"trained {_family(cfg)} ({count_params(best)} params): "
           f"val {val:.2f}% test {test:.2f}%")
     print(f"wrote {ckpt}")
     print(f"wrote {log_path}")
     return 0
 
 
-def cmd_quantize(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
-                 jobs: int) -> int:
+def cmd_quantize(cfg: dict, out_dir: str, jobs: int) -> int:
     quant = cfg.get("quant", {})
     ckpt_in = quant.get("checkpoint", os.path.join(out_dir, FLOAT_CKPT))
     n_bits = _require(quant, "n_bits", "quant")
@@ -478,15 +436,12 @@ def cmd_quantize(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
     return 0
 
 
-def cmd_retrain(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
-                jobs: int) -> int:
+def cmd_retrain(cfg: dict, out_dir: str, jobs: int) -> int:
     n_bits = _require(cfg.get("quant", {}), "n_bits", "quant")
     bits_to_levels(n_bits)
     net = load_checkpoint(_quantized_ckpt(out_dir, n_bits))
-    split = _build_split(cfg, seed, seed_overridden)
-    family = cfg.get("network", {}).get("family", "ffdnn")
-    split = _flatten_for_family(split, family)
-    tcfg = retrain_config(_train_config(cfg, seed, seed_overridden))
+    split = _load_split(cfg)
+    tcfg = retrain_config(TrainConfig(**cfg["train"]))
     if "dropout_rate" in cfg.get("network", {}):
         set_dropout_rate(net, cfg["network"]["dropout_rate"])
     best, log = retrain_quantized(net, split, tcfg)
@@ -501,18 +456,16 @@ def cmd_retrain(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
     return 0
 
 
-def cmd_sweep(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
-              jobs: int) -> int:
+def cmd_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
     if "sweep" not in cfg:
         raise ConfigError("sweep: required block is missing")
     sw = cfg["sweep"]
     axis = sw.get("axis", "width")
     if axis not in ("width", "depth"):
         raise ConfigError(f"sweep.axis: expected 'width' or 'depth', got {axis!r}")
-    family = cfg.get("network", {}).get("family", "ffdnn")
-    split = _build_split(cfg, seed, seed_overridden)
-    split = _flatten_for_family(split, family)
-    tcfg = _train_config(cfg, seed, seed_overridden)
+    family = _family(cfg)
+    split = _load_split(cfg)
+    tcfg = TrainConfig(**cfg["train"])
     bits = cfg.get("quant", {}).get("bits", [2])
     modes = sw.get("modes", MODES)
     reps = sw.get("seed_reps", DEFAULT_SEED_REPS)
@@ -548,27 +501,17 @@ def _load_records(cfg: dict, key: str, out_dir: str) -> tuple[list[SweepRecord],
     return parse_records_csv(path), block.get("scale", "linear")
 
 
-def cmd_ecr(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
-            jobs: int) -> int:
+def cmd_ecr(cfg: dict, out_dir: str, jobs: int) -> int:
     records, scale = _load_records(cfg, "ecr", out_dir)
     quantized = [r for r in records if r.mode != "float"]
-    curves = {}
-    for family in sorted({r.family for r in quantized}):
-        if not any(r.family == family and r.mode == "float" for r in records):
-            raise ConfigError(
-                f"no float baseline records for family {family!r}; rerun the "
-                f"sweep with 'float' in sweep.modes"
-            )
-        curves[family] = baseline_curve(records, family, scale=scale)
     path = os.path.join(out_dir, "ecr.csv")
-    write_ecr_csv(quantized, curves, path)
+    write_ecr_csv(quantized, baseline_curves(records, scale), path)
     print(f"{len(quantized)} quantized records")
     print(f"wrote {path}")
     return 0
 
 
-def cmd_report(cfg: dict, out_dir: str, seed: int, seed_overridden: bool,
-               jobs: int) -> int:
+def cmd_report(cfg: dict, out_dir: str, jobs: int) -> int:
     records, scale = _load_records(cfg, "report", out_dir)
     files = emit_report(records, out_dir, scale=scale)
     for f in files:
@@ -607,15 +550,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        seed_overridden = (
-            args.seed is not None or os.environ.get(SEED_ENV) is not None
-        )
-        seed = _effective_seed(cfg, args.seed)
+        _resolve_seeds(cfg, args.seed)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         out_dir = _out_dir(cfg, args.out)
-        return _COMMANDS[args.command](cfg, out_dir, seed, seed_overridden,
-                                       args.jobs)
+        return _COMMANDS[args.command](cfg, out_dir, args.jobs)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

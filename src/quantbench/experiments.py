@@ -297,11 +297,22 @@ def baseline_curve(
         if r.family == family and r.mode == "float":
             by_size.setdefault(r.param_count, []).append(r.val_metric)
     if not by_size:
-        raise ConfigError(f"no float records for family {family!r}")
+        raise ConfigError(
+            f"no float records for family {family!r}; rerun the sweep with "
+            f"'float' in sweep.modes"
+        )
     points = tuple(
         (count, float(np.median(vals))) for count, vals in sorted(by_size.items())
     )
     return FloatBaselineCurve(points=points, scale=scale)
+
+
+def baseline_curves(
+    records: Sequence[SweepRecord], scale: str
+) -> dict[str, FloatBaselineCurve]:
+    """Baseline curve of every family that has quantized records."""
+    families = sorted({r.family for r in records if r.mode != "float"})
+    return {f: baseline_curve(records, f, scale=scale) for f in families}
 
 
 def effective_params(
@@ -450,12 +461,10 @@ def _median_by(records: Sequence[SweepRecord], metric: str):
 def emit_report(
     records: Sequence[SweepRecord],
     out_dir: str,
-    curves: dict[str, FloatBaselineCurve] | None = None,
     scale: str = "linear",
 ) -> list[str]:
     """Write records.csv, ecr.csv, plot-data CSVs, and summary.md.
 
-    ``curves`` defaults to baselines built from the float records present.
     Returns the list of file paths written.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -466,18 +475,8 @@ def emit_report(
     write_records_csv(records, path)
     written.append(path)
 
-    quantized = [r for r in records if r.mode != "float"]
-    families_needing_curves = sorted({r.family for r in quantized})
-    if curves is None:
-        curves = {}
-        for family in families_needing_curves:
-            curves[family] = baseline_curve(records, family, scale=scale)
-    missing = [f for f in families_needing_curves if f not in curves]
-    if missing:
-        raise ConfigError(f"no float baseline curve for families {missing}")
-
     path = os.path.join(out_dir, "ecr.csv")
-    write_ecr_csv(quantized, curves, path)
+    write_ecr_csv(records, baseline_curves(records, scale), path)
     written.append(path)
 
     med_val = _median_by(records, "val_metric")
@@ -520,7 +519,7 @@ def emit_report(
 
     path = os.path.join(out_dir, "summary.md")
     written.append(path)
-    _write_summary(records, curves, path)
+    _write_summary(records, path)
     return written
 
 
@@ -532,7 +531,7 @@ def _size_sort_key(size: str):
     return (1, (), size)
 
 
-def _write_summary(records, curves, path) -> None:
+def _write_summary(records, path) -> None:
     med_test = _median_by(records, "test_metric")
     arches = sorted(
         {(r.family, r.width_or_maps, r.depth) for r in records},

@@ -258,8 +258,6 @@ class Network:
     """Ordered layer stack with named weight groups."""
 
     def __init__(self, spec: NetworkSpec, groups: dict[str, WeightGroup]):
-        if not spec.layers or spec.layers[-1].kind != "softmax":
-            raise ConfigError("a network must end with a softmax layer")
         self.spec = spec
         self.groups = groups
         self.layers = [_make_layer(ls, groups) for ls in spec.layers]
@@ -369,6 +367,8 @@ def cross_entropy(probs: Tensor, targets: Sequence[int]) -> float:
 def group_shapes(spec: NetworkSpec) -> dict[str, tuple[tuple, tuple]]:
     """(weight shape, bias shape) of every weight group of ``spec``, in layer
     order. Validates the layer stack without drawing any initialization."""
+    if not spec.layers or spec.layers[-1].kind != "softmax":
+        raise ConfigError("a network must end with a softmax layer")
     shapes: dict[str, tuple[tuple, tuple]] = {}
     shape = tuple(spec.input_shape)
     for ls in spec.layers:

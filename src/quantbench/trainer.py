@@ -103,12 +103,13 @@ class EpochRecord:
 
 @dataclass
 class TrainLog:
+    """Per-epoch records of one run. ``best_metric`` is the validation metric
+    of the network the run returns; ``best_epoch`` is the epoch it comes from,
+    or -1 when no epoch beat the starting network."""
+
+    best_metric: float
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
-
-    @property
-    def best_metric(self) -> float:
-        return self.records[self.best_epoch].val_metric
 
 
 def write_train_log(log: TrainLog, path: str, include_timing: bool = False) -> None:
@@ -220,9 +221,8 @@ def _run_training(
     dropout_rng = rng.spawn("dropout") if cfg.dropout_active else None
     train_mode = "train" if cfg.dropout_active else "eval"
     opt = _Optimizer(net, cfg)
-    log = TrainLog()
+    log = TrainLog(best_metric=evaluate(net, data.valid))
     best_net = net.copy()
-    best_metric = evaluate(net, data.valid)
     lr = cfg.lr_init
     bad_epochs = 0
     for epoch in range(cfg.max_epochs):
@@ -255,8 +255,8 @@ def _run_training(
                 seconds=time.monotonic() - t0,
             )
         )
-        if val_metric < best_metric:
-            best_metric = val_metric
+        if val_metric < log.best_metric:
+            log.best_metric = val_metric
             best_net = net.copy()
             log.best_epoch = epoch
             bad_epochs = 0
@@ -265,11 +265,6 @@ def _run_training(
             lr *= cfg.lr_decay
             if lr < cfg.lr_final or bad_epochs >= cfg.patience:
                 break
-    if log.best_epoch < 0 and log.records:
-        # no epoch beat the starting snapshot; report the best logged epoch
-        log.best_epoch = int(
-            np.argmin([r.val_metric for r in log.records])
-        )
     return best_net, log
 
 

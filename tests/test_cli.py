@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quantbench.cli import SEED_ENV, main
+from quantbench.cli import SEED_ENV, load_config, main
 from quantbench.data import make_synthetic, save_csv
 
 
@@ -127,14 +128,24 @@ class TestPipeline:
 
 
 class TestExitCodes:
-    def test_unknown_config_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["train.learning_rate", "sweep.scale"])
+    def test_unknown_config_key(self, tmp_path, capsys, key):
         cfg = _base_config()
-        cfg["train"]["learning_rate"] = 0.1
+        block, name = key.split(".")
+        cfg.setdefault(block, {})[name] = "linear"
         config = _write_config(tmp_path, cfg)
         assert _run("train", "--config", config) == 2
         err = capsys.readouterr().err
-        assert "train.learning_rate" in err
+        assert key in err
         assert "known keys" in err
+
+    @pytest.mark.parametrize("block", ["dataset", "quant", "sweep"])
+    def test_block_must_be_object(self, tmp_path, capsys, block):
+        cfg = _base_config()
+        cfg[block] = [1, 2]
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 2
+        assert f"{block}: expected an object" in capsys.readouterr().err
 
     def test_invalid_json(self, tmp_path, capsys):
         config = tmp_path / "broken.json"
@@ -193,6 +204,20 @@ class TestExitCodes:
         ckpt.write_bytes(bytes(raw))
         assert _run("retrain", "--config", config) == 3
         assert "code beyond" in capsys.readouterr().err
+
+    def test_quantize_on_checkpoint_without_softmax(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["quant"] = {"n_bits": 2}
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 0
+        ckpt = out / "float.ckpt"
+        raw = ckpt.read_bytes()
+        assert raw.count(b'"kind":"softmax"') == 1
+        # same length, so the spec blob still parses
+        ckpt.write_bytes(raw.replace(b'"kind":"softmax"', b'"kind":"dropout"'))
+        assert _run("quantize", "--config", config) == 3
+        assert "softmax" in capsys.readouterr().err
 
     def test_divergence(self, tmp_path, capsys):
         cfg = _base_config(out_dir=str(tmp_path / "out"))
@@ -330,6 +355,22 @@ class TestSeedPrecedence:
         assert env == flagged
         assert flag_over_env == flagged
 
+    def test_block_seeds_beat_top_level_and_override_beats_both(self, tmp_path):
+        def digest(name, top, dataset_seed, train_seed, *argv):
+            out = tmp_path / name
+            cfg = _base_config(seed=top, out_dir=str(out))
+            cfg["dataset"]["seed"] = dataset_seed
+            cfg["train"]["seed"] = train_seed
+            config = _write_config(tmp_path, cfg, f"{name}.json")
+            assert _run("train", "--config", config, *argv) == 0
+            return _digest(out / "float.ckpt")
+
+        blocks = digest("blocks", 7, 5, 6)
+        assert digest("top-changed", 8, 5, 6) == blocks
+        both_99 = digest("blocks-99", 7, 99, 99)
+        assert both_99 != blocks
+        assert digest("flag", 7, 5, 6, "--seed", "99") == both_99
+
     def test_same_flag_seed_reproduces(self, tmp_path):
         a = self._train_digest(tmp_path, "s1", "--seed", "4")
         b = self._train_digest(tmp_path, "s2", "--seed", "4")
@@ -375,3 +416,12 @@ class TestQuantizedArtifacts:
         assert lines[0].startswith("group,")
         groups = [ln.split(",")[0] for ln in lines[1:]]
         assert groups == ["In-h1", "h1-out"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")),
+    ids=lambda p: p.name,
+)
+def test_committed_config_loads(path):
+    assert load_config(str(path))["network"]["family"] in ("ffdnn", "cnn")

@@ -415,10 +415,3 @@ class TestEmitReport:
         quantized_only = [r for r in self._sweep() if r.mode != "float"]
         with pytest.raises(ConfigError, match="float"):
             emit_report(quantized_only, tmp_path)
-
-    def test_supplied_curves_used(self, tmp_path):
-        quantized_only = [r for r in self._sweep() if r.mode != "float"]
-        counts = sorted({r.param_count for r in quantized_only})
-        curve = FloatBaselineCurve(points=((counts[0], 50.0), (counts[1], 1.0)))
-        paths = emit_report(quantized_only, tmp_path, curves={"ffdnn": curve})
-        assert (tmp_path / "ecr.csv").read_text().count("\n") > 1

@@ -177,6 +177,21 @@ class TestTrainFloat:
         assert log.best_epoch >= 0
         assert evaluate(trained, split.valid) == pytest.approx(log.best_metric)
 
+    def test_start_snapshot_named_when_no_epoch_beats_it(self):
+        # Too high a rate only worsens a pretrained net: the start is what
+        # comes back, so the log must name the start, not a logged epoch.
+        split = synthetic_split("teacher_net", 300, 100, 100, classes=4, seed=11, dim=12)
+        net = build_ffdnn(12, 16, 1, 4, dropout_rate=0.0, seed=2)
+        pretrained, _ = train_float(net, split, _fast_cfg(lr_init=0.01, max_epochs=10))
+        start = evaluate(pretrained, split.valid)
+        trained, log = train_float(
+            pretrained, split,
+            _fast_cfg(lr_final=0.0, max_epochs=2, dropout_active=False),
+        )
+        assert all(r.val_metric >= start for r in log.records)
+        assert log.best_epoch == -1
+        assert log.best_metric == evaluate(trained, split.valid) == start
+
     def test_input_network_not_mutated(self):
         split = _easy_split()
         net = build_ffdnn(8, 16, 1, 3, seed=2)
