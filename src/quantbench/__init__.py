@@ -22,7 +22,6 @@ from .nn import (
     count_weight_bits,
     cross_entropy,
     forward,
-    set_dropout_rate,
 )
 from .quantizer import (
     QuantizationReport,
@@ -70,6 +69,5 @@ __all__ = [
     "forward",
     "l2_error",
     "optimize_delta",
-    "set_dropout_rate",
     "write_reports",
 ]

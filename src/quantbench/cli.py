@@ -32,6 +32,7 @@ from .experiments import (
     MODES,
     SweepRecord,
     baseline_curves,
+    build_network,
     emit_report,
     parse_records_csv,
     run_depth_sweep,
@@ -39,14 +40,7 @@ from .experiments import (
     write_ecr_csv,
     write_records_csv,
 )
-from .nn import (
-    build_cnn,
-    build_ffdnn,
-    cnn_group_names,
-    count_params,
-    ffdnn_group_names,
-    set_dropout_rate,
-)
+from .nn import cnn_group_names, count_params, ffdnn_group_names
 from .quantizer import bits_to_levels, direct_quantize, write_reports
 from .tensor import Tensor
 from .trainer import (
@@ -225,14 +219,9 @@ def load_config(path: str) -> dict:
 
 def _expected_groups(network: dict) -> list[str]:
     """Weight-group names the declared architecture will create."""
-    family = network.get("family")
-    if family == "ffdnn":
-        return ffdnn_group_names(network.get("hidden_layers", 1))
-    if family == "cnn":
+    if network.get("family", "ffdnn") == "cnn":
         return cnn_group_names(len(network.get("map_counts", [])))
-    raise ConfigError(
-        f"network.family: expected 'ffdnn' or 'cnn', got {family!r}"
-    )
+    return ffdnn_group_names(network.get("hidden_layers", 1))
 
 
 def _validate_references(cfg: dict) -> None:
@@ -353,34 +342,13 @@ def _build_network(cfg: dict, split: DatasetSplit, seed: int):
         raise ConfigError("network: required block is missing")
     nw = cfg["network"]
     family = _require(nw, "family", "network")
-    input_shape = split.train.features.shape[1:]
-    classes = split.train.class_count
-    if family == "ffdnn":
-        if len(input_shape) != 1:
-            raise ConfigError(
-                f"network.family: ffdnn needs flat features, got {input_shape}"
-            )
-        return build_ffdnn(
-            input_shape[0],
-            nw.get("hidden_units", 64),
-            nw.get("hidden_layers", 1),
-            classes,
-            dropout_rate=nw.get("dropout_rate", 0.2),
-            seed=seed,
-        )
-    if family == "cnn":
-        if len(input_shape) != 3:
-            raise ConfigError(
-                f"network.family: cnn needs [C, H, W] features, got {input_shape}"
-            )
-        return build_cnn(
-            _require(nw, "map_counts", "network"),
-            input_shape=input_shape,
-            fc_units=nw.get("fc_units", 64),
-            classes=classes,
-            seed=seed,
-        )
-    raise ConfigError(f"network.family: expected 'ffdnn' or 'cnn', got {family!r}")
+    size = (_require(nw, "map_counts", "network") if family == "cnn"
+            else nw.get("hidden_units", 64))
+    return build_network(
+        family, size, nw.get("hidden_layers", 1),
+        split.train.features.shape[1:], split.train.class_count, seed,
+        dropout_rate=nw.get("dropout_rate"), fc_units=nw.get("fc_units"),
+    )
 
 
 def _out_dir(cfg: dict, flag_out: str | None) -> str:
@@ -442,8 +410,6 @@ def cmd_retrain(cfg: dict, out_dir: str, jobs: int) -> int:
     net = load_checkpoint(_quantized_ckpt(out_dir, n_bits))
     split = _load_split(cfg)
     tcfg = retrain_config(TrainConfig(**cfg["train"]))
-    if "dropout_rate" in cfg.get("network", {}):
-        set_dropout_rate(net, cfg["network"]["dropout_rate"])
     best, log = retrain_quantized(net, split, tcfg)
     ckpt_out = os.path.join(out_dir, RETRAINED_CKPT)
     save_checkpoint(best, ckpt_out)

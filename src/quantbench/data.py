@@ -10,7 +10,7 @@ teacher network whose argmax labels guarantee the task is realizable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -32,7 +32,6 @@ class Dataset:
     features: Tensor
     labels: np.ndarray  # int64 class indices
     class_count: int
-    tag: str = ""  # train | valid | test | ""
     teacher: Network | None = None  # set by make_synthetic("teacher_net")
 
     def __post_init__(self):
@@ -54,12 +53,11 @@ class Dataset:
     def size(self) -> int:
         return int(self.labels.shape[0])
 
-    def subset(self, index: np.ndarray, tag: str | None = None) -> "Dataset":
+    def subset(self, index: np.ndarray) -> "Dataset":
         return Dataset(
             features=Tensor._wrap(self.features.ndarray[index].copy()),
             labels=self.labels[index].copy(),
             class_count=self.class_count,
-            tag=self.tag if tag is None else tag,
             teacher=self.teacher,
         )
 
@@ -122,9 +120,9 @@ def load_cifar10(directory: str) -> DatasetSplit:
     cut = features.shape[0] - CIFAR_VALID_COUNT
     test_px, test_lb = _read_image_batch(os.path.join(directory, CIFAR_TEST_FILE))
     return DatasetSplit(
-        train=Dataset(Tensor._wrap(features[:cut]), labels[:cut], 10, tag="train"),
-        valid=Dataset(Tensor._wrap(features[cut:]), labels[cut:], 10, tag="valid"),
-        test=Dataset(Tensor._wrap(test_px), test_lb, 10, tag="test"),
+        train=Dataset(Tensor._wrap(features[:cut]), labels[:cut], 10),
+        valid=Dataset(Tensor._wrap(features[cut:]), labels[cut:], 10),
+        test=Dataset(Tensor._wrap(test_px), test_lb, 10),
     )
 
 
@@ -333,9 +331,9 @@ def synthetic_split(
     )
     a, b = n_train, n_train + n_valid
     return DatasetSplit(
-        train=total.subset(np.arange(0, a), tag="train"),
-        valid=total.subset(np.arange(a, b), tag="valid"),
-        test=total.subset(np.arange(b, n_train + n_valid + n_test), tag="test"),
+        train=total.subset(np.arange(0, a)),
+        valid=total.subset(np.arange(a, b)),
+        test=total.subset(np.arange(b, n_train + n_valid + n_test)),
     )
 
 

@@ -65,7 +65,7 @@ class SweepRecord:
 
     family: str  # ffdnn | cnn
     width_or_maps: str  # hidden units, or map counts joined by '-'
-    depth: int
+    depth: int  # ffdnn hidden layers, or cnn conv levels
     mode: str  # float | direct | retrained
     n_bits: int  # 32 for float
     seed: int
@@ -120,20 +120,41 @@ class FloatBaselineCurve:
 # ---------------------------------------------------------------------------
 
 
-def _build_net(family: str, size, depth: int, classes: int, input_shape, seed: int):
+def build_network(
+    family: str,
+    size,
+    depth: int,
+    input_shape: tuple[int, ...],
+    classes: int,
+    seed: int,
+    dropout_rate: float | None = None,
+    fc_units: int | None = None,
+) -> Network:
+    """The network of one sweep cell.
+
+    ffdnn: ``depth`` hidden layers of ``size`` units, over flat features.
+    cnn: one conv level per entry of the map-count list ``size`` (its depth
+    is ``len(size)``; ``depth`` is ignored), over [C, H, W] features.
+    ``dropout_rate`` (ffdnn) and ``fc_units`` (cnn) keep the builder's
+    default when None.
+    """
     if family == "ffdnn":
         if len(input_shape) != 1:
             raise ConfigError(
                 f"ffdnn needs flat features, got input shape {input_shape}"
             )
-        return build_ffdnn(input_shape[0], int(size), depth, classes, seed=seed)
+        kw = {} if dropout_rate is None else {"dropout_rate": dropout_rate}
+        return build_ffdnn(input_shape[0], int(size), depth, classes, seed=seed, **kw)
     if family == "cnn":
         if len(input_shape) != 3:
             raise ConfigError(
                 f"cnn needs [C, H, W] features, got input shape {input_shape}"
             )
+        kw = {} if fc_units is None else {"fc_units": fc_units}
         maps = [int(m) for m in size]
-        return build_cnn(maps, input_shape=input_shape, classes=classes, seed=seed)
+        return build_cnn(
+            maps, input_shape=input_shape, classes=classes, seed=seed, **kw
+        )
     raise ConfigError(f"unknown family {family!r} (expected ffdnn or cnn)")
 
 
@@ -146,9 +167,10 @@ def _size_label(family: str, size) -> str:
 def _run_point(args) -> list[SweepRecord]:
     """Full pipeline for one (architecture, seed) sweep point."""
     family, size, depth, bit_list, modes, data, cfg, point_seed = args
-    classes = data.train.class_count
-    input_shape = data.train.features.shape[1:]
-    net = _build_net(family, size, depth, classes, input_shape, seed=point_seed)
+    net = build_network(
+        family, size, depth, data.train.features.shape[1:], data.train.class_count,
+        point_seed,
+    )
     point_cfg = dataclasses.replace(cfg, seed=point_seed)
     trained, _ = train_float(net, data, point_cfg)
     params = count_params(trained)
@@ -181,17 +203,6 @@ def _run_point(args) -> list[SweepRecord]:
     return records
 
 
-def _run_points(points: list, jobs: int) -> list[SweepRecord]:
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_point, points))
-    else:
-        chunks = [_run_point(p) for p in points]
-    records = [r for chunk in chunks for r in chunk]
-    records.sort(key=SweepRecord.sort_key)
-    return records
-
-
 def _check_modes(modes: Iterable[str]) -> tuple[str, ...]:
     modes = tuple(modes)
     unknown = [m for m in modes if m not in MODES]
@@ -211,6 +222,38 @@ def _check_bits(bit_list: Sequence[int], modes) -> list[int]:
     return bits
 
 
+def _sweep(
+    family: str,
+    cells: list[tuple],
+    bit_list: Sequence[int],
+    modes: Iterable[str],
+    data: DatasetSplit,
+    cfg: TrainConfig,
+    seed_reps: int,
+    jobs: int,
+) -> list[SweepRecord]:
+    """Run every (size, depth) cell ``seed_reps`` times, each point with a
+    seed derived from the base seed and the cell, on ``jobs`` processes."""
+    modes = _check_modes(modes)
+    bits = _check_bits(bit_list, modes)
+    if not cells:
+        raise ConfigError("sweep sizes and depths must be non-empty")
+    points = []
+    for size, depth in cells:
+        label = _size_label(family, size)
+        for rep in range(seed_reps):
+            point_seed = derive_seed(cfg.seed, f"{family}|w{label}|d{depth}|s{rep}")
+            points.append((family, size, depth, bits, modes, data, cfg, point_seed))
+    if jobs > 1 and len(points) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_run_point, points))
+    else:
+        chunks = [_run_point(p) for p in points]
+    records = [r for chunk in chunks for r in chunk]
+    records.sort(key=SweepRecord.sort_key)
+    return records
+
+
 def run_width_sweep(
     family: str,
     sizes: Sequence,
@@ -225,20 +268,13 @@ def run_width_sweep(
     """Train/quantize/retrain across network sizes and precisions.
 
     ``sizes`` holds hidden-unit counts (ffdnn) or feature-map count lists
-    (cnn). Each size runs ``seed_reps`` independent seeds; float weights are
-    trained once per (size, seed) and reused for every precision setting.
+    (cnn). ``depth`` is the ffdnn hidden-layer count; a cnn cell's depth is
+    its level count. Each size runs ``seed_reps`` independent seeds; float
+    weights are trained once per (size, seed) and reused for every precision
+    setting.
     """
-    modes = _check_modes(modes)
-    bits = _check_bits(bit_list, modes)
-    if not sizes:
-        raise ConfigError("sizes must be non-empty")
-    points = []
-    for size in sizes:
-        label = _size_label(family, size)
-        for rep in range(seed_reps):
-            point_seed = derive_seed(cfg.seed, f"{family}|w{label}|d{depth}|s{rep}")
-            points.append((family, size, depth, bits, modes, data, cfg, point_seed))
-    return _run_points(points, jobs)
+    cells = [(size, len(size) if family == "cnn" else depth) for size in sizes]
+    return _sweep(family, cells, bit_list, modes, data, cfg, seed_reps, jobs)
 
 
 def run_depth_sweep(
@@ -258,29 +294,20 @@ def run_depth_sweep(
     ffdnn: ``depths`` are hidden-layer counts at ``width`` units each.
     cnn: depth d uses the last d entries of ``base_maps``.
     """
-    modes = _check_modes(modes)
-    bits = _check_bits(bit_list, modes)
-    if not depths:
-        raise ConfigError("depths must be non-empty")
-    points = []
-    for depth in depths:
-        depth = int(depth)
+    cells = []
+    for depth in map(int, depths):
         if family == "cnn":
             if not 1 <= depth <= len(base_maps):
                 raise ConfigError(
                     f"cnn depth {depth} needs 1..{len(base_maps)} "
                     f"(base maps {list(base_maps)})"
                 )
-            size = list(base_maps)[-depth:]
+            cells.append((list(base_maps)[-depth:], depth))
         else:
             if depth < 0:
                 raise ConfigError(f"ffdnn depth must be >= 0, got {depth}")
-            size = width
-        label = _size_label(family, size)
-        for rep in range(seed_reps):
-            point_seed = derive_seed(cfg.seed, f"{family}|w{label}|d{depth}|s{rep}")
-            points.append((family, size, depth, bits, modes, data, cfg, point_seed))
-    return _run_points(points, jobs)
+            cells.append((width, depth))
+    return _sweep(family, cells, bit_list, modes, data, cfg, seed_reps, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -364,23 +391,22 @@ def ecr(record: SweepRecord, curve: FloatBaselineCurve) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV file; floats as ``repr`` (exact round trip), the rest as ``str``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
 
 
-def _record_row(r: SweepRecord) -> list[str]:
-    return [_fmt(getattr(r, f)) for f in RECORD_FIELDS]
+def _record_row(r: SweepRecord) -> list:
+    return [getattr(r, f) for f in RECORD_FIELDS]
 
 
 def write_records_csv(records: Sequence[SweepRecord], path: str) -> None:
     rows = sorted(records, key=SweepRecord.sort_key)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for r in rows:
-            writer.writerow(_record_row(r))
+    _write_csv(path, RECORD_FIELDS, map(_record_row, rows))
 
 
 def parse_records_csv(path: str) -> list[SweepRecord]:
@@ -430,31 +456,27 @@ def write_ecr_csv(
     path: str,
 ) -> None:
     """One row per quantized record with its effective size and ECR."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ECR_FIELDS)
-        for r in records:
-            if r.mode == "float":
-                continue
-            curve = curves[r.family]
-            params, clamped = effective_params(curve, r.val_metric)
-            writer.writerow(
-                _record_row(r)
-                + [
-                    repr(params),
-                    repr(params * FLOAT_BITS),
-                    repr(ecr(r, curve)),
-                    str(int(clamped)),
-                ]
-            )
+    rows = []
+    for r in records:
+        if r.mode == "float":
+            continue
+        curve = curves[r.family]
+        params, clamped = effective_params(curve, r.val_metric)
+        rows.append(
+            _record_row(r) + [params, params * FLOAT_BITS, ecr(r, curve), int(clamped)]
+        )
+    _write_csv(path, ECR_FIELDS, rows)
+
+
+def _cell_key(r: SweepRecord) -> tuple:
+    return (r.family, r.width_or_maps, r.depth, r.mode, r.n_bits)
 
 
 def _median_by(records: Sequence[SweepRecord], metric: str):
     """Median metric per (family, width_or_maps, depth, mode, n_bits)."""
     acc: dict[tuple, list[float]] = {}
     for r in records:
-        key = (r.family, r.width_or_maps, r.depth, r.mode, r.n_bits)
-        acc.setdefault(key, []).append(getattr(r, metric))
+        acc.setdefault(_cell_key(r), []).append(getattr(r, metric))
     return {k: float(np.median(v)) for k, v in acc.items()}
 
 
@@ -469,57 +491,33 @@ def emit_report(
     """
     os.makedirs(out_dir, exist_ok=True)
     records = sorted(records, key=SweepRecord.sort_key)
-    written = []
-
-    path = os.path.join(out_dir, "records.csv")
-    write_records_csv(records, path)
-    written.append(path)
-
-    path = os.path.join(out_dir, "ecr.csv")
-    write_ecr_csv(records, baseline_curves(records, scale), path)
-    written.append(path)
-
+    written = [
+        os.path.join(out_dir, name)
+        for name in ("records.csv", "ecr.csv", "plot_bits_vs_error.csv",
+                     "plot_size_vs_error.csv", "summary.md")
+    ]
+    records_path, ecr_path, bits_path, size_path, summary_path = written
+    write_records_csv(records, records_path)
+    write_ecr_csv(records, baseline_curves(records, scale), ecr_path)
     med_val = _median_by(records, "val_metric")
-    path = os.path.join(out_dir, "plot_bits_vs_error.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family", "width_or_maps", "depth", "mode", "n_bits",
-                         "val_metric"])
-        for key in sorted(med_val):
-            writer.writerow([*map(str, key), repr(med_val[key])])
-    written.append(path)
-
-    path = os.path.join(out_dir, "plot_size_vs_error.csv")
-    by_key: dict[tuple, list[SweepRecord]] = {}
+    _write_csv(
+        bits_path,
+        ["family", "width_or_maps", "depth", "mode", "n_bits", "val_metric"],
+        [[*key, med_val[key]] for key in sorted(med_val)],
+    )
+    first: dict[tuple, SweepRecord] = {}
     for r in records:
-        by_key.setdefault(
-            (r.family, r.width_or_maps, r.depth, r.mode, r.n_bits), []
-        ).append(r)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family", "mode", "n_bits", "param_count",
-                         "total_weight_bits", "val_metric"])
-        rows = []
-        for key, group in by_key.items():
-            family, _, _, mode, bits = key
-            rows.append(
-                (
-                    family,
-                    mode,
-                    bits,
-                    group[0].param_count,
-                    group[0].total_weight_bits,
-                    float(np.median([r.val_metric for r in group])),
-                )
-            )
-        for row in sorted(rows):
-            writer.writerow([str(v) if not isinstance(v, float) else repr(v)
-                             for v in row])
-    written.append(path)
-
-    path = os.path.join(out_dir, "summary.md")
-    written.append(path)
-    _write_summary(records, path)
+        first.setdefault(_cell_key(r), r)
+    _write_csv(
+        size_path,
+        ["family", "mode", "n_bits", "param_count", "total_weight_bits", "val_metric"],
+        sorted(
+            (r.family, r.mode, r.n_bits, r.param_count, r.total_weight_bits,
+             med_val[key])
+            for key, r in first.items()
+        ),
+    )
+    _write_summary(records, summary_path)
     return written
 
 

@@ -215,7 +215,7 @@ class _SoftmaxLayer:
         z = x - x.max(axis=1, keepdims=True)
         e = np.exp(z)
         probs = e / e.sum(axis=1, keepdims=True)
-        return probs, probs
+        return probs, x  # the logits, for logit_cross_entropy
 
 
 def _make_layer(spec: LayerSpec, groups: dict[str, WeightGroup]):
@@ -280,9 +280,6 @@ class Network:
             for name, g in self.groups.items()
         }
         return Network(self.spec, groups)
-
-    def group_names(self) -> list[str]:
-        return list(self.groups.keys())
 
 
 def forward(
@@ -357,6 +354,16 @@ def cross_entropy(probs: Tensor, targets: Sequence[int]) -> float:
     picked = p[np.arange(p.shape[0]), t]
     with np.errstate(divide="ignore"):
         return float(-np.mean(np.log(picked)))
+
+
+def logit_cross_entropy(cache: ForwardCache, targets: Sequence[int]) -> float:
+    """Mean cross-entropy by log-sum-exp over the logits the softmax of
+    ``cache`` saw: finite wherever they are, also when a picked probability
+    underflows to 0 and ``cross_entropy`` returns inf."""
+    z = cache.layer_caches[-1]
+    z = z - z.max(axis=1, keepdims=True)
+    picked = z[np.arange(z.shape[0]), np.asarray(targets, dtype=np.int64)]
+    return float(np.mean(np.log(np.exp(z).sum(axis=1)) - picked))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +506,7 @@ def build_cnn(
 
 
 # ---------------------------------------------------------------------------
-# Accounting and training-time knobs
+# Accounting
 # ---------------------------------------------------------------------------
 
 
@@ -519,15 +526,3 @@ def count_weight_bits(net: Network, bits_per_weight: int) -> int:
     weights = sum(g.weights.size for g in net.groups.values())
     biases = sum(g.bias.size for g in net.groups.values())
     return weights * bits_per_weight + biases * BIAS_BITS
-
-
-def set_dropout_rate(net: Network, rate: float) -> None:
-    """Override the dropout rate of every dropout layer (training-time knob).
-
-    Does not alter the serialized network spec.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    for layer in net.layers:
-        if isinstance(layer, _DropoutLayer):
-            layer.rate = rate

@@ -53,11 +53,6 @@ class Tensor:
         return self._a.size
 
     @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the values (read-only)."""
-        return self._a.reshape(-1)
-
-    @property
     def ndarray(self) -> np.ndarray:
         """Read-only ndarray view of the values."""
         return self._a

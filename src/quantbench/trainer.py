@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import Dataset, DatasetSplit, batches
 from .errors import ConfigError, DivergenceError, UsageError
-from .nn import Network, backward, cross_entropy, forward
+from .nn import Network, backward, cross_entropy, forward, logit_cross_entropy
 from .quantizer import apply
 from .tensor import Rng, Tensor
 
@@ -112,24 +112,18 @@ class TrainLog:
     best_epoch: int = -1
 
 
-def write_train_log(log: TrainLog, path: str, include_timing: bool = False) -> None:
+def write_train_log(log: TrainLog, path: str) -> None:
     """Serialize a TrainLog as CSV.
 
-    Wall-time seconds are written as 0.0 unless ``include_timing`` is set, so
-    that reruns with identical config and seed produce byte-identical files.
+    Wall-time seconds are always written as 0.0, so that reruns with
+    identical config and seed produce byte-identical files.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_FIELDS)
         for r in log.records:
             writer.writerow(
-                [
-                    r.epoch,
-                    repr(r.train_loss),
-                    repr(r.val_metric),
-                    repr(r.lr),
-                    repr(r.seconds) if include_timing else "0.0",
-                ]
+                [r.epoch, repr(r.train_loss), repr(r.val_metric), repr(r.lr), "0.0"]
             )
 
 
@@ -235,7 +229,11 @@ def _run_training(
             probs, cache = forward(net, feats, mode=train_mode, rng=dropout_rng)
             loss = cross_entropy(probs, labels)
             if not np.isfinite(loss):
-                raise DivergenceError(epoch=epoch, lr=lr)
+                # A saturated softmax underflows a picked probability to 0;
+                # only non-finite logits are divergence.
+                loss = logit_cross_entropy(cache, labels)
+                if not np.isfinite(loss):
+                    raise DivergenceError(epoch=epoch, lr=lr)
             loss_sum += loss * feats.shape[0]
             seen += feats.shape[0]
             grads = backward(net, cache, labels)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quantbench.checkpoint import load_checkpoint
 from quantbench.cli import SEED_ENV, load_config, main
 from quantbench.data import make_synthetic, save_csv
 
@@ -108,6 +109,56 @@ class TestPipeline:
             assert _run(command, "--config", config, "--out", str(chosen)) == 0
         assert (chosen / "retrained.ckpt").exists()
         assert not (tmp_path / "ignored").exists()
+
+    def test_retrain_keeps_checkpoint_dropout_rate(self, tmp_path):
+        # retrain rebuilds the network from the checkpoint's spec, so the
+        # config's network.dropout_rate does not reach it.
+        logs = []
+        for rate in (0.0, 0.5):
+            out = tmp_path / f"rate-{rate}"
+            cfg = _base_config(out_dir=str(out))
+            cfg["network"]["dropout_rate"] = 0.3
+            cfg["quant"] = {"n_bits": 2}
+            config = _write_config(tmp_path, cfg, f"train-{rate}.json")
+            assert _run("train", "--config", config) == 0
+            assert _run("quantize", "--config", config) == 0
+            cfg["network"]["dropout_rate"] = rate
+            config = _write_config(tmp_path, cfg, f"retrain-{rate}.json")
+            assert _run("retrain", "--config", config) == 0
+            logs.append(_digest(out / "retrain_log.csv"))
+            spec = load_checkpoint(out / "retrained.ckpt").spec
+            assert {ls.rate for ls in spec.layers if ls.kind == "dropout"} == {0.3}
+        assert logs[0] == logs[1]
+
+    def test_cnn_train_on_shaped_blobs(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["dataset"]["shape"] = [1, 6, 6]
+        cfg["network"] = {"family": "cnn", "map_counts": [2], "fc_units": 5}
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 0
+        spec = load_checkpoint(out / "float.ckpt").spec
+        assert spec.input_shape == (1, 6, 6)
+        assert [ls.units for ls in spec.layers if ls.group == "FC"] == [5]
+
+    def test_ffdnn_train_flattens_shaped_blobs(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["dataset"]["shape"] = [1, 6, 6]
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 0
+        assert load_checkpoint(out / "float.ckpt").spec.input_shape == (36,)
+
+    def test_depth_sweep(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["sweep"] = {"axis": "depth", "depths": [0, 2], "width": 4,
+                        "modes": ["float"], "seed_reps": 1}
+        config = _write_config(tmp_path, cfg)
+        assert _run("sweep", "--config", config) == 0
+        rows = (out / "records.csv").read_text().splitlines()[1:]
+        cells = sorted(tuple(row.split(",")[:4]) for row in rows)
+        assert cells == [("ffdnn", "4", "0", "float"), ("ffdnn", "4", "2", "float")]
 
     def test_csv_dataset_kind(self, tmp_path):
         for tag, n in (("train", 90), ("valid", 30), ("test", 30)):
@@ -219,9 +270,16 @@ class TestExitCodes:
         assert _run("quantize", "--config", config) == 3
         assert "softmax" in capsys.readouterr().err
 
+    def test_cnn_on_flat_features(self, tmp_path, capsys):
+        cfg = _base_config(out_dir=str(tmp_path / "out"))
+        cfg["network"] = {"family": "cnn", "map_counts": [2]}
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 2
+        assert "cnn needs [C, H, W] features" in capsys.readouterr().err
+
     def test_divergence(self, tmp_path, capsys):
         cfg = _base_config(out_dir=str(tmp_path / "out"))
-        cfg["train"]["lr_init"] = 1e8
+        cfg["train"]["lr_init"] = 1e200  # overflows the logits to inf/NaN
         cfg["train"]["lr_final"] = 1.0
         config = _write_config(tmp_path, cfg)
         assert _run("train", "--config", config) == 4
@@ -394,8 +452,6 @@ class TestQuantizedArtifacts:
         config = _write_config(tmp_path, cfg)
         assert _run("quantize", "--config", config) == 0
         capsys.readouterr()
-
-        from quantbench.checkpoint import load_checkpoint
 
         qnet = load_checkpoint(out / "quantized_2bit.ckpt")
         for g in qnet.groups.values():

@@ -104,14 +104,6 @@ class TestSynthetic:
         split = synthetic_split("teacher_net", 30, 10, 10, classes=3, seed=2, dim=6)
         assert split.train.teacher is split.valid.teacher is split.test.teacher
 
-    def test_split_tags(self):
-        split = synthetic_split("blobs", 10, 5, 5, classes=2, seed=1, dim=3)
-        assert (split.train.tag, split.valid.tag, split.test.tag) == (
-            "train",
-            "valid",
-            "test",
-        )
-
 
 class TestCsv:
     def test_round_trip_with_labels_file(self, tmp_path):

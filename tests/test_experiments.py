@@ -292,6 +292,19 @@ class TestDepthSweep:
         labels = {r.depth: r.width_or_maps for r in records}
         assert labels == {1: "4", 2: "3-4"}
 
+    def test_cnn_cell_is_the_same_on_both_axes(self):
+        # A CNN's depth is its level count, so the width cell [2, 3] and the
+        # depth-2 cell over base maps [2, 3] are one network, label and seed.
+        split = synthetic_split(
+            "blobs", 60, 20, 20, classes=2, seed=4, shape=(1, 8, 8)
+        )
+        kw = dict(bit_list=[2], modes=("float", "direct"), data=split,
+                  cfg=_tiny_cfg(max_epochs=1), seed_reps=1)
+        by_width = run_width_sweep("cnn", [[2, 3]], **kw)
+        by_depth = run_depth_sweep("cnn", [2], base_maps=[2, 3], **kw)
+        assert {r.depth for r in by_width} == {2}
+        assert by_width == by_depth
+
     def test_cnn_depth_out_of_range(self):
         split = synthetic_split(
             "blobs", 60, 20, 20, classes=2, seed=4, shape=(1, 8, 8)

@@ -18,7 +18,6 @@ from quantbench.nn import (
     ffdnn_group_names,
     forward,
     group_shapes,
-    set_dropout_rate,
 )
 from quantbench.tensor import Rng, Tensor
 
@@ -338,11 +337,3 @@ class TestCopyAndDropout:
         clone = net.copy()
         net.groups["In-h1"].weights = Tensor.zeros((6, 4))
         assert clone.groups["In-h1"].weights.ndarray.any()
-
-    def test_set_dropout_rate(self):
-        net = build_ffdnn(6, 4, 2, 3, dropout_rate=0.4, seed=2)
-        set_dropout_rate(net, 0.0)
-        x = Tensor(Rng(1).uniform((5, 6)))
-        a, _ = forward(net, x, mode="train", rng=Rng(1))
-        b, _ = forward(net, x, mode="eval")
-        assert np.array_equal(a.ndarray, b.ndarray)

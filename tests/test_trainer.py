@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from quantbench.data import synthetic_split
+from quantbench.data import Dataset, DatasetSplit, synthetic_split
 from quantbench.errors import ConfigError, DivergenceError, UsageError
 from quantbench.nn import build_ffdnn, forward
 from quantbench.quantizer import direct_quantize
@@ -152,8 +152,6 @@ class TestEvaluate:
         assert evaluate(net, split.train) == pytest.approx(expected)
 
     def test_empty_split_rejected(self):
-        from quantbench.data import Dataset
-
         net = build_ffdnn(4, 3, 1, 2, seed=1)
         empty = Dataset(Tensor.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
         with pytest.raises(ConfigError):
@@ -228,18 +226,31 @@ class TestTrainFloat:
     def test_divergence_raises(self):
         split = _easy_split()
         net = build_ffdnn(8, 16, 1, 3, seed=2)
-        cfg = _fast_cfg(lr_init=1e8, lr_final=1.0, max_epochs=3)
+        # A rate whose first steps overflow the logits to inf/NaN; at 1e8 the
+        # loss stays finite (about 5e17) and the net reaches 1% error.
+        cfg = _fast_cfg(lr_init=1e200, lr_final=1.0, max_epochs=3)
         with pytest.raises(DivergenceError, match="diverged"):
             train_float(net, split, cfg)
+
+    def test_saturated_softmax_is_not_divergence(self):
+        # Logits [0, 800] with label 0: the picked probability underflows to
+        # 0, but the network and its loss (800) are finite.
+        net = build_ffdnn(2, 1, 0, 2)
+        net.groups["In-out"].weights = Tensor(np.array([[0.0, 800.0], [0.0, 0.0]]))
+        ds = Dataset(Tensor(np.tile([1.0, 0.0], (4, 1))), np.zeros(4), 2)
+        split = DatasetSplit(train=ds, valid=ds, test=ds)
+        cfg = _fast_cfg(lr_init=0.0, lr_final=0.0, max_epochs=2)
+        _, log = train_float(net, split, cfg)
+        assert [r.train_loss for r in log.records] == [800.0, 800.0]
 
     def test_divergence_carries_epoch_and_rate(self):
         split = _easy_split()
         net = build_ffdnn(8, 16, 1, 3, seed=2)
         try:
-            train_float(net, split, _fast_cfg(lr_init=1e8, lr_final=1.0))
+            train_float(net, split, _fast_cfg(lr_init=1e200, lr_final=1.0))
         except DivergenceError as exc:
             assert exc.epoch == 0
-            assert exc.lr == pytest.approx(1e8)
+            assert exc.lr == pytest.approx(1e200)
         else:
             pytest.fail("expected DivergenceError")
 
@@ -399,10 +410,3 @@ class TestTrainLogCsv:
             assert float(row[1]) == rec.train_loss
             assert float(row[2]) == rec.val_metric
             assert float(row[3]) == rec.lr
-
-    def test_timing_opt_in(self, tmp_path):
-        log = self._log()
-        p = tmp_path / "timed.csv"
-        write_train_log(log, p, include_timing=True)
-        rows = list(csv.reader(p.read_text().splitlines()))[1:]
-        assert any(float(r[4]) > 0 for r in rows)
