@@ -27,13 +27,12 @@ from .data import DatasetSplit, load_cifar10, load_csv, synthetic_split
 from .errors import ConfigError, DataFormatError, DivergenceError, QuantbenchError
 from .experiments import (
     DEFAULT_SEED_REPS,
-    DEPTH_SWEEP_BASE_MAPS,
-    DEPTH_SWEEP_WIDTH,
     MODES,
     SweepRecord,
     baseline_curves,
     build_network,
     emit_report,
+    network_block,
     parse_records_csv,
     run_depth_sweep,
     run_width_sweep,
@@ -174,8 +173,6 @@ _SCHEMA = {
         "depths": _as_int_list,
         "modes": _as_str_list,
         "seed_reps": _as_int,
-        "width": _as_int,
-        "base_maps": _as_int_list,
     },
     "ecr": _RECORDS_SCHEMA,
     "report": _RECORDS_SCHEMA,
@@ -219,9 +216,10 @@ def load_config(path: str) -> dict:
 
 def _expected_groups(network: dict) -> list[str]:
     """Weight-group names the declared architecture will create."""
-    if network.get("family", "ffdnn") == "cnn":
-        return cnn_group_names(len(network.get("map_counts", [])))
-    return ffdnn_group_names(network.get("hidden_layers", 1))
+    nw = network_block(network)
+    if nw["family"] == "cnn":
+        return cnn_group_names(len(nw.get("map_counts", [])))
+    return ffdnn_group_names(nw["hidden_layers"])
 
 
 def _validate_references(cfg: dict) -> None:
@@ -297,6 +295,7 @@ def _build_split(cfg: dict) -> DatasetSplit:
         return DatasetSplit(train=train, valid=valid, test=test)
     if kind in ("blobs", "spirals", "teacher_net"):
         shape = ds.get("shape")
+        kw = {k: ds[k] for k in ("dim", "spread") if k in ds}
         return synthetic_split(
             kind,
             n_train=ds.get("n_train", 1000),
@@ -304,9 +303,8 @@ def _build_split(cfg: dict) -> DatasetSplit:
             n_test=ds.get("n_test", 300),
             classes=ds.get("classes", 4),
             seed=ds["seed"],
-            dim=ds.get("dim", 16),
-            spread=ds.get("spread", 0.35),
             shape=tuple(shape) if shape else None,
+            **kw,
         )
     raise ConfigError(
         f"dataset.kind: expected cifar10, csv, blobs, spirals, or teacher_net, "
@@ -315,7 +313,7 @@ def _build_split(cfg: dict) -> DatasetSplit:
 
 
 def _family(cfg: dict) -> str:
-    return cfg.get("network", {}).get("family", "ffdnn")
+    return network_block(cfg.get("network"))["family"]
 
 
 def _load_split(cfg: dict) -> DatasetSplit:
@@ -340,14 +338,8 @@ def _load_split(cfg: dict) -> DatasetSplit:
 def _build_network(cfg: dict, split: DatasetSplit, seed: int):
     if "network" not in cfg:
         raise ConfigError("network: required block is missing")
-    nw = cfg["network"]
-    family = _require(nw, "family", "network")
-    size = (_require(nw, "map_counts", "network") if family == "cnn"
-            else nw.get("hidden_units", 64))
     return build_network(
-        family, size, nw.get("hidden_layers", 1),
-        split.train.features.shape[1:], split.train.class_count, seed,
-        dropout_rate=nw.get("dropout_rate"), fc_units=nw.get("fc_units"),
+        cfg["network"], split.train.features.shape[1:], split.train.class_count, seed
     )
 
 
@@ -422,34 +414,26 @@ def cmd_retrain(cfg: dict, out_dir: str, jobs: int) -> int:
     return 0
 
 
+# sweep.axis -> (sweep function, key of the swept values)
+_SWEEPS = {"width": (run_width_sweep, "sizes"), "depth": (run_depth_sweep, "depths")}
+
+
 def cmd_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
     if "sweep" not in cfg:
         raise ConfigError("sweep: required block is missing")
     sw = cfg["sweep"]
     axis = sw.get("axis", "width")
-    if axis not in ("width", "depth"):
+    if axis not in _SWEEPS:
         raise ConfigError(f"sweep.axis: expected 'width' or 'depth', got {axis!r}")
-    family = _family(cfg)
+    run, key = _SWEEPS[axis]
+    values = _require(sw, key, "sweep")
     split = _load_split(cfg)
-    tcfg = TrainConfig(**cfg["train"])
-    bits = cfg.get("quant", {}).get("bits", [2])
-    modes = sw.get("modes", MODES)
-    reps = sw.get("seed_reps", DEFAULT_SEED_REPS)
-    if axis == "width":
-        sizes = _require(sw, "sizes", "sweep")
-        records = run_width_sweep(
-            family, sizes, bits, modes, split, tcfg,
-            depth=cfg.get("network", {}).get("hidden_layers", 1),
-            seed_reps=reps, jobs=jobs,
-        )
-    else:
-        depths = _require(sw, "depths", "sweep")
-        records = run_depth_sweep(
-            family, depths, bits, modes, split, tcfg,
-            width=sw.get("width", DEPTH_SWEEP_WIDTH),
-            base_maps=sw.get("base_maps", DEPTH_SWEEP_BASE_MAPS),
-            seed_reps=reps, jobs=jobs,
-        )
+    records = run(
+        _family(cfg), values, cfg.get("quant", {}).get("bits", [2]),
+        sw.get("modes", MODES), split, TrainConfig(**cfg["train"]),
+        network=cfg.get("network"),
+        seed_reps=sw.get("seed_reps", DEFAULT_SEED_REPS), jobs=jobs,
+    )
     path = os.path.join(out_dir, "records.csv")
     write_records_csv(records, path)
     print(f"{len(records)} records")

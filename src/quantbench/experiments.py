@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,8 +39,8 @@ from .trainer import TrainConfig, evaluate, retrain_config, retrain_quantized, t
 
 FLOAT_BITS = 32
 DEFAULT_SEED_REPS = 3
-DEPTH_SWEEP_WIDTH = 512
-DEPTH_SWEEP_BASE_MAPS = (32, 32, 64)
+# Defaults of a `network` block; dropout_rate and fc_units default in nn.
+NETWORK_DEFAULTS = {"family": "ffdnn", "hidden_units": 64, "hidden_layers": 1}
 SCALES = ("linear", "log2")  # interpolation axes of a baseline curve
 
 RECORD_FIELDS = [
@@ -54,6 +55,7 @@ RECORD_FIELDS = [
     "val_metric",
     "test_metric",
 ]
+_RECORD_CASTS = (str, str, int, str, int, int, int, int, float, float)
 ECR_FIELDS = RECORD_FIELDS + ["effective_params", "effective_bits", "ecr", "clamped"]
 
 MODES = ("float", "direct", "retrained")
@@ -120,66 +122,111 @@ class FloatBaselineCurve:
 # ---------------------------------------------------------------------------
 
 
+def network_block(network: Mapping | None = None, **replace) -> dict:
+    """``network`` with ``NETWORK_DEFAULTS`` filled in and ``replace`` applied;
+    its family must be ffdnn or cnn."""
+    nw = {**NETWORK_DEFAULTS, **(network or {}), **replace}
+    if nw["family"] not in ("ffdnn", "cnn"):
+        raise ConfigError(
+            f"network.family: unknown family {nw['family']!r} (expected ffdnn or cnn)"
+        )
+    return nw
+
+
 def build_network(
-    family: str,
-    size,
-    depth: int,
+    network: Mapping | None,
     input_shape: tuple[int, ...],
     classes: int,
     seed: int,
-    dropout_rate: float | None = None,
-    fc_units: int | None = None,
 ) -> Network:
-    """The network of one sweep cell.
+    """The network a ``network`` block describes.
 
-    ffdnn: ``depth`` hidden layers of ``size`` units, over flat features.
-    cnn: one conv level per entry of the map-count list ``size`` (its depth
-    is ``len(size)``; ``depth`` is ignored), over [C, H, W] features.
-    ``dropout_rate`` (ffdnn) and ``fc_units`` (cnn) keep the builder's
-    default when None.
+    ffdnn: ``hidden_layers`` hidden layers of ``hidden_units`` units with
+    ``dropout_rate``, over flat features. cnn: one conv level per entry of
+    ``map_counts`` (required) and an ``fc_units`` dense head, over
+    [C, H, W] features. Missing keys take ``NETWORK_DEFAULTS``;
+    ``dropout_rate`` and ``fc_units`` take the builders' defaults.
     """
-    if family == "ffdnn":
-        if len(input_shape) != 1:
-            raise ConfigError(
-                f"ffdnn needs flat features, got input shape {input_shape}"
-            )
-        kw = {} if dropout_rate is None else {"dropout_rate": dropout_rate}
-        return build_ffdnn(input_shape[0], int(size), depth, classes, seed=seed, **kw)
-    if family == "cnn":
+    nw = network_block(network)
+    if nw["family"] == "cnn":
+        if "map_counts" not in nw:
+            raise ConfigError("network.map_counts: required key is missing")
         if len(input_shape) != 3:
             raise ConfigError(
                 f"cnn needs [C, H, W] features, got input shape {input_shape}"
             )
-        kw = {} if fc_units is None else {"fc_units": fc_units}
-        maps = [int(m) for m in size]
+        kw = {k: nw[k] for k in ("fc_units",) if k in nw}
         return build_cnn(
-            maps, input_shape=input_shape, classes=classes, seed=seed, **kw
+            nw["map_counts"], input_shape=input_shape, classes=classes, seed=seed,
+            **kw,
         )
-    raise ConfigError(f"unknown family {family!r} (expected ffdnn or cnn)")
+    if len(input_shape) != 1:
+        raise ConfigError(f"ffdnn needs flat features, got input shape {input_shape}")
+    kw = {k: nw[k] for k in ("dropout_rate",) if k in nw}
+    return build_ffdnn(
+        input_shape[0], nw["hidden_units"], nw["hidden_layers"], classes,
+        seed=seed, **kw,
+    )
 
 
-def _size_label(family: str, size) -> str:
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _width_cell(network: Mapping | None, family: str, size) -> dict:
+    """``network`` with ``family`` set and its width replaced: ``hidden_units``
+    by an int size (ffdnn), ``map_counts`` by a list size (cnn)."""
+    cell = network_block(network, family=family)
     if family == "cnn":
-        return "-".join(str(int(m)) for m in size)
-    return str(int(size))
+        if isinstance(size, (list, tuple)) and all(map(_is_int, size)):
+            return {**cell, "map_counts": list(size)}
+        raise ConfigError(f"sweep.sizes: a cnn size is a map-count list, got {size!r}")
+    if _is_int(size):
+        return {**cell, "hidden_units": size}
+    raise ConfigError(f"sweep.sizes: an ffdnn size is a unit count, got {size!r}")
+
+
+def _depth_cell(network: Mapping | None, family: str, depth: int) -> dict:
+    """``network`` with ``family`` set and its depth replaced:
+    ``hidden_layers`` (ffdnn), or the last ``depth`` entries of
+    ``map_counts`` (cnn)."""
+    cell = network_block(network, family=family)
+    if family == "cnn":
+        if "map_counts" not in cell:
+            raise ConfigError("network.map_counts: required for a cnn depth sweep")
+        maps = list(cell["map_counts"])
+        if not 1 <= depth <= len(maps):
+            raise ConfigError(
+                f"cnn depth {depth} needs 1..{len(maps)} (network.map_counts {maps})"
+            )
+        return {**cell, "map_counts": maps[-depth:]}
+    if depth < 0:
+        raise ConfigError(f"ffdnn depth must be >= 0, got {depth}")
+    return {**cell, "hidden_layers": depth}
+
+
+def _cell_label(cell: dict) -> tuple[str, int]:
+    """A cell's (width_or_maps, depth); a cnn's depth is its level count."""
+    if cell["family"] == "cnn":
+        return "-".join(map(str, cell["map_counts"])), len(cell["map_counts"])
+    return str(cell["hidden_units"]), cell["hidden_layers"]
 
 
 def _run_point(args) -> list[SweepRecord]:
-    """Full pipeline for one (architecture, seed) sweep point."""
-    family, size, depth, bit_list, modes, data, cfg, point_seed = args
+    """Full pipeline for one (network cell, seed) sweep point."""
+    cell, bit_list, modes, data, cfg, point_seed = args
     net = build_network(
-        family, size, depth, data.train.features.shape[1:], data.train.class_count,
-        point_seed,
+        cell, data.train.features.shape[1:], data.train.class_count, point_seed
     )
     point_cfg = dataclasses.replace(cfg, seed=point_seed)
     trained, _ = train_float(net, data, point_cfg)
     params = count_params(trained)
-    label = _size_label(family, size)
+    label, depth = _cell_label(cell)
     records: list[SweepRecord] = []
 
     def record(mode: str, bits: int, network: Network) -> SweepRecord:
         return SweepRecord(
-            family=family,
+            family=cell["family"],
             width_or_maps=label,
             depth=depth,
             mode=mode,
@@ -223,8 +270,7 @@ def _check_bits(bit_list: Sequence[int], modes) -> list[int]:
 
 
 def _sweep(
-    family: str,
-    cells: list[tuple],
+    cells: list[dict],
     bit_list: Sequence[int],
     modes: Iterable[str],
     data: DatasetSplit,
@@ -232,18 +278,18 @@ def _sweep(
     seed_reps: int,
     jobs: int,
 ) -> list[SweepRecord]:
-    """Run every (size, depth) cell ``seed_reps`` times, each point with a
-    seed derived from the base seed and the cell, on ``jobs`` processes."""
+    """Run every network cell ``seed_reps`` times, each point with a seed
+    derived from the base seed and the cell, on ``jobs`` processes."""
     modes = _check_modes(modes)
     bits = _check_bits(bit_list, modes)
     if not cells:
         raise ConfigError("sweep sizes and depths must be non-empty")
     points = []
-    for size, depth in cells:
-        label = _size_label(family, size)
+    for cell in cells:
+        label, depth = _cell_label(cell)
         for rep in range(seed_reps):
-            point_seed = derive_seed(cfg.seed, f"{family}|w{label}|d{depth}|s{rep}")
-            points.append((family, size, depth, bits, modes, data, cfg, point_seed))
+            key = f"{cell['family']}|w{label}|d{depth}|s{rep}"
+            points.append((cell, bits, modes, data, cfg, derive_seed(cfg.seed, key)))
     if jobs > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_run_point, points))
@@ -261,20 +307,20 @@ def run_width_sweep(
     modes: Iterable[str],
     data: DatasetSplit,
     cfg: TrainConfig,
-    depth: int = 1,
+    network: Mapping | None = None,
     seed_reps: int = DEFAULT_SEED_REPS,
     jobs: int = 1,
 ) -> list[SweepRecord]:
     """Train/quantize/retrain across network sizes and precisions.
 
-    ``sizes`` holds hidden-unit counts (ffdnn) or feature-map count lists
-    (cnn). ``depth`` is the ffdnn hidden-layer count; a cnn cell's depth is
-    its level count. Each size runs ``seed_reps`` independent seeds; float
-    weights are trained once per (size, seed) and reused for every precision
-    setting.
+    Each cell is the ``network`` block with ``family`` set and its width
+    replaced by one of ``sizes``: ``hidden_units`` by an int (ffdnn),
+    ``map_counts`` by a list (cnn). Each size runs ``seed_reps`` independent
+    seeds; float weights are trained once per (size, seed) and reused for
+    every precision setting.
     """
-    cells = [(size, len(size) if family == "cnn" else depth) for size in sizes]
-    return _sweep(family, cells, bit_list, modes, data, cfg, seed_reps, jobs)
+    cells = [_width_cell(network, family, size) for size in sizes]
+    return _sweep(cells, bit_list, modes, data, cfg, seed_reps, jobs)
 
 
 def run_depth_sweep(
@@ -284,30 +330,17 @@ def run_depth_sweep(
     modes: Iterable[str],
     data: DatasetSplit,
     cfg: TrainConfig,
-    width: int = DEPTH_SWEEP_WIDTH,
-    base_maps: Sequence[int] = DEPTH_SWEEP_BASE_MAPS,
+    network: Mapping | None = None,
     seed_reps: int = DEFAULT_SEED_REPS,
     jobs: int = 1,
 ) -> list[SweepRecord]:
-    """Sweep layer count at fixed width.
+    """Sweep layer count; every other key comes from ``network``.
 
-    ffdnn: ``depths`` are hidden-layer counts at ``width`` units each.
-    cnn: depth d uses the last d entries of ``base_maps``.
+    ffdnn: ``depths`` replace ``hidden_layers``. cnn: depth d keeps the last
+    d entries of ``network["map_counts"]``.
     """
-    cells = []
-    for depth in map(int, depths):
-        if family == "cnn":
-            if not 1 <= depth <= len(base_maps):
-                raise ConfigError(
-                    f"cnn depth {depth} needs 1..{len(base_maps)} "
-                    f"(base maps {list(base_maps)})"
-                )
-            cells.append((list(base_maps)[-depth:], depth))
-        else:
-            if depth < 0:
-                raise ConfigError(f"ffdnn depth must be >= 0, got {depth}")
-            cells.append((width, depth))
-    return _sweep(family, cells, bit_list, modes, data, cfg, seed_reps, jobs)
+    cells = [_depth_cell(network, family, int(d)) for d in depths]
+    return _sweep(cells, bit_list, modes, data, cfg, seed_reps, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +465,7 @@ def parse_records_csv(path: str) -> list[SweepRecord]:
                 )
             try:
                 records.append(
-                    SweepRecord(
-                        family=row[0],
-                        width_or_maps=row[1],
-                        depth=int(row[2]),
-                        mode=row[3],
-                        n_bits=int(row[4]),
-                        seed=int(row[5]),
-                        param_count=int(row[6]),
-                        total_weight_bits=int(row[7]),
-                        val_metric=float(row[8]),
-                        test_metric=float(row[9]),
-                    )
+                    SweepRecord(*(cast(v) for cast, v in zip(_RECORD_CASTS, row)))
                 )
             except (ValueError, ConfigError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
@@ -552,16 +574,10 @@ def _write_summary(records, path) -> None:
             r = med_test.get((family, size, depth, "retrained", bits))
             if d is None and r is None:
                 continue
-            diff = (
-                f"{r - f:+.2f}" if (r is not None and f is not None) else ""
-            )
+            diff = f"{r - f:+.2f}" if (r is not None and f is not None) else ""
             cells = [
-                family,
-                size,
-                str(depth),
-                "" if f is None else f"{f:.2f}",
-                "" if d is None else f"{d:.2f}",
-                "" if r is None else f"{r:.2f}",
+                family, size, str(depth),
+                *("" if v is None else f"{v:.2f}" for v in (f, d, r)),
                 diff,
             ]
             lines.append("| " + " | ".join(cells) + " |")

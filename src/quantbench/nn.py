@@ -248,10 +248,8 @@ class ForwardCache:
 
     net: "Network"
     param_version: int
-    mode: str
     layer_caches: list
     probs: np.ndarray
-    batch_size: int
 
 
 class Network:
@@ -307,10 +305,8 @@ def forward(
         ForwardCache(
             net=net,
             param_version=net._param_version,
-            mode=mode,
             layer_caches=caches,
             probs=x,
-            batch_size=x.shape[0],
         ),
     )
 
@@ -331,11 +327,9 @@ def backward(
             "stale forward cache: network parameters changed since the forward pass"
         )
     t = np.asarray(targets, dtype=np.int64)
-    if t.shape != (cache.batch_size,):
-        raise DimensionError(
-            f"targets shape {t.shape} does not match batch size {cache.batch_size}"
-        )
-    n = cache.batch_size
+    n = cache.probs.shape[0]
+    if t.shape != (n,):
+        raise DimensionError(f"targets shape {t.shape} does not match batch size {n}")
     dy = cache.probs.copy()
     dy[np.arange(n), t] -= 1.0
     dy /= n  # d(mean cross-entropy)/d(logits) through the softmax

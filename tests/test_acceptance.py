@@ -455,7 +455,7 @@ def test_criterion_06_depth_report_difference_column(tmp_path):
     cfg = TrainConfig(batch_size=32, lr_init=0.05, lr_final=1e-4,
                       max_epochs=4, patience=4, seed=1, dropout_active=False)
     records = run_depth_sweep(
-        "ffdnn", depths=[1, 2], bit_list=[2], width=12,
+        "ffdnn", depths=[1, 2], bit_list=[2], network={"hidden_units": 12},
         modes=("float", "direct", "retrained"), data=split, cfg=cfg,
         seed_reps=3, jobs=2,
     )

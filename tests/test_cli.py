@@ -152,13 +152,26 @@ class TestPipeline:
     def test_depth_sweep(self, tmp_path):
         out = tmp_path / "out"
         cfg = _base_config(out_dir=str(out))
-        cfg["sweep"] = {"axis": "depth", "depths": [0, 2], "width": 4,
-                        "modes": ["float"], "seed_reps": 1}
+        cfg["network"]["hidden_units"] = 4
+        cfg["sweep"] = {"axis": "depth", "depths": [0, 2], "modes": ["float"],
+                        "seed_reps": 1}
         config = _write_config(tmp_path, cfg)
         assert _run("sweep", "--config", config) == 0
         rows = (out / "records.csv").read_text().splitlines()[1:]
         cells = sorted(tuple(row.split(",")[:4]) for row in rows)
         assert cells == [("ffdnn", "4", "0", "float"), ("ffdnn", "4", "2", "float")]
+
+    def test_sweep_honours_network_dropout_rate(self, tmp_path):
+        records = []
+        for rate in (0.0, 0.5):
+            out = tmp_path / f"out-{rate}"
+            cfg = _base_config(out_dir=str(out))
+            cfg["network"]["dropout_rate"] = rate
+            cfg["sweep"] = {"sizes": [16], "modes": ["float"], "seed_reps": 2}
+            config = _write_config(tmp_path, cfg, f"config-{rate}.json")
+            assert _run("sweep", "--config", config) == 0
+            records.append((out / "records.csv").read_text())
+        assert records[0] != records[1]
 
     def test_csv_dataset_kind(self, tmp_path):
         for tag, n in (("train", 90), ("valid", 30), ("test", 30)):
@@ -179,7 +192,9 @@ class TestPipeline:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("key", ["train.learning_rate", "sweep.scale"])
+    @pytest.mark.parametrize(
+        "key", ["train.learning_rate", "sweep.scale", "sweep.width", "sweep.base_maps"]
+    )
     def test_unknown_config_key(self, tmp_path, capsys, key):
         cfg = _base_config()
         block, name = key.split(".")
@@ -324,6 +339,18 @@ class TestExitCodes:
         config = _write_config(tmp_path, _base_config())
         assert _run("sweep", "--config", config) == 2
         assert "sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, sizes, key",
+        [("cnn", [4], "sweep.sizes"), ("CNN", [[2]], "network.family")],
+    )
+    def test_bad_sweep_size_for_family(self, tmp_path, capsys, family, sizes, key):
+        cfg = _base_config()
+        cfg["network"] = {"family": family, "map_counts": [2]}
+        cfg["sweep"] = {"sizes": sizes, "modes": ["float"], "seed_reps": 1}
+        config = _write_config(tmp_path, cfg)
+        assert _run("sweep", "--config", config) == 2
+        assert key in capsys.readouterr().err
 
     def test_bad_sweep_axis(self, tmp_path, capsys):
         cfg = _base_config()

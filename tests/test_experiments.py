@@ -23,6 +23,7 @@ from quantbench.experiments import (
     write_ecr_csv,
     write_records_csv,
 )
+from quantbench.nn import build_cnn, count_params
 from quantbench.trainer import TrainConfig
 
 
@@ -266,12 +267,35 @@ class TestWidthSweep:
         with pytest.raises(ConfigError, match="family"):
             run_width_sweep("rnn", [4], [2], ("float",), split, cfg)
 
+    @pytest.mark.parametrize(
+        "family, sizes, match",
+        [("cnn", [4], "sweep.sizes"), ("ffdnn", [[4]], "sweep.sizes"),
+         ("ffdnn", [True], "sweep.sizes"), ("CNN", [[2]], "family")],
+    )
+    def test_size_shape_checked_before_any_work(self, family, sizes, match):
+        with pytest.raises(ConfigError, match=match):
+            run_width_sweep(family, sizes, [2], ("float",), _tiny_split(), _tiny_cfg())
+
+    def test_cell_is_the_network_block_with_its_width_replaced(self):
+        split = synthetic_split(
+            "blobs", 60, 20, 20, classes=2, seed=4, shape=(1, 8, 8)
+        )
+        kw = dict(bit_list=[], modes=("float",), data=split,
+                  cfg=_tiny_cfg(max_epochs=1), seed_reps=1)
+        for fc in (3, 5):
+            network = {"family": "cnn", "map_counts": [9, 9], "fc_units": fc}
+            (rec,) = run_width_sweep("cnn", [[2]], network=network, **kw)
+            want = build_cnn([2], input_shape=(1, 8, 8), fc_units=fc, classes=2)
+            assert (rec.width_or_maps, rec.depth) == ("2", 1)
+            assert rec.param_count == count_params(want)
+
 
 class TestDepthSweep:
     def test_ffdnn_depths(self):
         records = run_depth_sweep(
             "ffdnn", depths=[0, 1], bit_list=[2], modes=("float", "direct"),
-            data=_tiny_split(), cfg=_tiny_cfg(), width=4, seed_reps=1,
+            data=_tiny_split(), cfg=_tiny_cfg(), network={"hidden_units": 4},
+            seed_reps=1,
         )
         assert {r.depth for r in records} == {0, 1}
         assert all(r.width_or_maps == "4" for r in records)
@@ -286,24 +310,31 @@ class TestDepthSweep:
         )
         records = run_depth_sweep(
             "cnn", depths=[1, 2], bit_list=[2], modes=("float",),
-            data=split, cfg=_tiny_cfg(max_epochs=1), base_maps=(3, 4),
-            seed_reps=1,
+            data=split, cfg=_tiny_cfg(max_epochs=1),
+            network={"map_counts": [3, 4]}, seed_reps=1,
         )
         labels = {r.depth: r.width_or_maps for r in records}
         assert labels == {1: "4", 2: "3-4"}
 
     def test_cnn_cell_is_the_same_on_both_axes(self):
         # A CNN's depth is its level count, so the width cell [2, 3] and the
-        # depth-2 cell over base maps [2, 3] are one network, label and seed.
+        # depth-2 cell over map counts [2, 3] are one network, label and seed.
         split = synthetic_split(
             "blobs", 60, 20, 20, classes=2, seed=4, shape=(1, 8, 8)
         )
         kw = dict(bit_list=[2], modes=("float", "direct"), data=split,
                   cfg=_tiny_cfg(max_epochs=1), seed_reps=1)
         by_width = run_width_sweep("cnn", [[2, 3]], **kw)
-        by_depth = run_depth_sweep("cnn", [2], base_maps=[2, 3], **kw)
+        by_depth = run_depth_sweep("cnn", [2], network={"map_counts": [2, 3]}, **kw)
         assert {r.depth for r in by_width} == {2}
         assert by_width == by_depth
+
+    def test_cnn_depth_needs_map_counts(self):
+        split = synthetic_split(
+            "blobs", 60, 20, 20, classes=2, seed=4, shape=(1, 8, 8)
+        )
+        with pytest.raises(ConfigError, match="network.map_counts"):
+            run_depth_sweep("cnn", [1], [2], ("float",), split, _tiny_cfg())
 
     def test_cnn_depth_out_of_range(self):
         split = synthetic_split(
@@ -312,7 +343,8 @@ class TestDepthSweep:
         with pytest.raises(ConfigError, match="depth"):
             run_depth_sweep(
                 "cnn", depths=[4], bit_list=[2], modes=("float",),
-                data=split, cfg=_tiny_cfg(), base_maps=(3, 4), seed_reps=1,
+                data=split, cfg=_tiny_cfg(), network={"map_counts": [3, 4]},
+                seed_reps=1,
             )
 
 

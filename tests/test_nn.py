@@ -200,7 +200,9 @@ class TestBackward:
     def test_target_length_checked(self):
         net = build_ffdnn(6, 4, 1, 3, seed=1)
         _, cache = forward(net, Tensor(Rng(1).uniform((4, 6))))
-        with pytest.raises(DimensionError):
+        with pytest.raises(
+            DimensionError, match=r"targets shape \(2,\) does not match batch size 4"
+        ):
             backward(net, cache, [0, 1])
 
     def test_gradient_shapes_match_parameters(self):
