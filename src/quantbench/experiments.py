@@ -284,6 +284,8 @@ def _sweep(
     bits = _check_bits(bit_list, modes)
     if not cells:
         raise ConfigError("sweep sizes and depths must be non-empty")
+    if seed_reps < 1:
+        raise ConfigError(f"sweep.seed_reps must be >= 1, got {seed_reps}")
     points = []
     for cell in cells:
         label, depth = _cell_label(cell)

@@ -10,13 +10,16 @@ The step size delta is fitted per weight group to minimize the L2 distortion
 
     E = 1/2 * sum_i (q(w_i) - w_i)^2
 
-by alternating code assignment with the closed-form least-squares step size
-for fixed codes. Biases are never quantized.
+by an exact search of this piecewise-quadratic function of delta, polished by
+alternating code assignment with the closed-form least-squares step size for
+fixed codes. Biases are never quantized.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,6 +30,8 @@ from .tensor import Tensor
 
 _DELTA_REL_TOL = 1e-8
 _MAX_FIT_ITERATIONS = 100
+# Events (a weight crossing a code threshold) per chunk of the step axis.
+_EVENTS_PER_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -118,50 +123,153 @@ def l2_error(w: np.ndarray, spec: QuantizerSpec) -> float:
     return 0.5 * float(np.dot(d.reshape(-1), d.reshape(-1)))
 
 
+def _first_at_or_above(absw: np.ndarray, divisors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Per step in ``deltas`` (rows) and divisor c (columns): the index of the
+    first weight in the sorted ``absw`` whose threshold |w| / c is >= the step.
+
+    The rounded threshold fl(|w| / c) is monotone in |w|, so the smallest |w|
+    reaching a step is found by moving c * step one unit in the last place at
+    a time, and the index by one binary search. Ties in |w| need no care.
+    """
+    d = deltas[:, None]
+    a = d * divisors
+    while True:
+        short = a / divisors < d
+        if not short.any():
+            break
+        a[short] = np.nextafter(a[short], np.inf)
+    while True:
+        prev = np.nextafter(a, 0.0)
+        reach = prev / divisors >= d
+        if not reach.any():
+            break
+        a[reach] = prev[reach]
+    return np.searchsorted(absw, a, side="left")
+
+
+def _parabola_min(w_sq, s1, s2, lo, hi):
+    """Step in [lo, hi] minimizing 1/2 * (w_sq - 2*step*s1 + step^2*s2), and
+    that minimum. With s2 = 0 the line falls as the step grows: take hi."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(s2 > 0, s1 / s2, hi)
+    step = np.minimum(np.maximum(vertex, lo), hi)
+    return step, 0.5 * (w_sq - 2.0 * step * s1 + step * step * s2)
+
+
 def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
     """Globally minimizing step size for quantizing ``flat`` to the code range.
 
     The distortion as a function of the step is piecewise quadratic: the code
-    assignment only changes where some |w| crosses a threshold (k - 0.5) *
-    delta, and between crossings it is a parabola whose vertex is the
-    least-squares step sum(q*|w|) / sum(q^2) for the frozen codes. Scanning
-    the O(N * max_code) threshold intervals from large steps to small, with
-    running sums updated per crossing, therefore finds the exact minimizer.
+    assignment only changes at the N * max_code thresholds (events) where some
+    |w| crosses (k - 0.5) * delta, and between events it is a parabola
+    1/2 * (sum w^2 - 2*delta*s1 + delta^2*s2), s1 = sum(q*|w|), s2 = sum(q^2),
+    whose least-squares vertex s1 / s2 is clamped to the interval.
+
+    No event list is built. Over |w| sorted once, with suffix sums, s1 and s2
+    at any step are max_code lookups. The step axis above the smallest event
+    is cut into geometric chunks, about one per _EVENTS_PER_CHUNK events, and
+    each chunk gets a lower bound on its distortion: the exact parabola of the
+    weights whose code is fixed on the chunk (the others count as zero), or,
+    when a weight can cross twice in the chunk, s1 at the chunk's low end
+    against s2 at its high end. Below the smallest event every code saturates,
+    one parabola. Chunks are taken in order of their bound until the bound
+    reaches the best distortion found: a chunk holding more than
+    _EVENTS_PER_CHUNK events is halved, any other has its events sorted and
+    each interval's clamped vertex evaluated. So the global minimum is kept,
+    and memory is O(N + one chunk): the lookups at the chunk edges hold
+    n_chunks * max_code indices, fewer than N + max_code as max_code <= 127.
     """
     absw = np.abs(flat)
     absw = absw[absw > 0.0]
-    # Thresholds where a weight's code steps from k-1 up to k as delta shrinks.
-    ks = np.arange(1, max_code + 1, dtype=np.float64)
-    events_t = (absw[:, None] / (ks - 0.5)).reshape(-1)
-    events_s1 = np.broadcast_to(absw[:, None], (absw.size, max_code)).reshape(-1)
-    events_s2 = np.broadcast_to(2.0 * ks - 1.0, (absw.size, max_code)).reshape(-1)
-    order = np.argsort(-events_t, kind="stable")
-    t_sorted = events_t[order]
-
-    # After the j-th crossing the codes stay fixed down to the next threshold.
-    s1 = np.cumsum(events_s1[order])
-    s2 = np.cumsum(events_s2[order])
-    hi = t_sorted
-    lo = np.concatenate([t_sorted[1:], [0.0]])
-    vertex = s1 / s2
-    clamped = np.minimum(np.maximum(vertex, lo), hi)
     w_sq = float(np.dot(absw, absw))
-    errors = 0.5 * (w_sq - 2.0 * clamped * s1 + clamped * clamped * s2)
-    pick = int(np.argmin(errors))
-    return float(clamped[pick])
+    absw.sort()
+    n = absw.size
+    levels = np.arange(1, max_code + 1)
+    divisors = levels - 0.5
+    steps_sq = 2 * levels - 1  # q^2 grows by 2k - 1 as a code moves to k
+    below = levels - 1  # code just above a level-k event
+    tail1 = np.zeros(n + 1)
+    tail1[:n] = np.cumsum(absw[::-1])[::-1]
+    tail2 = np.zeros(n + 1)
+    tail2[:n] = np.cumsum((absw * absw)[::-1])[::-1]
+
+    def sums_at(deltas):
+        """Event indices, s1 and s2 at each step: events at or above count."""
+        idx = _first_at_or_above(absw, divisors, deltas)
+        return idx, tail1[idx].sum(axis=-1), ((n - idx) * steps_sq).sum(axis=-1)
+
+    def bound(lo, hi, lo_i, hi_i, s1_lo, s1_hi, s2_hi):
+        """Lower bound on the distortion over each chunk [lo, hi]."""
+        moved = hi_i - lo_i
+        s1_fixed = s1_hi - (below * (tail1[lo_i] - tail1[hi_i])).sum(axis=-1)
+        s2_fixed = s2_hi - (below * below * moved).sum(axis=-1)
+        w_sq_fixed = w_sq - (tail2[lo_i] - tail2[hi_i]).sum(axis=-1)
+        fixed = _parabola_min(w_sq_fixed, s1_fixed, s2_fixed, lo, hi)[1]
+        loose = _parabola_min(w_sq, s1_lo, s2_hi, lo, hi)[1]
+        # A weight crosses twice when the slices of levels k and k + 1 overlap.
+        twice = np.any(hi_i[..., :-1] > lo_i[..., 1:], axis=-1)
+        return np.where(twice, loose, fixed)
+
+    n_chunks = max(1, -(-n * max_code // _EVENTS_PER_CHUNK))
+    # Steps stay positive, though a subnormal |w| / c may round to 0.
+    tiny = np.nextafter(0.0, 1.0)
+    t_min = max(absw[0] / divisors[-1], tiny)
+    t_max = absw[-1] / divisors[0]
+    edges = np.geomspace(t_min, t_max, n_chunks + 1)
+    edges[0], edges[-1] = t_min, t_max
+    edges = np.maximum.accumulate(edges)  # rounding must not reorder them
+    idx, s1, s2 = sums_at(edges)
+
+    best_delta, best_err = _parabola_min(w_sq, s1[0], s2[0], tiny, t_min)
+    bounds = bound(edges[:-1], edges[1:], idx[:-1], idx[1:], s1[:-1], s1[1:], s2[1:])
+    heap = [
+        (bounds[c], c, (edges[c], edges[c + 1], idx[c], idx[c + 1], s1[c], s1[c + 1], s2[c + 1]))
+        for c in range(n_chunks)
+    ]
+    heapq.heapify(heap)
+    tiebreak = itertools.count(n_chunks)
+    while heap and heap[0][0] < best_err:
+        lo, hi, lo_i, hi_i, s1_lo, s1_hi, s2_hi = heapq.heappop(heap)[2]
+        moved = hi_i - lo_i
+        m = int(moved.sum())
+        mid = np.sqrt(lo) * np.sqrt(hi)
+        if m > _EVENTS_PER_CHUNK and lo < mid < hi:
+            (mid_i,), (s1_mid,), (s2_mid,) = sums_at(np.array([mid]))
+            for half in ((lo, mid, lo_i, mid_i, s1_lo, s1_mid, s2_mid),
+                         (mid, hi, mid_i, hi_i, s1_mid, s1_hi, s2_hi)):
+                heapq.heappush(heap, (bound(*half), next(tiebreak), half))
+            continue
+        # Events in [lo, hi): per level k, a slice of the sorted |w|.
+        pos = np.arange(m) + np.repeat(lo_i - (np.cumsum(moved) - moved), moved)
+        ev_w = absw[pos]
+        ev_t = ev_w / np.repeat(divisors, moved)
+        by_step = np.argsort(-ev_t, kind="stable")
+        ev_t = ev_t[by_step]
+        # After the j-th event the codes stay fixed down to the next one.
+        run_s1 = np.cumsum(np.concatenate(([s1_hi], ev_w[by_step])))
+        run_s2 = np.cumsum(np.concatenate(([s2_hi], np.repeat(steps_sq, moved)[by_step])))
+        step, err = _parabola_min(
+            w_sq, run_s1, run_s2, np.concatenate((ev_t, [lo])), np.concatenate(([hi], ev_t))
+        )
+        j = int(np.argmin(err))
+        if err[j] < best_err:
+            best_delta, best_err = step[j], err[j]
+    return float(best_delta)
 
 
 def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationReport]:
     """Fit the step size minimizing L2 distortion of quantizing ``w`` to M levels.
 
-    The candidate step comes from an exact scan of the piecewise-quadratic
-    distortion (see _best_vertex_delta); alternating descent then polishes
-    it: (a) assign integer codes at the current delta and (b) set delta to
-    the least-squares value sum(q*w)/sum(q^2) for those codes, until the
-    relative delta change falls below 1e-8 or 100 iterations. Both half-steps
-    are non-increasing in the distortion, so the reported l2_error never
-    exceeds the error at the scan's pick nor at 2*max|w|/(M-1). Deterministic
-    given the input order.
+    The candidate step is the global minimizer of the piecewise-quadratic
+    distortion, found by a search over chunks of the step axis that skips
+    every chunk whose lower bound cannot beat the best step found, in memory
+    O(N + one chunk) (see _best_vertex_delta). Alternating descent then
+    polishes it: (a) assign integer codes at the current delta and (b) set
+    delta to the least-squares value sum(q*w)/sum(q^2) for those codes, until
+    the relative delta change falls below 1e-8 or 100 iterations. Both
+    half-steps are non-increasing in the distortion, so the reported l2_error
+    never exceeds the error at the search's pick nor at 2*max|w|/(M-1).
+    Deterministic given the input order.
 
     An all-zero group is degenerate: delta 1.0, all codes 0, zero error,
     flagged in the report.
@@ -180,6 +288,11 @@ def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationRepor
             iterations=0, saturated_fraction=0.0, degenerate=True,
         )
         return 1.0, report
+    if not np.isfinite(2.0 * w_max):
+        # 2 * max|w| is the largest code threshold the fit must represent.
+        raise ConfigError(
+            f"weights must be finite and below 8.9e307 in magnitude, got max |w| {w_max}"
+        )
 
     max_code = (M - 1) // 2
     delta = _best_vertex_delta(flat, max_code)

@@ -340,6 +340,16 @@ class TestExitCodes:
         assert _run("sweep", "--config", config) == 2
         assert "sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed_reps", [0, -1])
+    def test_seed_reps_below_one(self, tmp_path, capsys, seed_reps):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["sweep"] = {"sizes": [4], "modes": ["float"], "seed_reps": seed_reps}
+        config = _write_config(tmp_path, cfg)
+        assert _run("sweep", "--config", config) == 2
+        assert "sweep.seed_reps must be >= 1" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     @pytest.mark.parametrize(
         "family, sizes, key",
         [("cnn", [4], "sweep.sizes"), ("CNN", [[2]], "network.family")],

@@ -246,6 +246,12 @@ class TestWidthSweep:
         )
         assert len({r.seed for r in records}) == 3
 
+    @pytest.mark.parametrize("seed_reps", [0, -1])
+    def test_seed_reps_below_one_rejected(self, seed_reps):
+        with pytest.raises(ConfigError, match="sweep.seed_reps must be >= 1"):
+            run_width_sweep("ffdnn", [4], [2], ("float",), data=_tiny_split(),
+                            cfg=_tiny_cfg(), seed_reps=seed_reps)
+
     def test_parallel_matches_serial(self):
         kw = dict(
             family="ffdnn", sizes=[4, 8], bit_list=[2],

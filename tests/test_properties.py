@@ -1,4 +1,5 @@
-"""Property tests for the grid rule; skipped when hypothesis is not installed."""
+"""Property tests for the grid rule and the step-size fit; skipped when
+hypothesis is not installed."""
 
 import os
 import tempfile
@@ -7,13 +8,13 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from quantbench.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from quantbench.nn import build_ffdnn  # noqa: E402
-from quantbench.quantizer import QuantizerSpec, apply, codes  # noqa: E402
+from quantbench.quantizer import QuantizerSpec, apply, codes, optimize_delta  # noqa: E402
 from quantbench.tensor import Tensor  # noqa: E402
 
 levels = st.integers(min_value=1, max_value=127).map(lambda h: 2 * h + 1)
@@ -71,3 +72,24 @@ def test_quantized_group_round_trips_weight_bytes(w, M, delta):
     assert loaded.quantizer == group.quantizer
     assert loaded.weights.ndarray.tobytes() == group.weights.ndarray.tobytes()
     assert loaded.shadow_weights.ndarray.tobytes() == w.tobytes()
+
+
+@SETTINGS
+@given(
+    w=arrays(
+        np.float64,
+        st.integers(min_value=1, max_value=64),
+        elements=st.floats(min_value=-1e4, max_value=1e4, allow_subnormal=False),
+    ),
+    M=levels,
+)
+def test_fit_no_worse_than_dense_step_grid(w, M):
+    w_max = float(np.abs(w).max())
+    assume(w_max > 0.0)
+    _, report = optimize_delta(w, M)
+    steps = np.arange(1, 2001) * (2.0 * w_max / 2000)
+    q = np.minimum(np.floor(np.abs(w)[:, None] / steps + 0.5), (M - 1) // 2)
+    grid = 0.5 * ((q * steps - np.abs(w)[:, None]) ** 2).sum(axis=0)
+    # Relative slack, plus rounding on a group the grid holds exactly (error 0).
+    w_sq = float(np.dot(w, w))
+    assert report.l2_error <= grid.min() * (1.0 + 1e-12) + 1e-24 * w_sq

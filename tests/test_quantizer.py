@@ -2,11 +2,12 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from quantbench import build_ffdnn
+from quantbench import build_ffdnn, quantizer
 from quantbench.errors import ConfigError
 from quantbench.quantizer import (
     QuantizationReport,
@@ -116,6 +117,11 @@ class TestOptimizeDelta:
         with pytest.raises(ConfigError):
             optimize_delta(np.array([]), 3)
 
+    @pytest.mark.parametrize("big", [1e308, math.inf, math.nan])
+    def test_weights_beyond_the_threshold_range_rejected(self, big):
+        with pytest.raises(ConfigError, match="finite and below"):
+            optimize_delta(np.array([big, -1.0, 0.0]), 7)
+
     def test_never_worse_than_initial_step(self):
         for seed in range(5):
             w = Rng(seed).normal((500,))
@@ -143,6 +149,95 @@ class TestOptimizeDelta:
         assert 0.0 < report.saturated_fraction < 0.2
         expected = np.mean(np.floor(np.abs(w) / delta + 0.5) > 1)
         assert report.saturated_fraction == pytest.approx(expected)
+
+
+def _reference_scan(flat, max_code):
+    """Exact step fit by sorting all N * max_code threshold events at once.
+
+    Each event is where a weight's code steps from k - 1 up to k as the step
+    shrinks; between consecutive events the distortion is a parabola, whose
+    vertex is clamped to the interval. O(N * max_code) memory: a test oracle.
+    """
+    absw = np.abs(flat)
+    absw = absw[absw > 0.0]
+    ks = np.arange(1, max_code + 1, dtype=np.float64)
+    events_t = (absw[:, None] / (ks - 0.5)).reshape(-1)
+    events_s1 = np.broadcast_to(absw[:, None], (absw.size, max_code)).reshape(-1)
+    events_s2 = np.broadcast_to(2.0 * ks - 1.0, (absw.size, max_code)).reshape(-1)
+    order = np.argsort(-events_t, kind="stable")
+    t_sorted = events_t[order]
+    s1 = np.cumsum(events_s1[order])
+    s2 = np.cumsum(events_s2[order])
+    hi = t_sorted
+    lo = np.concatenate([t_sorted[1:], [0.0]])
+    clamped = np.minimum(np.maximum(s1 / s2, lo), hi)
+    w_sq = float(np.dot(absw, absw))
+    errors = 0.5 * (w_sq - 2.0 * clamped * s1 + clamped * clamped * s2)
+    return float(clamped[int(np.argmin(errors))])
+
+
+def _draw(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "laplace":
+        return rng.laplace(size=n)
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, size=n)
+    if kind == "ties":
+        return np.round(rng.normal(size=n), 2)
+    if kind == "half_zero":
+        w = rng.normal(size=n)
+        w[rng.random(n) < 0.5] = 0.0
+        return w
+    w = np.zeros(n)  # single nonzero
+    w[n // 3] = -0.7
+    return w
+
+
+DRAWS = ["normal", "laplace", "uniform", "ties", "half_zero", "single_nonzero"]
+
+
+class TestExactFit:
+    """The chunked fit against the whole-array event scan it replaces."""
+
+    @pytest.mark.parametrize("kind", DRAWS)
+    @pytest.mark.parametrize("M", [255, 7])
+    def test_matches_reference_scan(self, monkeypatch, kind, M):
+        # 20k weights hold 2.54M events at M = 255 and 60k at M = 7: both
+        # span several chunks (unless a single weight is nonzero).
+        w = _draw(kind, 20000, seed=M)
+        delta, report = optimize_delta(w, M)
+        monkeypatch.setattr(quantizer, "_best_vertex_delta", _reference_scan)
+        ref_delta, ref_report = optimize_delta(w, M)
+        assert repr(delta) == repr(ref_delta)
+        assert repr(report.l2_error) == repr(ref_report.l2_error)
+        assert report.iterations == ref_report.iterations
+
+    def test_all_equal_magnitudes(self):
+        # Every step 0.3 / k (k <= 127) fits exactly: the tie may go to any.
+        w = np.tile([0.3, -0.3], 20000)
+        delta, report = optimize_delta(w, 255)
+        assert report.l2_error == 0.0
+        k = round(0.3 / delta)
+        assert 1 <= k <= 127 and delta == pytest.approx(0.3 / k, rel=1e-12)
+
+    def test_subnormal_group_gets_a_positive_step(self):
+        for M in (3, 5, 255):
+            delta, report = optimize_delta(np.array([5e-324]), M)
+            assert delta > 0.0
+            assert report.l2_error == 0.0
+
+    def test_memory_bounded(self):
+        # The whole-array scan needs about 0.8 GB here (8.3M events).
+        w = _draw("normal", 65536, seed=5)
+        tracemalloc.start()
+        try:
+            optimize_delta(w, 255)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestDirectQuantize:
