@@ -32,8 +32,8 @@ from .quantizer import (
     direct_quantize,
     l2_error,
     optimize_delta,
-    write_reports,
 )
+from .experiments import write_reports
 from .tensor import Rng, Tensor, derive_seed
 
 __version__ = "0.1.0"

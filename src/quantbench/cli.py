@@ -38,9 +38,11 @@ from .experiments import (
     run_width_sweep,
     write_ecr_csv,
     write_records_csv,
+    write_reports,
+    write_train_log,
 )
 from .nn import cnn_group_names, count_params, ffdnn_group_names
-from .quantizer import bits_to_levels, direct_quantize, write_reports
+from .quantizer import bits_to_levels, direct_quantize
 from .tensor import Tensor
 from .trainer import (
     TrainConfig,
@@ -48,7 +50,6 @@ from .trainer import (
     retrain_config,
     retrain_quantized,
     train_float,
-    write_train_log,
 )
 
 SEED_ENV = "QUANTBENCH_SEED"

@@ -222,21 +222,6 @@ def load_csv(
     return Dataset(Tensor._wrap(features), labels, classes)
 
 
-def save_csv(ds: Dataset, features_path: str, labels_path: str | None = None) -> None:
-    """Write a dataset as numeric CSV at 17 significant digits (lossless)."""
-    feats = ds.features.ndarray.reshape(ds.size, -1)
-    with open(features_path, "w", encoding="utf-8") as fh:
-        for i in range(ds.size):
-            row = ",".join("%.17g" % v for v in feats[i])
-            if labels_path is None:
-                row += f",{ds.labels[i]}"
-            fh.write(row + "\n")
-    if labels_path is not None:
-        with open(labels_path, "w", encoding="utf-8") as fh:
-            for v in ds.labels:
-                fh.write(f"{v}\n")
-
-
 # ---------------------------------------------------------------------------
 # Synthetic tasks
 # ---------------------------------------------------------------------------

@@ -33,9 +33,16 @@ import numpy as np
 from .data import DatasetSplit
 from .errors import ConfigError
 from .nn import Network, build_cnn, build_ffdnn, count_params, count_weight_bits
-from .quantizer import direct_quantize
+from .quantizer import QuantizationReport, direct_quantize
 from .tensor import derive_seed
-from .trainer import TrainConfig, evaluate, retrain_config, retrain_quantized, train_float
+from .trainer import (
+    TrainConfig,
+    TrainLog,
+    evaluate,
+    retrain_config,
+    retrain_quantized,
+    train_float,
+)
 
 FLOAT_BITS = 32
 DEFAULT_SEED_REPS = 3
@@ -433,6 +440,26 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+
+
+LOG_FIELDS = ["epoch", "train_loss", "val_metric", "lr", "seconds"]
+REPORT_FIELDS = ["group", "M", "delta", "l2_error", "iterations", "saturated_fraction"]
+
+
+def write_train_log(log: TrainLog, path: str) -> None:
+    """Serialize a TrainLog as CSV, one row per epoch.
+
+    Wall-time seconds are always written as 0.0, so that reruns with
+    identical config and seed produce byte-identical files.
+    """
+    rows = ([r.epoch, r.train_loss, r.val_metric, r.lr, "0.0"] for r in log.records)
+    _write_csv(path, LOG_FIELDS, rows)
+
+
+def write_reports(reports: Iterable[QuantizationReport], path: str) -> None:
+    """Serialize fit reports as CSV, one row per weight group."""
+    rows = ([getattr(r, f) for f in REPORT_FIELDS] for r in reports)
+    _write_csv(path, REPORT_FIELDS, rows)
 
 
 def _record_row(r: SweepRecord) -> list:

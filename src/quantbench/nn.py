@@ -1,5 +1,10 @@
 """Layers, network assembly, and manual forward/backward passes.
 
+All layer math lives here. A conv layer unfolds its input once into a
+contiguous [N*H*W, C*25] patch matrix (``_im2col``) that feeds both the
+forward GEMM and the dW GEMM; dX is the adjoint fold of that unfold
+(``_fold``). ``_maxpool2_batch`` holds the 2x2 pool windows and tie rule.
+
 Networks are flat ordered lists of layers. Every learnable layer owns a named
 WeightGroup (weight tensor + bias); quantization and retraining operate on
 those groups. Two families are provided: fully connected classifier stacks
@@ -20,10 +25,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, UsageError
 from .quantizer import QuantizerSpec
-from .tensor import Rng, Tensor, _col2im, _im2col, _maxpool2_batch
+from .tensor import Rng, Tensor
 
 KERNEL_SIZE = 5
 CONV_PAD = 2
@@ -123,6 +129,56 @@ class _DenseLayer:
         return dx, (dw, db)
 
 
+def _im2col(x: np.ndarray) -> np.ndarray:
+    """Unfold a [N, C, H, W] batch, zero-padded for a same-size 5x5 conv, into
+    one contiguous [N*H*W, C*25] patch matrix: row (i, y, x) holds the
+    receptive field of output pixel (y, x) of sample i, channel-major then
+    row-major within the window, which is the order of a flattened kernel."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (CONV_PAD, CONV_PAD), (CONV_PAD, CONV_PAD)))
+    windows = sliding_window_view(xp, (KERNEL_SIZE, KERNEL_SIZE), axis=(2, 3))
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, -1)
+
+
+def _fold(dcols_t: np.ndarray, x_shape: tuple) -> np.ndarray:
+    """Adjoint of _im2col: add the patch gradients, given transposed as
+    [C*25, N*H*W], back onto the input. In that layout each of the 25 taps
+    is one block of whole [H, W] planes, so every add reads contiguous rows."""
+    n, c, h, w = x_shape
+    k = KERNEL_SIZE
+    taps = dcols_t.reshape(c, k, k, n, h, w)
+    dxp = np.zeros((n, c, h + 2 * CONV_PAD, w + 2 * CONV_PAD), dtype=np.float64)
+    for dy in range(k):
+        for dx in range(k):
+            dxp[:, :, dy : dy + h, dx : dx + w] += taps[:, dy, dx].transpose(1, 0, 2, 3)
+    return dxp[:, :, CONV_PAD : CONV_PAD + h, CONV_PAD : CONV_PAD + w]
+
+
+def _maxpool2_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 stride-2 max pooling over [N, C, H, W] with argmax bookkeeping.
+
+    Odd trailing rows/columns form 1-wide windows. Ties resolve to the
+    smallest flat index within [C, H, W] of each sample. Returns the pooled
+    batch and int64 argmax positions flattened per sample.
+    """
+    n, c, h, w = x.shape
+    h2, w2 = (h + 1) // 2, (w + 1) // 2
+    hp, wp = 2 * h2, 2 * w2
+    xp = np.full((n, c, hp, wp), -np.inf, dtype=np.float64)
+    xp[:, :, :h, :w] = x
+    # Window cells enumerated in source row-major order so argmax's
+    # first-occurrence rule picks the smallest flat index on ties.
+    windows = xp.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5)
+    windows = windows.reshape(n, c, h2, w2, 4)
+    local = np.argmax(windows, axis=-1)
+    out = np.take_along_axis(windows, local[..., None], axis=-1)[..., 0]
+    rows = 2 * np.arange(h2)[None, None, :, None] + local // 2
+    cols = 2 * np.arange(w2)[None, None, None, :] + local % 2
+    chan = np.arange(c)[None, :, None, None]
+    flat = (chan * h + rows) * w + cols
+    return out, flat.astype(np.int64)
+
+
 class _ConvLayer:
     def __init__(self, group: WeightGroup):
         self.group = group
@@ -137,22 +193,18 @@ class _ConvLayer:
             )
         n, _, h, w = x.shape
         c_out = k.shape[0]
-        cols = _im2col(x, KERNEL_SIZE, CONV_PAD)  # [N, H*W, C_in*25]
+        cols = _im2col(x)  # [N*H*W, C_in*25], reused by the dW GEMM
         y = cols @ k.reshape(c_out, -1).T + self.group.bias.ndarray
-        y = y.transpose(0, 2, 1).reshape(n, c_out, h, w)
+        y = np.ascontiguousarray(y.reshape(n, h, w, c_out).transpose(0, 3, 1, 2))
         return y, (cols, x.shape)
 
     def backward(self, dy, cache):
         cols, x_shape = cache
-        n, c_in, h, w = x_shape
         c_out = dy.shape[1]
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)  # [N*H*W, C_out]
-        colsf = cols.reshape(-1, cols.shape[2])
-        dw = (dyf.T @ colsf).reshape(self.group.weights.shape)
+        dw = (dyf.T @ cols).reshape(self.group.weights.shape)
         db = dyf.sum(axis=0)
-        k = self.group.weights.ndarray
-        dcols = (dyf @ k.reshape(c_out, -1)).reshape(cols.shape)
-        dx = _col2im(dcols, x_shape, KERNEL_SIZE, CONV_PAD)
+        dx = _fold(self.group.weights.ndarray.reshape(c_out, -1).T @ dyf.T, x_shape)
         return dx, (dw, db)
 
 

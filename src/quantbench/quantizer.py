@@ -17,11 +17,9 @@ fixed codes. Biases are never quantized.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -204,11 +202,13 @@ def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
         s1_fixed = s1_hi - (below * (tail1[lo_i] - tail1[hi_i])).sum(axis=-1)
         s2_fixed = s2_hi - (below * below * moved).sum(axis=-1)
         w_sq_fixed = w_sq - (tail2[lo_i] - tail2[hi_i]).sum(axis=-1)
-        fixed = _parabola_min(w_sq_fixed, s1_fixed, s2_fixed, lo, hi)[1]
-        loose = _parabola_min(w_sq, s1_lo, s2_hi, lo, hi)[1]
-        # A weight crosses twice when the slices of levels k and k + 1 overlap.
+        # A weight crosses twice when the slices of levels k and k + 1 overlap;
+        # the fixed sums then mean nothing, and the loose bound is taken.
         twice = np.any(hi_i[..., :-1] > lo_i[..., 1:], axis=-1)
-        return np.where(twice, loose, fixed)
+        return _parabola_min(
+            np.where(twice, w_sq, w_sq_fixed), np.where(twice, s1_lo, s1_fixed),
+            np.where(twice, s2_hi, s2_fixed), lo, hi,
+        )[1]
 
     n_chunks = max(1, -(-n * max_code // _EVENTS_PER_CHUNK))
     # Steps stay positive, though a subnormal |w| / c may round to 0.
@@ -272,7 +272,8 @@ def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationRepor
     Deterministic given the input order.
 
     An all-zero group is degenerate: delta 1.0, all codes 0, zero error,
-    flagged in the report.
+    flagged in the report. A group with N * max_code * max|w|^2 above
+    float max / 8, or a non-finite weight, raises ConfigError.
     """
     arr = np.asarray(w if not isinstance(w, Tensor) else w.ndarray, dtype=np.float64)
     flat = arr.reshape(-1)
@@ -288,13 +289,17 @@ def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationRepor
             iterations=0, saturated_fraction=0.0, degenerate=True,
         )
         return 1.0, report
-    if not np.isfinite(2.0 * w_max):
-        # 2 * max|w| is the largest code threshold the fit must represent.
-        raise ConfigError(
-            f"weights must be finite and below 8.9e307 in magnitude, got max |w| {w_max}"
-        )
-
     max_code = (M - 1) // 2
+    # Steps reach 2 * max|w| and the search sums up to max_code slices of |w|
+    # and w^2, so no term it forms exceeds 4 * N * max_code * max|w|^2: at
+    # most float max / 2 each, no sum overflows. Compared without squaring,
+    # so the check cannot overflow.
+    limit = np.sqrt(np.finfo(np.float64).max / (8 * flat.size * max_code))
+    if not w_max <= limit:
+        raise ConfigError(
+            f"max |w| must be finite and below sqrt(float max / (8 * N * max_code)) "
+            f"= {limit:.3g} for N = {flat.size} weights at M = {M}, got {w_max}"
+        )
     delta = _best_vertex_delta(flat, max_code)
     iterations = 0
     for _ in range(_MAX_FIT_ITERATIONS):
@@ -354,18 +359,3 @@ def _resolve_groups(net, groups) -> list[str]:
             f"unknown weight group(s) {unknown}; this network has {known}"
         )
     return names
-
-
-REPORT_FIELDS = ["group", "M", "delta", "l2_error", "iterations", "saturated_fraction"]
-
-
-def write_reports(reports: Iterable[QuantizationReport], path) -> None:
-    """Serialize fit reports as CSV, one row per weight group."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_FIELDS)
-        for r in reports:
-            writer.writerow(
-                [r.group, r.M, repr(r.delta), repr(r.l2_error),
-                 r.iterations, repr(r.saturated_fraction)]
-            )

@@ -1,8 +1,9 @@
-"""Dense float64 tensors, the deterministic RNG, and the array ops the layers need.
+"""The data types: the immutable float64 ``Tensor``, the deterministic
+counter-based ``Rng``, and ``derive_seed`` for stable sub-seeds.
 
-Everything here is pure: operations return new values and never mutate their
-inputs. All arithmetic is carried out in 64-bit floats; reduced precision in
-this package only ever applies to stored weight values, never to arithmetic.
+Layer math (the conv patch layout and the pool windows) lives in ``nn``.
+All arithmetic is carried out in 64-bit floats; reduced precision in this
+package only ever applies to stored weight values, never to arithmetic.
 """
 
 from __future__ import annotations
@@ -145,55 +146,3 @@ def derive_seed(seed: int, tag: str) -> int:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return z ^ (z >> 31)
 
-
-def _im2col(x: np.ndarray, ksize: int, pad: int) -> np.ndarray:
-    """Unfold a padded [N, C, H, W] batch into patch rows.
-
-    Returns [N, H*W, C*ksize*ksize] where row (i, j) holds the receptive
-    field of output pixel j of sample i, channel-major then row-major within
-    the kernel window.
-    """
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    cols = np.empty((n, c, ksize, ksize, h, w), dtype=np.float64)
-    for dy in range(ksize):
-        for dx in range(ksize):
-            cols[:, :, dy, dx] = xp[:, :, dy : dy + h, dx : dx + w]
-    return cols.reshape(n, c * ksize * ksize, h * w).transpose(0, 2, 1)
-
-
-def _col2im(dcols: np.ndarray, shape: tuple, ksize: int, pad: int) -> np.ndarray:
-    """Adjoint of _im2col: fold patch-row gradients back onto the input."""
-    n, c, h, w = shape
-    dcols = dcols.transpose(0, 2, 1).reshape(n, c, ksize, ksize, h, w)
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    for dy in range(ksize):
-        for dx in range(ksize):
-            dxp[:, :, dy : dy + h, dx : dx + w] += dcols[:, :, dy, dx]
-    return dxp[:, :, pad : pad + h, pad : pad + w]
-
-
-def _maxpool2_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 stride-2 max pooling over [N, C, H, W] with argmax bookkeeping.
-
-    Odd trailing rows/columns form 1-wide windows. Ties resolve to the
-    smallest flat index within [C, H, W] of each sample. Returns the pooled
-    batch and int64 argmax positions flattened per sample.
-    """
-    n, c, h, w = x.shape
-    h2, w2 = (h + 1) // 2, (w + 1) // 2
-    hp, wp = 2 * h2, 2 * w2
-    xp = np.full((n, c, hp, wp), -np.inf, dtype=np.float64)
-    xp[:, :, :h, :w] = x
-    # Window cells enumerated in source row-major order so argmax's
-    # first-occurrence rule picks the smallest flat index on ties.
-    windows = xp.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5)
-    windows = windows.reshape(n, c, h2, w2, 4)
-    local = np.argmax(windows, axis=-1)
-    out = np.take_along_axis(windows, local[..., None], axis=-1)[..., 0]
-    rows = 2 * np.arange(h2)[None, None, :, None] + local // 2
-    cols = 2 * np.arange(w2)[None, None, None, :] + local % 2
-    chan = np.arange(c)[None, :, None, None]
-    flat = (chan * h + rows) * w + cols
-    return out, flat.astype(np.int64)

@@ -22,7 +22,6 @@ Per-parameter update rule, the single source of truth:
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -36,7 +35,6 @@ from .quantizer import apply
 from .tensor import Rng, Tensor
 
 EVAL_BATCH = 512
-LOG_FIELDS = ["epoch", "train_loss", "val_metric", "lr", "seconds"]
 
 
 @dataclass(frozen=True)
@@ -110,21 +108,6 @@ class TrainLog:
     best_metric: float
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
-
-
-def write_train_log(log: TrainLog, path: str) -> None:
-    """Serialize a TrainLog as CSV.
-
-    Wall-time seconds are always written as 0.0, so that reruns with
-    identical config and seed produce byte-identical files.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_FIELDS)
-        for r in log.records:
-            writer.writerow(
-                [r.epoch, repr(r.train_loss), repr(r.val_metric), repr(r.lr), "0.0"]
-            )
 
 
 def evaluate(net: Network, ds: Dataset) -> float:

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quantbench.checkpoint import load_checkpoint
+from quantbench.checkpoint import load_checkpoint, save_checkpoint
 from quantbench.cli import SEED_ENV, load_config, main
-from quantbench.data import make_synthetic, save_csv
+from quantbench.data import make_synthetic
+from quantbench.tensor import Tensor
 
 
 @pytest.fixture(autouse=True)
@@ -176,7 +177,8 @@ class TestPipeline:
     def test_csv_dataset_kind(self, tmp_path):
         for tag, n in (("train", 90), ("valid", 30), ("test", 30)):
             ds = make_synthetic("blobs", n, 3, seed=hash(tag) % 1000, dim=5)
-            save_csv(ds, tmp_path / f"{tag}.csv")
+            rows = np.column_stack([ds.features.ndarray, ds.labels])
+            np.savetxt(tmp_path / f"{tag}.csv", rows, fmt="%.17g", delimiter=",")
         out = tmp_path / "out"
         cfg = _base_config(out_dir=str(out))
         cfg["dataset"] = {
@@ -285,6 +287,20 @@ class TestExitCodes:
         assert _run("quantize", "--config", config) == 3
         assert "softmax" in capsys.readouterr().err
 
+    def test_quantize_weight_too_large_to_fit(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["quant"] = {"n_bits": 8}
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 0
+        net = load_checkpoint(out / "float.ckpt")
+        w = net.groups["In-h1"].weights.ndarray.copy()
+        w[0, 0] = 1e200  # finite, but its square overflows the fit's sums
+        net.groups["In-h1"].weights = Tensor(w)
+        save_checkpoint(net, out / "float.ckpt")
+        assert _run("quantize", "--config", config) == 2
+        assert "max |w| must be finite and below" in capsys.readouterr().err
+
     def test_cnn_on_flat_features(self, tmp_path, capsys):
         cfg = _base_config(out_dir=str(tmp_path / "out"))
         cfg["network"] = {"family": "cnn", "map_counts": [2]}
@@ -292,6 +308,7 @@ class TestExitCodes:
         assert _run("train", "--config", config) == 2
         assert "cnn needs [C, H, W] features" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_divergence(self, tmp_path, capsys):
         cfg = _base_config(out_dir=str(tmp_path / "out"))
         cfg["train"]["lr_init"] = 1e200  # overflows the logits to inf/NaN

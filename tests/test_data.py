@@ -11,7 +11,6 @@ from quantbench.data import (
     load_cifar10,
     load_csv,
     make_synthetic,
-    save_csv,
     synthetic_split,
 )
 from quantbench.errors import ConfigError, DataFormatError
@@ -110,7 +109,8 @@ class TestCsv:
         ds = make_synthetic("blobs", 30, 3, seed=8, dim=5)
         fp = tmp_path / "feat.csv"
         lp = tmp_path / "lab.csv"
-        save_csv(ds, fp, lp)
+        np.savetxt(fp, ds.features.ndarray, fmt="%.17g", delimiter=",")
+        np.savetxt(lp, ds.labels, fmt="%.17g", delimiter=",")
         loaded = load_csv(fp, labels_path=lp, class_count=3)
         assert np.array_equal(loaded.features.ndarray, ds.features.ndarray)
         assert np.array_equal(loaded.labels, ds.labels)
@@ -118,7 +118,8 @@ class TestCsv:
     def test_round_trip_label_column(self, tmp_path):
         ds = make_synthetic("blobs", 12, 3, seed=8, dim=4)
         fp = tmp_path / "combined.csv"
-        save_csv(ds, fp)
+        rows = np.column_stack([ds.features.ndarray, ds.labels])
+        np.savetxt(fp, rows, fmt="%.17g", delimiter=",")
         loaded = load_csv(fp, class_count=3)
         assert np.array_equal(loaded.features.ndarray, ds.features.ndarray)
         assert np.array_equal(loaded.labels, ds.labels)

@@ -3,12 +3,14 @@
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from quantbench import build_ffdnn, quantizer
 from quantbench.errors import ConfigError
+from quantbench.experiments import write_reports
 from quantbench.quantizer import (
     QuantizationReport,
     QuantizerSpec,
@@ -18,7 +20,6 @@ from quantbench.quantizer import (
     direct_quantize,
     l2_error,
     optimize_delta,
-    write_reports,
 )
 from quantbench.tensor import Rng
 
@@ -121,6 +122,28 @@ class TestOptimizeDelta:
     def test_weights_beyond_the_threshold_range_rejected(self, big):
         with pytest.raises(ConfigError, match="finite and below"):
             optimize_delta(np.array([big, -1.0, 0.0]), 7)
+
+    @pytest.mark.parametrize("w,M", [([1e200, 1.0], 255), ([8e307, 1.0], 7)])
+    def test_weights_whose_sums_overflow_rejected(self, w, M):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the check itself must not overflow
+            with pytest.raises(ConfigError, match=r"sqrt\(float max / \(8 \* N \* max_code\)\)"):
+                optimize_delta(np.array(w), M)
+
+    @pytest.mark.parametrize("M", [3, 7, 255])
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_weights_just_inside_the_bound_fit_without_overflow(self, n, M):
+        limit = math.sqrt(np.finfo(np.float64).max / (8 * n * ((M - 1) // 2)))
+        w = Rng(n + M).uniform((n,), -1.0, 1.0)
+        w *= 0.999 * limit / np.abs(w).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta, report = optimize_delta(w, M)
+        assert math.isfinite(delta) and math.isfinite(report.l2_error)
+        _, unscaled = optimize_delta(w / limit, M)
+        assert report.l2_error / limit / limit == pytest.approx(
+            unscaled.l2_error, rel=1e-9, abs=1e-12
+        )
 
     def test_never_worse_than_initial_step(self):
         for seed in range(5):

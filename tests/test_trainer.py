@@ -7,19 +7,18 @@ import pytest
 
 from quantbench.data import Dataset, DatasetSplit, synthetic_split
 from quantbench.errors import ConfigError, DivergenceError, UsageError
+from quantbench.experiments import LOG_FIELDS, write_train_log
 from quantbench.nn import build_ffdnn, forward
 from quantbench.quantizer import direct_quantize
 from quantbench.tensor import Rng, Tensor
 from quantbench.trainer import (
     EVAL_BATCH,
-    LOG_FIELDS,
     TrainConfig,
     _Optimizer,
     evaluate,
     retrain_config,
     retrain_quantized,
     train_float,
-    write_train_log,
 )
 
 
@@ -223,6 +222,7 @@ class TestTrainFloat:
             r.train_loss for r in log_b.records
         ]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_divergence_raises(self):
         split = _easy_split()
         net = build_ffdnn(8, 16, 1, 3, seed=2)
@@ -243,6 +243,7 @@ class TestTrainFloat:
         _, log = train_float(net, split, cfg)
         assert [r.train_loss for r in log.records] == [800.0, 800.0]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_divergence_carries_epoch_and_rate(self):
         split = _easy_split()
         net = build_ffdnn(8, 16, 1, 3, seed=2)
