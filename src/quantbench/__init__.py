@@ -22,6 +22,7 @@ from .nn import (
     count_weight_bits,
     cross_entropy,
     forward,
+    predict,
 )
 from .quantizer import (
     QuantizationReport,
@@ -69,5 +70,6 @@ __all__ = [
     "forward",
     "l2_error",
     "optimize_delta",
+    "predict",
     "write_reports",
 ]

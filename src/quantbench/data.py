@@ -16,7 +16,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .nn import Network, build_ffdnn, forward
+# ``forward`` stays a name of this module: perfbench's full trace wraps it here.
+from .nn import Network, build_ffdnn, forward, predict  # noqa: F401
 from .tensor import Rng, Tensor, derive_seed
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
@@ -281,8 +282,7 @@ def make_synthetic(
     if kind == "teacher_net":
         teacher = _teacher_for(seed, dim, classes)
         features = rng.uniform((n, dim), -1.0, 1.0)
-        probs, _ = forward(teacher, Tensor._wrap(features), mode="eval")
-        labels = probs.ndarray.argmax(axis=1).astype(np.int64)
+        labels = predict(teacher, features).argmax(axis=1).astype(np.int64)
         return Dataset(Tensor._wrap(features), labels, classes, teacher=teacher)
     raise ConfigError(
         f"unknown synthetic kind {kind!r} (expected blobs, spirals, or teacher_net)"

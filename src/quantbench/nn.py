@@ -5,6 +5,14 @@ contiguous [N*H*W, C*25] patch matrix (``_im2col``) that feeds both the
 forward GEMM and the dW GEMM; dX is the adjoint fold of that unfold
 (``_fold``). ``_maxpool2_batch`` holds the 2x2 pool windows and tie rule.
 
+Every layer has two passes with one definition of its math: ``forward``
+returns what ``backward`` needs, ``infer`` returns only the output.
+``predict`` chains ``infer``, so evaluation runs a cache-free pass: no patch
+matrix, ReLU mask or pool argmax outlives its layer, and an even-sized 2x2
+pool is the maximum of four strided views, which gives ``_maxpool2_batch``'s
+values bit for bit. ``backward`` pops each layer's cache as it consumes it,
+so a ``ForwardCache`` serves exactly one backward pass.
+
 Networks are flat ordered lists of layers. Every learnable layer owns a named
 WeightGroup (weight tensor + bias); quantization and retraining operate on
 those groups. Two families are provided: fully connected classifier stacks
@@ -115,11 +123,11 @@ class _DenseLayer:
         self.group = group
 
     def forward(self, x, mode, rng):
-        orig_shape = x.shape
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)  # channel-major flatten
-        z = x @ self.group.weights.ndarray + self.group.bias.ndarray
-        return z, (x, orig_shape)
+        return self.infer(x), (x.reshape(x.shape[0], -1), x.shape)
+
+    def infer(self, x):
+        flat = x.reshape(x.shape[0], -1)  # channel-major flatten
+        return flat @ self.group.weights.ndarray + self.group.bias.ndarray
 
     def backward(self, dy, cache):
         x, orig_shape = cache
@@ -179,11 +187,31 @@ def _maxpool2_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, flat.astype(np.int64)
 
 
+def _maxpool2_even(x: np.ndarray) -> np.ndarray:
+    """The values of ``_maxpool2_batch`` for even H and W, without argmax.
+
+    Taps are folded in row-major window order with the later tap as the
+    first operand of ``np.maximum``, which keeps the earlier tap on ties and
+    propagates NaN, so the result matches the argmax rule bit for bit
+    (signed zeros included)."""
+    out = np.maximum(x[:, :, 0::2, 1::2], x[:, :, 0::2, 0::2])
+    np.maximum(x[:, :, 1::2, 0::2], out, out=out)
+    np.maximum(x[:, :, 1::2, 1::2], out, out=out)
+    return out
+
+
 class _ConvLayer:
     def __init__(self, group: WeightGroup):
         self.group = group
 
     def forward(self, x, mode, rng):
+        y, cols = self._conv(x)
+        return y, (cols, x.shape)  # the patch matrix is reused by the dW GEMM
+
+    def infer(self, x):
+        return self._conv(x)[0]
+
+    def _conv(self, x):
         if x.ndim != 4:
             raise DimensionError(f"conv layer expects [N, C, H, W], got {x.shape}")
         k = self.group.weights.ndarray
@@ -193,10 +221,10 @@ class _ConvLayer:
             )
         n, _, h, w = x.shape
         c_out = k.shape[0]
-        cols = _im2col(x)  # [N*H*W, C_in*25], reused by the dW GEMM
+        cols = _im2col(x)  # [N*H*W, C_in*25]
         y = cols @ k.reshape(c_out, -1).T + self.group.bias.ndarray
         y = np.ascontiguousarray(y.reshape(n, h, w, c_out).transpose(0, 3, 1, 2))
-        return y, (cols, x.shape)
+        return y, cols
 
     def backward(self, dy, cache):
         cols, x_shape = cache
@@ -208,14 +236,24 @@ class _ConvLayer:
         return dx, (dw, db)
 
 
+def _check_pool_input(x: np.ndarray) -> None:
+    if x.ndim != 4:
+        raise DimensionError(f"pool layer expects [N, C, H, W], got {x.shape}")
+
+
 class _MaxPool2Layer:
     group = None
 
     def forward(self, x, mode, rng):
-        if x.ndim != 4:
-            raise DimensionError(f"pool layer expects [N, C, H, W], got {x.shape}")
+        _check_pool_input(x)
         out, idx = _maxpool2_batch(x)
         return out, (idx, x.shape)
+
+    def infer(self, x):
+        _check_pool_input(x)
+        if x.shape[2] % 2 or x.shape[3] % 2:
+            return _maxpool2_batch(x)[0]  # 1-wide edge windows: padded path
+        return _maxpool2_even(x)
 
     def backward(self, dy, cache):
         idx, x_shape = cache
@@ -232,6 +270,9 @@ class _ReluLayer:
     def forward(self, x, mode, rng):
         mask = x > 0
         return np.where(mask, x, 0.0), mask
+
+    def infer(self, x):
+        return np.where(x > 0, x, 0.0)  # -0.0 and NaN map to +0.0
 
     def backward(self, dy, cache):
         return dy * cache, None
@@ -254,6 +295,9 @@ class _DropoutLayer:
         mask = keep / (1.0 - self.rate)  # inverted dropout: eval path scales nothing
         return x * mask, mask
 
+    def infer(self, x):
+        return x
+
     def backward(self, dy, cache):
         if cache is None:
             return dy, None
@@ -264,10 +308,12 @@ class _SoftmaxLayer:
     group = None
 
     def forward(self, x, mode, rng):
+        return self.infer(x), x  # the logits, for logit_cross_entropy
+
+    def infer(self, x):
         z = x - x.max(axis=1, keepdims=True)
         e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
-        return probs, x  # the logits, for logit_cross_entropy
+        return e / e.sum(axis=1, keepdims=True)
 
 
 def _make_layer(spec: LayerSpec, groups: dict[str, WeightGroup]):
@@ -296,12 +342,18 @@ def _make_layer(spec: LayerSpec, groups: dict[str, WeightGroup]):
 
 @dataclass
 class ForwardCache:
-    """Activations retained by one forward call for the matching backward."""
+    """Activations retained by one forward call for the matching backward.
+
+    ``layer_caches`` holds one entry per layer below the softmax; backward
+    takes the list and pops each entry as it consumes it, leaving None, so
+    a cache serves one backward only. ``logits`` is the softmax input.
+    """
 
     net: "Network"
     param_version: int
-    layer_caches: list
+    layer_caches: list | None
     probs: np.ndarray
+    logits: np.ndarray
 
 
 class Network:
@@ -343,15 +395,12 @@ def forward(
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = batch.ndarray
-    if x.shape[1:] != net.spec.input_shape:
-        raise DimensionError(
-            f"batch shape {x.shape} does not match input shape {net.spec.input_shape}"
-        )
+    x = _checked_batch(net, batch.ndarray)
     caches = []
     for layer in net.layers:
         x, cache = layer.forward(x, mode, rng)
         caches.append(cache)
+    logits = caches.pop()  # the softmax's cache
     return (
         Tensor._wrap(x),
         ForwardCache(
@@ -359,8 +408,29 @@ def forward(
             param_version=net._param_version,
             layer_caches=caches,
             probs=x,
+            logits=logits,
         ),
     )
+
+
+def predict(net: Network, batch: np.ndarray) -> np.ndarray:
+    """Class probabilities of a batch with dropout disabled, keeping no caches.
+
+    Bit-identical to ``forward(net, Tensor(batch), mode="eval")[0]``. The
+    batch is never written to.
+    """
+    x = _checked_batch(net, np.asarray(batch, dtype=np.float64))
+    for layer in net.layers:
+        x = layer.infer(x)
+    return x
+
+
+def _checked_batch(net: Network, x: np.ndarray) -> np.ndarray:
+    if x.shape[1:] != net.spec.input_shape:
+        raise DimensionError(
+            f"batch shape {x.shape} does not match input shape {net.spec.input_shape}"
+        )
+    return x
 
 
 def backward(
@@ -370,8 +440,10 @@ def backward(
 
     Returns {group name: (dW, db)}. The cache must come from the most recent
     forward call on this network; a cache that predates a weight update is
-    rejected as stale.
+    rejected as stale, and one that a backward already consumed is rejected.
     """
+    if cache.layer_caches is None:
+        raise UsageError("forward cache already consumed by an earlier backward")
     if cache.net is not net:
         raise UsageError("backward called with a cache from a different network")
     if cache.param_version != net._param_version:
@@ -385,9 +457,11 @@ def backward(
     dy = cache.probs.copy()
     dy[np.arange(n), t] -= 1.0
     dy /= n  # d(mean cross-entropy)/d(logits) through the softmax
+    # Each layer's cache is released as soon as its backward step is done.
+    caches, cache.layer_caches = cache.layer_caches, None
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for layer, layer_cache in zip(net.layers[-2::-1], cache.layer_caches[-2::-1]):
-        dy, wgrad = layer.backward(dy, layer_cache)
+    for layer in net.layers[-2::-1]:
+        dy, wgrad = layer.backward(dy, caches.pop())
         if wgrad is not None:
             grads[layer.group.name] = wgrad
     return grads
@@ -406,7 +480,7 @@ def logit_cross_entropy(cache: ForwardCache, targets: Sequence[int]) -> float:
     """Mean cross-entropy by log-sum-exp over the logits the softmax of
     ``cache`` saw: finite wherever they are, also when a picked probability
     underflows to 0 and ``cross_entropy`` returns inf."""
-    z = cache.layer_caches[-1]
+    z = cache.logits
     z = z - z.max(axis=1, keepdims=True)
     picked = z[np.arange(z.shape[0]), np.asarray(targets, dtype=np.int64)]
     return float(np.mean(np.log(np.exp(z).sum(axis=1)) - picked))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import Dataset, DatasetSplit, batches
 from .errors import ConfigError, DivergenceError, UsageError
-from .nn import Network, backward, cross_entropy, forward, logit_cross_entropy
+from .nn import Network, backward, cross_entropy, forward, logit_cross_entropy, predict
 from .quantizer import apply
 from .tensor import Rng, Tensor
 
@@ -117,9 +117,7 @@ def evaluate(net: Network, ds: Dataset) -> float:
     wrong = 0
     feats = ds.features.ndarray
     for start in range(0, ds.size, EVAL_BATCH):
-        chunk = Tensor._wrap(feats[start : start + EVAL_BATCH])
-        probs, _ = forward(net, chunk, mode="eval")
-        pred = probs.ndarray.argmax(axis=1)
+        pred = predict(net, feats[start : start + EVAL_BATCH]).argmax(axis=1)
         wrong += int((pred != ds.labels[start : start + EVAL_BATCH]).sum())
     return 100.0 * wrong / ds.size
 

@@ -20,6 +20,8 @@ from quantbench.nn import (
     ffdnn_group_names,
     forward,
     group_shapes,
+    logit_cross_entropy,
+    predict,
 )
 from quantbench.tensor import Rng, Tensor
 
@@ -207,6 +209,23 @@ class TestBackward:
         ):
             backward(net, cache, [0, 1])
 
+    def test_second_backward_on_one_cache_rejected(self):
+        net = build_cnn([3], input_shape=(2, 8, 8), fc_units=6, classes=4, seed=3)
+        _, cache = forward(net, Tensor(Rng(2).uniform((4, 2, 8, 8))))
+        backward(net, cache, [0, 1, 2, 3])
+        assert cache.layer_caches is None  # every layer cache was released
+        with pytest.raises(UsageError, match="already consumed"):
+            backward(net, cache, [0, 1, 2, 3])
+
+    def test_logit_cross_entropy_before_and_after_backward(self):
+        net = build_ffdnn(6, 4, 1, 3, seed=1)
+        probs, cache = forward(net, Tensor(Rng(1).uniform((4, 6))))
+        targets = [0, 1, 2, 0]
+        before = logit_cross_entropy(cache, targets)
+        assert before == pytest.approx(cross_entropy(probs, targets), rel=1e-12)
+        backward(net, cache, targets)
+        assert logit_cross_entropy(cache, targets) == before
+
     def test_gradient_shapes_match_parameters(self):
         net = build_cnn([3], input_shape=(2, 8, 8), fc_units=6, classes=4, seed=3)
         x = Tensor(Rng(2).uniform((5, 2, 8, 8)))
@@ -233,6 +252,33 @@ class TestMatmul:
         net = build_ffdnn(5, 1, 0, 2, seed=2)
         with pytest.raises(DimensionError, match=r"3, 4.*5,"):
             forward(net, Tensor.zeros((3, 4)))
+
+
+class TestPredict:
+    """The cache-free inference pass keeps forward's input checks."""
+
+    def test_wrong_input_shape_raises(self):
+        net = build_ffdnn(5, 4, 1, 2, seed=2)
+        with pytest.raises(DimensionError, match=r"3, 4.*5,"):
+            predict(net, np.zeros((3, 4)))
+        cnn = build_cnn([2], input_shape=(1, 6, 6), fc_units=2, classes=2)
+        with pytest.raises(DimensionError):
+            predict(cnn, np.zeros((2, 1, 6, 5)))
+
+    def test_relu_maps_nan_and_signed_zeros_as_forward_does(self):
+        relu = build_ffdnn(2, 3, 1, 2).layers[1]
+        x = np.array([[np.nan, -0.0, 0.0, -1.0, 1.0, np.inf, -np.inf]])
+        assert relu.infer(x).tobytes() == relu.forward(x, "eval", None)[0].tobytes()
+        assert relu.infer(x).tobytes() == np.array([[0, 0, 0, 0, 1, np.inf, 0.0]]).tobytes()
+
+    def test_pool_input_rank_checked(self):
+        with pytest.raises(DimensionError, match=r"pool layer expects \[N, C, H, W\]"):
+            _pool_layer().infer(np.zeros((2, 4, 4)))
+
+    def test_cnn_probabilities_match_eval_forward(self):
+        net = build_cnn([3, 4], input_shape=(2, 10, 10), fc_units=6, classes=3, seed=7)
+        x = Rng(4).uniform((3, 2, 10, 10), -1, 1)
+        assert predict(net, x).tobytes() == forward(net, Tensor(x))[0].ndarray.tobytes()
 
 
 def _conv_naive(x, k, pad):

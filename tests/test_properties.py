@@ -1,5 +1,5 @@
-"""Property tests for the grid rule and the step-size fit; skipped when
-hypothesis is not installed."""
+"""Property tests for the grid rule, the step-size fit and the cache-free
+inference pass; skipped when hypothesis is not installed."""
 
 import os
 import tempfile
@@ -13,9 +13,18 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from quantbench.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
-from quantbench.nn import build_ffdnn  # noqa: E402
+from quantbench.nn import (  # noqa: E402
+    LayerSpec,
+    NetworkSpec,
+    _maxpool2_batch,
+    build_cnn,
+    build_ffdnn,
+    build_from_spec,
+    forward,
+    predict,
+)
 from quantbench.quantizer import QuantizerSpec, apply, codes, optimize_delta  # noqa: E402
-from quantbench.tensor import Tensor  # noqa: E402
+from quantbench.tensor import Rng, Tensor  # noqa: E402
 
 levels = st.integers(min_value=1, max_value=127).map(lambda h: 2 * h + 1)
 deltas = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
@@ -93,3 +102,79 @@ def test_fit_no_worse_than_dense_step_grid(w, M):
     # Relative slack, plus rounding on a group the grid holds exactly (error 0).
     w_sq = float(np.dot(w, w))
     assert report.l2_error <= grid.min() * (1.0 + 1e-12) + 1e-24 * w_sq
+
+
+ffdnn_nets = st.builds(
+    build_ffdnn,
+    input_dim=st.integers(1, 8),
+    hidden_units=st.integers(1, 8),
+    hidden_layers=st.integers(0, 3),
+    output_dim=st.integers(2, 5),
+    dropout_rate=st.sampled_from([0.0, 0.3, 0.9]),
+    seed=st.integers(0, 2**16),
+)
+cnn_nets = st.builds(
+    build_cnn,
+    map_counts=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    input_shape=st.tuples(st.integers(1, 3), st.integers(1, 11), st.integers(1, 11)),
+    fc_units=st.integers(1, 6),
+    classes=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+)
+
+
+def _relu_first(dim, classes, rate, seed):
+    """A stack whose ReLU and dropout see the caller's batch itself."""
+    layers = (LayerSpec("relu"), LayerSpec("dropout", rate=rate),
+              LayerSpec("dense", units=classes, group="Out"), LayerSpec("softmax"))
+    return build_from_spec(NetworkSpec((dim,), classes, layers), seed=seed)
+
+
+relu_first_nets = st.builds(
+    _relu_first, st.integers(1, 8), st.integers(2, 5), st.sampled_from([0.0, 0.5]),
+    st.integers(0, 2**16),
+)
+any_net = st.one_of(ffdnn_nets, cnn_nets, relu_first_nets)
+INFER_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _batch(net, n, seed):
+    """Uniform inputs with some exact +0.0 and -0.0 entries."""
+    x = Rng(seed).uniform((n, *net.spec.input_shape), -2.0, 2.0)
+    x[np.abs(x) < 0.4] = 0.0
+    x[x < -1.6] = -0.0
+    return x
+
+
+@INFER_SETTINGS
+@given(net=any_net, n=st.integers(1, 5), seed=st.integers(0, 99))
+def test_predict_is_eval_forward_bit_for_bit(net, n, seed):
+    x = _batch(net, n, seed)
+    probs, _ = forward(net, Tensor(x), mode="eval")
+    assert predict(net, x).tobytes() == probs.ndarray.tobytes()
+
+
+@INFER_SETTINGS
+@given(net=any_net, n=st.integers(1, 5), seed=st.integers(0, 99))
+def test_predict_leaves_its_batch_unmodified(net, n, seed):
+    x = _batch(net, n, seed)
+    before = x.tobytes()
+    out = predict(net, x)
+    assert x.tobytes() == before
+    assert not np.shares_memory(out, x)
+
+
+special = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+@SETTINGS
+@given(
+    x=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 8), st.integers(1, 8)),
+        elements=special,
+    )
+)
+def test_pool_inference_matches_argmax_rule_bit_for_bit(x):
+    pool = build_cnn([1], input_shape=(1, 4, 4), fc_units=2, classes=2).layers[2]
+    assert pool.infer(x).tobytes() == _maxpool2_batch(x)[0].tobytes()
