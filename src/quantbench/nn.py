@@ -1,17 +1,22 @@
 """Layers, network assembly, and manual forward/backward passes.
 
 All layer math lives here. A conv layer unfolds its input once into a
-contiguous [N*H*W, C*25] patch matrix (``_im2col``) that feeds both the
-forward GEMM and the dW GEMM; dX is the adjoint fold of that unfold
-(``_fold``). ``_maxpool2_batch`` holds the 2x2 pool windows and tie rule.
+contiguous tap-major [C*25, N*H*W] patch matrix (``_im2col``), each row a run
+of whole image rows, that feeds both the forward GEMM and the dW GEMM; dX is
+the adjoint fold of that unfold (``_fold``). ``_maxpool2_batch`` holds the
+2x2 pool windows and tie rule.
 
 Every layer has two passes with one definition of its math: ``forward``
 returns what ``backward`` needs, ``infer`` returns only the output.
 ``predict`` chains ``infer``, so evaluation runs a cache-free pass: no patch
-matrix, ReLU mask or pool argmax outlives its layer, and an even-sized 2x2
-pool is the maximum of four strided views, which gives ``_maxpool2_batch``'s
-values bit for bit. ``backward`` pops each layer's cache as it consumes it,
-so a ``ForwardCache`` serves exactly one backward pass.
+matrix, ReLU mask or pool argmax outlives its layer. An even-sized 2x2 pool
+is the maximum of four strided views, which gives ``_maxpool2_batch``'s
+values bit for bit; in training it also caches the winning tap of each
+window as an int8 (``_maxpool2_taps``), which backward turns into the same
+argmax positions. ``backward`` pops each layer's cache as it consumes it, so
+a ``ForwardCache`` serves exactly one backward pass, and it stops at the
+lowest layer that owns a weight group: no layer below it has a weight, so
+that layer computes no input gradient.
 
 Networks are flat ordered lists of layers. Every learnable layer owns a named
 WeightGroup (weight tensor + bias); quantization and retraining operate on
@@ -129,32 +134,35 @@ class _DenseLayer:
         flat = x.reshape(x.shape[0], -1)  # channel-major flatten
         return flat @ self.group.weights.ndarray + self.group.bias.ndarray
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
         x, orig_shape = cache
         dw = x.T @ dy
         db = dy.sum(axis=0)
+        if not need_dx:
+            return None, (dw, db)
         dx = (dy @ self.group.weights.ndarray.T).reshape(orig_shape)
         return dx, (dw, db)
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
     """Unfold a [N, C, H, W] batch, zero-padded for a same-size 5x5 conv, into
-    one contiguous [N*H*W, C*25] patch matrix: row (i, y, x) holds the
-    receptive field of output pixel (y, x) of sample i, channel-major then
-    row-major within the window, which is the order of a flattened kernel."""
+    one contiguous tap-major [C*25, N*H*W] patch matrix: row (c, dy, dx), in
+    the order of a flattened kernel, holds input channel c shifted by tap
+    (dy, dx) at every output pixel (i, y, x). Each row is a run of whole image
+    rows, so the unfold copies contiguous stretches of the padded input."""
     n, c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (CONV_PAD, CONV_PAD), (CONV_PAD, CONV_PAD)))
     windows = sliding_window_view(xp, (KERNEL_SIZE, KERNEL_SIZE), axis=(2, 3))
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, -1)
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * KERNEL_SIZE**2, n * h * w)
 
 
-def _fold(dcols_t: np.ndarray, x_shape: tuple) -> np.ndarray:
-    """Adjoint of _im2col: add the patch gradients, given transposed as
-    [C*25, N*H*W], back onto the input. In that layout each of the 25 taps
-    is one block of whole [H, W] planes, so every add reads contiguous rows."""
+def _fold(dcols: np.ndarray, x_shape: tuple) -> np.ndarray:
+    """Adjoint of _im2col: add the [C*25, N*H*W] patch gradients back onto
+    the input. Each of the 25 taps is one block of whole [H, W] planes, so
+    every add reads contiguous rows."""
     n, c, h, w = x_shape
     k = KERNEL_SIZE
-    taps = dcols_t.reshape(c, k, k, n, h, w)
+    taps = dcols.reshape(c, k, k, n, h, w)
     dxp = np.zeros((n, c, h + 2 * CONV_PAD, w + 2 * CONV_PAD), dtype=np.float64)
     for dy in range(k):
         for dx in range(k):
@@ -194,10 +202,37 @@ def _maxpool2_even(x: np.ndarray) -> np.ndarray:
     first operand of ``np.maximum``, which keeps the earlier tap on ties and
     propagates NaN, so the result matches the argmax rule bit for bit
     (signed zeros included)."""
-    out = np.maximum(x[:, :, 0::2, 1::2], x[:, :, 0::2, 0::2])
-    np.maximum(x[:, :, 1::2, 0::2], out, out=out)
-    np.maximum(x[:, :, 1::2, 1::2], out, out=out)
+    out = np.maximum(_tap(x, 1), _tap(x, 0))
+    np.maximum(_tap(x, 2), out, out=out)
+    np.maximum(_tap(x, 3), out, out=out)
     return out
+
+
+def _tap(x: np.ndarray, t: int) -> np.ndarray:
+    """Strided view of tap t (0..3, row-major) of every 2x2 window of x."""
+    return x[:, :, t // 2 :: 2, t % 2 :: 2]
+
+
+def _maxpool2_taps(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """int8 tap (0..3, row-major) of each even-sized window that argmax picks.
+
+    That is the first tap equal to ``out`` or NaN (``out`` is NaN exactly
+    when its window holds one), so it counts the taps before it that miss."""
+    taps = np.zeros(out.shape, dtype=np.int8)
+    missed = np.ones(out.shape, dtype=bool)
+    for t in range(3):  # a window whose first three taps miss picks tap 3
+        v = _tap(x, t)
+        missed &= ~((v == out) | np.isnan(v))
+        taps += missed.view(np.int8)
+    return taps
+
+
+def _flat_argmax(taps: np.ndarray, x_shape: tuple) -> np.ndarray:
+    """``_maxpool2_batch``'s per-sample flat argmax positions, from int8 taps."""
+    _, c, h, w = x_shape
+    _, _, h2, w2 = taps.shape
+    corner = (np.arange(c)[:, None, None] * h + 2 * np.arange(h2)[:, None]) * w
+    return corner + 2 * np.arange(w2) + np.array([0, 1, w, w + 1])[taps]
 
 
 class _ConvLayer:
@@ -221,17 +256,24 @@ class _ConvLayer:
             )
         n, _, h, w = x.shape
         c_out = k.shape[0]
-        cols = _im2col(x)  # [N*H*W, C_in*25]
-        y = cols @ k.reshape(c_out, -1).T + self.group.bias.ndarray
-        y = np.ascontiguousarray(y.reshape(n, h, w, c_out).transpose(0, 3, 1, 2))
+        cols = _im2col(x)  # [C_in*25, N*H*W]
+        # K @ cols, not cols.T @ K.T: the same products, but BLAS runs this
+        # orientation about 3x faster on a CIFAR-sized batch.
+        y = k.reshape(c_out, -1) @ cols
+        y += self.group.bias.ndarray[:, None]
+        y = np.ascontiguousarray(y.reshape(c_out, n, h, w).transpose(1, 0, 2, 3))
         return y, cols
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
         cols, x_shape = cache
         c_out = dy.shape[1]
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)  # [N*H*W, C_out]
-        dw = (dyf.T @ cols).reshape(self.group.weights.shape)
+        dw = (dyf.T @ cols.T).reshape(self.group.weights.shape)
+        # Summed down the columns of this copy: a row sum of dyf.T would add
+        # pairwise and change db's last bits.
         db = dyf.sum(axis=0)
+        if not need_dx:
+            return None, (dw, db)
         dx = _fold(self.group.weights.ndarray.reshape(c_out, -1).T @ dyf.T, x_shape)
         return dx, (dw, db)
 
@@ -246,22 +288,33 @@ class _MaxPool2Layer:
 
     def forward(self, x, mode, rng):
         _check_pool_input(x)
-        out, idx = _maxpool2_batch(x)
+        if _odd_sized(x.shape):
+            out, idx = _maxpool2_batch(x)  # flat int64 argmax per sample
+        else:
+            out = _maxpool2_even(x)
+            idx = _maxpool2_taps(x, out)  # int8 tap per window
         return out, (idx, x.shape)
 
     def infer(self, x):
         _check_pool_input(x)
-        if x.shape[2] % 2 or x.shape[3] % 2:
+        if _odd_sized(x.shape):
             return _maxpool2_batch(x)[0]  # 1-wide edge windows: padded path
         return _maxpool2_even(x)
 
     def backward(self, dy, cache):
         idx, x_shape = cache
+        if not _odd_sized(x_shape):
+            idx = _flat_argmax(idx, x_shape)
         n = x_shape[0]
         dx = np.zeros((n, int(np.prod(x_shape[1:]))), dtype=np.float64)
         # Pool windows are disjoint, so plain assignment routes every gradient.
         np.put_along_axis(dx, idx.reshape(n, -1), dy.reshape(n, -1), axis=1)
         return dx.reshape(x_shape), None
+
+
+def _odd_sized(shape: tuple) -> bool:
+    """True when an [N, C, H, W] shape has an odd H or W."""
+    return bool(shape[2] % 2 or shape[3] % 2)
 
 
 class _ReluLayer:
@@ -459,11 +512,19 @@ def backward(
     dy /= n  # d(mean cross-entropy)/d(logits) through the softmax
     # Each layer's cache is released as soon as its backward step is done.
     caches, cache.layer_caches = cache.layer_caches, None
+    # No layer below the lowest weight layer owns a weight, so the pass stops
+    # there and that layer computes no input gradient.
+    lowest = next(
+        (i for i, layer in enumerate(net.layers) if layer.group is not None), None
+    )
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for layer in net.layers[-2::-1]:
+    for layer in net.layers[-2:lowest:-1]:
         dy, wgrad = layer.backward(dy, caches.pop())
         if wgrad is not None:
             grads[layer.group.name] = wgrad
+    if lowest is not None:
+        layer = net.layers[lowest]
+        grads[layer.group.name] = layer.backward(dy, caches.pop(), need_dx=False)[1]
     return grads
 
 

@@ -30,11 +30,20 @@ import numpy as np
 
 from .data import Dataset, DatasetSplit, batches
 from .errors import ConfigError, DivergenceError, UsageError
-from .nn import Network, backward, cross_entropy, forward, logit_cross_entropy, predict
+from .nn import (
+    KERNEL_SIZE,
+    Network,
+    backward,
+    cross_entropy,
+    forward,
+    logit_cross_entropy,
+    predict,
+)
 from .quantizer import apply
 from .tensor import Rng, Tensor
 
 EVAL_BATCH = 512
+EVAL_PATCH_BYTES = 128 << 20  # largest conv patch matrix one eval chunk may build
 
 
 @dataclass(frozen=True)
@@ -116,10 +125,24 @@ def evaluate(net: Network, ds: Dataset) -> float:
         raise ConfigError("cannot evaluate on an empty split")
     wrong = 0
     feats = ds.features.ndarray
-    for start in range(0, ds.size, EVAL_BATCH):
-        pred = predict(net, feats[start : start + EVAL_BATCH]).argmax(axis=1)
-        wrong += int((pred != ds.labels[start : start + EVAL_BATCH]).sum())
+    chunk = _eval_chunk(net)
+    for start in range(0, ds.size, chunk):
+        pred = predict(net, feats[start : start + chunk]).argmax(axis=1)
+        wrong += int((pred != ds.labels[start : start + chunk]).sum())
     return 100.0 * wrong / ds.size
+
+
+def _eval_chunk(net: Network) -> int:
+    """Samples per evaluation chunk: EVAL_BATCH, or as many as keep every conv
+    layer's float64 [C*25, N*H*W] patch matrix within EVAL_PATCH_BYTES."""
+    per_sample, shape = 0, net.spec.input_shape
+    for ls in net.spec.layers:
+        if ls.kind == "conv5x5":
+            per_sample = max(per_sample, 8 * KERNEL_SIZE**2 * int(np.prod(shape)))
+            shape = (ls.maps, *shape[1:])
+        elif ls.kind == "maxpool2":
+            shape = (shape[0], (shape[1] + 1) // 2, (shape[2] + 1) // 2)
+    return max(1, min(EVAL_BATCH, EVAL_PATCH_BYTES // max(per_sample, 1)))
 
 
 class _Optimizer:

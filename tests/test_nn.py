@@ -4,6 +4,7 @@ forward/backward passes, and parameter accounting."""
 import numpy as np
 import pytest
 
+from quantbench import nn
 from quantbench.checkpoint import load_checkpoint, save_checkpoint
 from quantbench.errors import ConfigError, DataFormatError, DimensionError, UsageError
 from quantbench.nn import (
@@ -226,6 +227,45 @@ class TestBackward:
         backward(net, cache, targets)
         assert logit_cross_entropy(cache, targets) == before
 
+    def test_pass_stops_at_the_lowest_weight_layer(self, monkeypatch):
+        net = build_cnn([2, 3], input_shape=(1, 8, 8), fc_units=4, classes=2, seed=1)
+        folds = []
+        fold = nn._fold
+        monkeypatch.setattr(nn, "_fold", lambda *a: folds.append(a[1]) or fold(*a))
+        _, cache = forward(net, Tensor(Rng(2).uniform((3, 1, 8, 8))))
+        grads = backward(net, cache, [0, 1, 1])
+        assert folds == [(3, 2, 4, 4)]  # C2's input gradient only, none for C1
+        assert list(grads) == ["Out", "FC", "C2", "C1"]
+
+    @pytest.mark.parametrize("which", ["cnn", "relu-first", "ffdnn"])
+    def test_gradients_equal_a_pass_with_every_input_gradient(self, which):
+        if which == "cnn":
+            net = build_cnn([2, 3], input_shape=(2, 8, 6), fc_units=4, classes=3, seed=4)
+        elif which == "ffdnn":
+            net = build_ffdnn(5, 4, 2, 3, dropout_rate=0.5, seed=4)
+        else:
+            layers = (LayerSpec("relu"), LayerSpec("dropout", rate=0.5),
+                      LayerSpec("dense", units=4, group="In-h1"), LayerSpec("relu"),
+                      LayerSpec("dense", units=3, group="h1-out"), LayerSpec("softmax"))
+            net = build_from_spec(NetworkSpec((5,), 3, layers), seed=4)
+        x = Rng(5).uniform((6, *net.spec.input_shape), -1, 1)
+        targets = np.array([0, 1, 2, 2, 1, 0])
+        probs, cache = forward(net, Tensor(x), mode="train", rng=Rng(6))
+        layer_caches = list(cache.layer_caches)
+        grads = backward(net, cache, targets)
+        dy = probs.ndarray.copy()
+        dy[np.arange(6), targets] -= 1.0
+        dy /= 6
+        expected = {}
+        for layer, c in zip(net.layers[-2::-1], layer_caches[::-1]):
+            dy, wgrad = layer.backward(dy, c)
+            if wgrad is not None:
+                expected[layer.group.name] = wgrad
+        assert list(grads) == list(expected)
+        for name, (dw, db) in expected.items():
+            assert grads[name][0].tobytes() == dw.tobytes()
+            assert grads[name][1].tobytes() == db.tobytes()
+
     def test_gradient_shapes_match_parameters(self):
         net = build_cnn([3], input_shape=(2, 8, 8), fc_units=6, classes=4, seed=3)
         x = Tensor(Rng(2).uniform((5, 2, 8, 8)))
@@ -391,24 +431,34 @@ class TestConv2d:
             load_checkpoint(tmp_path / "k3.ckpt")
 
 
+def _assert_pool_pass_is_naive(x):
+    """Training forward gives the naive pool's values, and backward puts each
+    window's gradient on the naive argmax and zeros elsewhere; returns dx."""
+    pool = _pool_layer()
+    out, cache = pool.forward(x, "train", None)
+    dy = Rng(9).uniform(out.shape, 1, 2)
+    dx = pool.backward(dy, cache)[0]
+    for i in range(x.shape[0]):
+        exp_out, exp_idx = _pool_naive(x[i])
+        assert np.array_equal(out[i], exp_out)
+        exp_dx = np.zeros(x[i].size)
+        exp_dx[exp_idx.reshape(-1)] = dy[i].reshape(-1)
+        assert np.array_equal(dx[i].reshape(-1), exp_dx)
+    return dx
+
+
 class TestMaxpool2:
     """The max-pool layer of a build_cnn network against a naive reference."""
 
     @pytest.mark.parametrize("c,h,w", [(1, 4, 4), (3, 8, 8), (2, 7, 7), (2, 5, 8)])
     def test_matches_naive(self, c, h, w):
         x = Rng(h * 10 + w).uniform((2, c, h, w), -1, 1)
-        out, (idx, _) = _pool_layer().forward(x, "eval", None)
-        for i in range(2):
-            exp_out, exp_idx = _pool_naive(x[i])
-            assert np.array_equal(out[i], exp_out)
-            assert np.array_equal(idx[i], exp_idx)
+        _assert_pool_pass_is_naive(x)
 
     def test_tie_takes_smallest_flat_index(self):
-        x = np.ones((1, 1, 4, 4))
-        out, (idx, _) = _pool_layer().forward(x, "eval", None)
-        assert np.array_equal(out, np.ones((1, 1, 2, 2)))
-        # all-equal windows resolve to the top-left corner of each window
-        assert np.array_equal(idx[0, 0], np.array([[0, 2], [8, 10]]))
+        dx = _assert_pool_pass_is_naive(np.ones((1, 1, 4, 4)))
+        # all-equal windows route their gradient to the top-left corner
+        assert np.flatnonzero(dx).tolist() == [0, 2, 8, 10]
 
     def test_indices_recover_values(self):
         x = Rng(77).uniform((2, 3, 9, 6), -5, 5)

@@ -1,5 +1,6 @@
-"""Property tests for the grid rule, the step-size fit and the cache-free
-inference pass; skipped when hypothesis is not installed."""
+"""Property tests for the grid rule, the step-size fit, the cache-free
+inference pass and the training pool; skipped when hypothesis is not
+installed."""
 
 import os
 import tempfile
@@ -178,3 +179,24 @@ special = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
 def test_pool_inference_matches_argmax_rule_bit_for_bit(x):
     pool = build_cnn([1], input_shape=(1, 4, 4), fc_units=2, classes=2).layers[2]
     assert pool.infer(x).tobytes() == _maxpool2_batch(x)[0].tobytes()
+
+
+@SETTINGS
+@given(
+    x=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 8), st.integers(1, 8)),
+        elements=special,
+    ),
+    data=st.data(),
+)
+def test_pool_training_pass_matches_argmax_scatter_bit_for_bit(x, data):
+    pool = build_cnn([1], input_shape=(1, 4, 4), fc_units=2, classes=2).layers[2]
+    out, cache = pool.forward(x, "train", None)
+    expected_out, idx = _maxpool2_batch(x)
+    assert out.tobytes() == expected_out.tobytes()
+    dy = data.draw(arrays(np.float64, out.shape, elements=special))
+    n = x.shape[0]
+    expected_dx = np.zeros((n, x[0].size))
+    np.put_along_axis(expected_dx, idx.reshape(n, -1), dy.reshape(n, -1), axis=1)
+    assert pool.backward(dy, cache)[0].tobytes() == expected_dx.reshape(x.shape).tobytes()

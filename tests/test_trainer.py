@@ -8,12 +8,14 @@ import pytest
 from quantbench.data import Dataset, DatasetSplit, synthetic_split
 from quantbench.errors import ConfigError, DivergenceError, UsageError
 from quantbench.experiments import LOG_FIELDS, write_train_log
-from quantbench.nn import build_ffdnn, forward
+from quantbench import trainer
+from quantbench.nn import build_cnn, build_ffdnn, forward, predict
 from quantbench.quantizer import direct_quantize
 from quantbench.tensor import Rng, Tensor
 from quantbench.trainer import (
     EVAL_BATCH,
     TrainConfig,
+    _eval_chunk,
     _Optimizer,
     evaluate,
     retrain_config,
@@ -149,6 +151,24 @@ class TestEvaluate:
             probs.ndarray.argmax(axis=1) != split.train.labels
         )
         assert evaluate(net, split.train) == pytest.approx(expected)
+
+    def test_cnn_chunks_bounded_by_patch_bytes(self, monkeypatch):
+        split = synthetic_split("blobs", 30, 5, 5, classes=3, seed=2, shape=(2, 8, 8))
+        net = build_cnn([3, 2], input_shape=(2, 8, 8), fc_units=4, classes=3, seed=1)
+        whole = evaluate(net, split.train)
+        chunks = []
+        monkeypatch.setattr(trainer, "predict",
+                            lambda n, x: chunks.append(len(x)) or predict(n, x))
+        # C1's patch matrix is the larger: 2*25 rows of 8*8 float64 per sample
+        monkeypatch.setattr(trainer, "EVAL_PATCH_BYTES", 7 * 8 * 50 * 64)
+        assert evaluate(net, split.train) == whole
+        assert chunks == [7, 7, 7, 7, 2]
+
+    def test_cifar_shaped_chunk(self):
+        # 128 MiB over C2's 1.6 MB per sample: cnn-train's 64-sample
+        # evaluations stay one chunk, and 512 CIFAR samples take seven.
+        assert _eval_chunk(build_cnn([32, 32, 64])) == 81
+        assert _eval_chunk(build_ffdnn(3072, 512, 3, 10)) == EVAL_BATCH
 
     def test_empty_split_rejected(self):
         net = build_ffdnn(4, 3, 1, 2, seed=1)
