@@ -256,7 +256,11 @@ def make_synthetic(
         raise ConfigError(f"need at least one sample per class ({n} < {classes})")
     if classes < 2:
         raise ConfigError(f"class_count must be >= 2, got {classes}")
+    if dim < 1:
+        raise ConfigError(f"dim must be >= 1, got {dim}")
     if shape is not None:
+        if any(d < 1 for d in shape):
+            raise ConfigError(f"shape entries must be >= 1, got {list(shape)}")
         if kind != "blobs":
             raise ConfigError(
                 f"shaped features are only supported for blobs, not {kind!r}"
@@ -305,6 +309,9 @@ def synthetic_split(
     All three parts share the same teacher (teacher_net kind) or the same
     cluster geometry (blobs), with independent sample draws per part.
     """
+    for key, size in (("n_train", n_train), ("n_valid", n_valid), ("n_test", n_test)):
+        if size < 1:
+            raise ConfigError(f"{key} must be >= 1, got {size}")
     total = make_synthetic(
         kind,
         n_train + n_valid + n_test,

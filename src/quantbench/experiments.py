@@ -33,7 +33,7 @@ import numpy as np
 from .data import DatasetSplit
 from .errors import ConfigError
 from .nn import Network, build_cnn, build_ffdnn, count_params, count_weight_bits
-from .quantizer import QuantizationReport, direct_quantize
+from .quantizer import QuantizationReport, bits_to_levels, direct_quantize
 from .tensor import derive_seed
 from .trainer import (
     TrainConfig,
@@ -269,8 +269,8 @@ def _check_modes(modes: Iterable[str]) -> tuple[str, ...]:
 
 def _check_bits(bit_list: Sequence[int], modes) -> list[int]:
     bits = [int(b) for b in bit_list]
-    if any(b < 2 or b > 8 for b in bits):
-        raise ConfigError(f"bit widths must lie in [2, 8], got {bit_list}")
+    for b in bits:
+        bits_to_levels(b)  # range check before any training
     if not bits and set(modes) != {"float"}:
         raise ConfigError("direct/retrained modes need a non-empty bit list")
     return bits

@@ -3,20 +3,19 @@
 All layer math lives here. A conv layer unfolds its input once into a
 contiguous tap-major [C*25, N*H*W] patch matrix (``_im2col``), each row a run
 of whole image rows, that feeds both the forward GEMM and the dW GEMM; dX is
-the adjoint fold of that unfold (``_fold``). ``_maxpool2_batch`` holds the
-2x2 pool windows and tie rule.
+the adjoint fold of that unfold (``_fold``). A 2x2 max-pool is the maximum
+of four strided views (``_maxpool2_even``), with an odd trailing row or
+column padded by -inf; ties resolve to the smallest flat index.
 
 Every layer has two passes with one definition of its math: ``forward``
 returns what ``backward`` needs, ``infer`` returns only the output.
 ``predict`` chains ``infer``, so evaluation runs a cache-free pass: no patch
-matrix, ReLU mask or pool argmax outlives its layer. An even-sized 2x2 pool
-is the maximum of four strided views, which gives ``_maxpool2_batch``'s
-values bit for bit; in training it also caches the winning tap of each
-window as an int8 (``_maxpool2_taps``), which backward turns into the same
-argmax positions. ``backward`` pops each layer's cache as it consumes it, so
-a ``ForwardCache`` serves exactly one backward pass, and it stops at the
-lowest layer that owns a weight group: no layer below it has a weight, so
-that layer computes no input gradient.
+matrix, ReLU mask or pool argmax outlives its layer. In training the pool
+caches the winning tap of each window as an int8 (``_maxpool2_taps``), which
+backward turns into argmax positions. ``backward`` pops each layer's cache
+as it consumes it, so a ``ForwardCache`` serves exactly one backward pass,
+and it stops at the lowest layer that owns a weight group: no layer below it
+has a weight, so that layer computes no input gradient.
 
 Networks are flat ordered lists of layers. Every learnable layer owns a named
 WeightGroup (weight tensor + bias); quantization and retraining operate on
@@ -170,38 +169,13 @@ def _fold(dcols: np.ndarray, x_shape: tuple) -> np.ndarray:
     return dxp[:, :, CONV_PAD : CONV_PAD + h, CONV_PAD : CONV_PAD + w]
 
 
-def _maxpool2_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 stride-2 max pooling over [N, C, H, W] with argmax bookkeeping.
-
-    Odd trailing rows/columns form 1-wide windows. Ties resolve to the
-    smallest flat index within [C, H, W] of each sample. Returns the pooled
-    batch and int64 argmax positions flattened per sample.
-    """
-    n, c, h, w = x.shape
-    h2, w2 = (h + 1) // 2, (w + 1) // 2
-    hp, wp = 2 * h2, 2 * w2
-    xp = np.full((n, c, hp, wp), -np.inf, dtype=np.float64)
-    xp[:, :, :h, :w] = x
-    # Window cells enumerated in source row-major order so argmax's
-    # first-occurrence rule picks the smallest flat index on ties.
-    windows = xp.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5)
-    windows = windows.reshape(n, c, h2, w2, 4)
-    local = np.argmax(windows, axis=-1)
-    out = np.take_along_axis(windows, local[..., None], axis=-1)[..., 0]
-    rows = 2 * np.arange(h2)[None, None, :, None] + local // 2
-    cols = 2 * np.arange(w2)[None, None, None, :] + local % 2
-    chan = np.arange(c)[None, :, None, None]
-    flat = (chan * h + rows) * w + cols
-    return out, flat.astype(np.int64)
-
-
 def _maxpool2_even(x: np.ndarray) -> np.ndarray:
-    """The values of ``_maxpool2_batch`` for even H and W, without argmax.
+    """2x2 stride-2 max pooling of an even-sized [N, C, H, W] batch.
 
     Taps are folded in row-major window order with the later tap as the
     first operand of ``np.maximum``, which keeps the earlier tap on ties and
-    propagates NaN, so the result matches the argmax rule bit for bit
-    (signed zeros included)."""
+    propagates NaN, so the result is the value of a first-occurrence argmax
+    over each window bit for bit (signed zeros included)."""
     out = np.maximum(_tap(x, 1), _tap(x, 0))
     np.maximum(_tap(x, 2), out, out=out)
     np.maximum(_tap(x, 3), out, out=out)
@@ -214,7 +188,7 @@ def _tap(x: np.ndarray, t: int) -> np.ndarray:
 
 
 def _maxpool2_taps(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """int8 tap (0..3, row-major) of each even-sized window that argmax picks.
+    """int8 tap (0..3, row-major) of each window that argmax picks.
 
     That is the first tap equal to ``out`` or NaN (``out`` is NaN exactly
     when its window holds one), so it counts the taps before it that miss."""
@@ -228,7 +202,8 @@ def _maxpool2_taps(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _flat_argmax(taps: np.ndarray, x_shape: tuple) -> np.ndarray:
-    """``_maxpool2_batch``'s per-sample flat argmax positions, from int8 taps."""
+    """Per-sample flat argmax positions within [C, H, W] of an unpadded
+    ``x_shape``, from int8 taps: ties resolve to the smallest flat index."""
     _, c, h, w = x_shape
     _, _, h2, w2 = taps.shape
     corner = (np.arange(c)[:, None, None] * h + 2 * np.arange(h2)[:, None]) * w
@@ -278,43 +253,37 @@ class _ConvLayer:
         return dx, (dw, db)
 
 
-def _check_pool_input(x: np.ndarray) -> None:
+def _pool_input(x: np.ndarray) -> np.ndarray:
+    """x with an odd trailing row or column padded by -inf to even size. Tap 0
+    of every window is real and padded taps come after it, so a pad never
+    wins a tie or an argmax: an odd edge pools as a 1-wide window."""
     if x.ndim != 4:
         raise DimensionError(f"pool layer expects [N, C, H, W], got {x.shape}")
+    _, _, h, w = x.shape
+    if h % 2 or w % 2:
+        x = np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)), constant_values=-np.inf)
+    return x
 
 
 class _MaxPool2Layer:
     group = None
 
     def forward(self, x, mode, rng):
-        _check_pool_input(x)
-        if _odd_sized(x.shape):
-            out, idx = _maxpool2_batch(x)  # flat int64 argmax per sample
-        else:
-            out = _maxpool2_even(x)
-            idx = _maxpool2_taps(x, out)  # int8 tap per window
-        return out, (idx, x.shape)
+        xp = _pool_input(x)
+        out = _maxpool2_even(xp)
+        return out, (_maxpool2_taps(xp, out), x.shape)  # int8 tap per window
 
     def infer(self, x):
-        _check_pool_input(x)
-        if _odd_sized(x.shape):
-            return _maxpool2_batch(x)[0]  # 1-wide edge windows: padded path
-        return _maxpool2_even(x)
+        return _maxpool2_even(_pool_input(x))
 
     def backward(self, dy, cache):
-        idx, x_shape = cache
-        if not _odd_sized(x_shape):
-            idx = _flat_argmax(idx, x_shape)
+        taps, x_shape = cache
         n = x_shape[0]
+        idx = _flat_argmax(taps, x_shape).reshape(n, -1)
         dx = np.zeros((n, int(np.prod(x_shape[1:]))), dtype=np.float64)
         # Pool windows are disjoint, so plain assignment routes every gradient.
-        np.put_along_axis(dx, idx.reshape(n, -1), dy.reshape(n, -1), axis=1)
+        np.put_along_axis(dx, idx, dy.reshape(n, -1), axis=1)
         return dx.reshape(x_shape), None
-
-
-def _odd_sized(shape: tuple) -> bool:
-    """True when an [N, C, H, W] shape has an odd H or W."""
-    return bool(shape[2] % 2 or shape[3] % 2)
 
 
 class _ReluLayer:
@@ -555,15 +524,28 @@ def logit_cross_entropy(cache: ForwardCache, targets: Sequence[int]) -> float:
 def group_shapes(spec: NetworkSpec) -> dict[str, tuple[tuple, tuple]]:
     """(weight shape, bias shape) of every weight group of ``spec``, in layer
     order. Validates the layer stack without drawing any initialization."""
+    return _walk_shapes(spec)[0]
+
+
+def patch_bytes(spec: NetworkSpec) -> int:
+    """Per-sample bytes of the largest float64 [C*25, H*W] patch matrix that a
+    conv layer of ``spec`` builds; 0 when it has none."""
+    return _walk_shapes(spec)[1]
+
+
+def _walk_shapes(spec: NetworkSpec) -> tuple[dict[str, tuple[tuple, tuple]], int]:
+    """``group_shapes`` and ``patch_bytes`` from one walk of the layer stack."""
     if not spec.layers or spec.layers[-1].kind != "softmax":
         raise ConfigError("a network must end with a softmax layer")
     shapes: dict[str, tuple[tuple, tuple]] = {}
-    shape = tuple(spec.input_shape)
+    shape, patch = tuple(spec.input_shape), 0
+    if any(d <= 0 for d in shape):
+        raise ConfigError(f"input shape entries must be positive, got {list(shape)}")
     for ls in spec.layers:
         if ls.group is not None and ls.group in shapes:
             raise ConfigError(f"weight group {ls.group!r} is declared twice")
         if ls.kind == "dense":
-            fan_in = int(np.prod(shape))
+            fan_in = int(math.prod(shape))
             if ls.units is None or ls.units <= 0 or ls.group is None:
                 raise ConfigError(f"bad dense layer spec {ls}")
             shapes[ls.group] = ((fan_in, ls.units), (ls.units,))
@@ -575,6 +557,7 @@ def group_shapes(spec: NetworkSpec) -> dict[str, tuple[tuple, tuple]]:
                 raise ConfigError(f"bad conv layer spec {ls}")
             c, h, w = shape
             shapes[ls.group] = ((ls.maps, c, KERNEL_SIZE, KERNEL_SIZE), (ls.maps,))
+            patch = max(patch, 8 * KERNEL_SIZE**2 * c * h * w)
             shape = (ls.maps, h, w)
         elif ls.kind == "maxpool2":
             c, h, w = shape
@@ -585,7 +568,7 @@ def group_shapes(spec: NetworkSpec) -> dict[str, tuple[tuple, tuple]]:
         raise ConfigError(
             f"layer stack produces shape {shape}, expected ({spec.classes},)"
         )
-    return shapes
+    return shapes, patch
 
 
 def _init_group(name: str, w_shape: tuple, b_shape: tuple, rng: Rng) -> WeightGroup:

@@ -31,12 +31,12 @@ import numpy as np
 from .data import Dataset, DatasetSplit, batches
 from .errors import ConfigError, DivergenceError, UsageError
 from .nn import (
-    KERNEL_SIZE,
     Network,
     backward,
     cross_entropy,
     forward,
     logit_cross_entropy,
+    patch_bytes,
     predict,
 )
 from .quantizer import apply
@@ -134,15 +134,8 @@ def evaluate(net: Network, ds: Dataset) -> float:
 
 def _eval_chunk(net: Network) -> int:
     """Samples per evaluation chunk: EVAL_BATCH, or as many as keep every conv
-    layer's float64 [C*25, N*H*W] patch matrix within EVAL_PATCH_BYTES."""
-    per_sample, shape = 0, net.spec.input_shape
-    for ls in net.spec.layers:
-        if ls.kind == "conv5x5":
-            per_sample = max(per_sample, 8 * KERNEL_SIZE**2 * int(np.prod(shape)))
-            shape = (ls.maps, *shape[1:])
-        elif ls.kind == "maxpool2":
-            shape = (shape[0], (shape[1] + 1) // 2, (shape[2] + 1) // 2)
-    return max(1, min(EVAL_BATCH, EVAL_PATCH_BYTES // max(per_sample, 1)))
+    layer's patch matrix within EVAL_PATCH_BYTES."""
+    return max(1, min(EVAL_BATCH, EVAL_PATCH_BYTES // max(patch_bytes(net.spec), 1)))
 
 
 class _Optimizer:
@@ -200,6 +193,8 @@ def _assert_on_grid(net: Network) -> None:
 def _run_training(
     net: Network, data: DatasetSplit, cfg: TrainConfig, retrain: bool
 ) -> tuple[Network, TrainLog]:
+    if data.train.size == 0:
+        raise ConfigError("cannot train on an empty split")
     net = net.copy()
     if retrain:
         quantized = [g for g in net.groups.values() if g.quantizer is not None]

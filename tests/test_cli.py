@@ -391,6 +391,34 @@ class TestExitCodes:
         assert _run("train", "--config", config, "--jobs", "0") == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_train", 0), ("n_train", -5), ("n_test", -10), ("dim", -3),
+         ("shape", [0, 4, 4]), ("shape", [3, 0, 8]), ("shape", [3, -4, 4])],
+    )
+    def test_bad_synthetic_size(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["dataset"][key] = value
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "float.ckpt").exists()
+
+    def test_checkpoint_with_nonpositive_input_dim(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["quant"] = {"n_bits": 2}
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 0
+        ckpt = out / "float.ckpt"
+        raw = ckpt.read_bytes()
+        assert raw.count(b'"input_shape":[6]') == 1
+        # same length, so the spec blob still parses
+        ckpt.write_bytes(raw.replace(b'"input_shape":[6]', b'"input_shape":[0]'))
+        assert _run("quantize", "--config", config) == 3
+        assert "input shape" in capsys.readouterr().err
+
     def test_unknown_dataset_kind(self, tmp_path, capsys):
         cfg = _base_config()
         cfg["dataset"]["kind"] = "imagenet"

@@ -17,7 +17,6 @@ from quantbench.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from quantbench.nn import (  # noqa: E402
     LayerSpec,
     NetworkSpec,
-    _maxpool2_batch,
     build_cnn,
     build_ffdnn,
     build_from_spec,
@@ -163,6 +162,27 @@ def test_predict_leaves_its_batch_unmodified(net, n, seed):
     out = predict(net, x)
     assert x.tobytes() == before
     assert not np.shares_memory(out, x)
+
+
+def _maxpool2_batch(x):
+    """Reference 2x2 stride-2 max pool over [N, C, H, W]: odd trailing rows
+    and columns form 1-wide windows, and ties resolve to the smallest flat
+    index within [C, H, W] of each sample. Returns the pooled batch and the
+    int64 argmax positions flattened per sample."""
+    n, c, h, w = x.shape
+    h2, w2 = (h + 1) // 2, (w + 1) // 2
+    xp = np.full((n, c, 2 * h2, 2 * w2), -np.inf)
+    xp[:, :, :h, :w] = x
+    # Window cells in source row-major order, so argmax's first-occurrence
+    # rule picks the smallest flat index on ties.
+    windows = xp.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5)
+    windows = windows.reshape(n, c, h2, w2, 4)
+    local = np.argmax(windows, axis=-1)
+    out = np.take_along_axis(windows, local[..., None], axis=-1)[..., 0]
+    rows = 2 * np.arange(h2)[None, None, :, None] + local // 2
+    cols = 2 * np.arange(w2)[None, None, None, :] + local % 2
+    chan = np.arange(c)[None, :, None, None]
+    return out, ((chan * h + rows) * w + cols).astype(np.int64)
 
 
 special = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])

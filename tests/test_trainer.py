@@ -178,6 +178,13 @@ class TestEvaluate:
 
 
 class TestTrainFloat:
+    def test_empty_train_split_rejected(self):
+        split = _easy_split()
+        empty = Dataset(Tensor.zeros((0, 8)), np.zeros(0, dtype=np.int64), 3)
+        net = build_ffdnn(8, 4, 1, 3, seed=2)
+        with pytest.raises(ConfigError, match="empty"):
+            train_float(net, DatasetSplit(empty, split.valid, split.test), _fast_cfg())
+
     def test_learns_easy_task(self):
         split = _easy_split()
         net = build_ffdnn(8, 16, 1, 3, dropout_rate=0.1, seed=2)
