@@ -16,13 +16,15 @@ Self-describing container, all integers little-endian:
 For a quantized group the float array stores the shadow (pre-quantization)
 weights and the codes reconstruct the quantized values as code * delta, which
 is bit-exact with what the quantizer produced. Round-trips are bit-exact.
-Loading rejects a code outside +/-(M-1)/2 and any non-finite float.
+Loading rejects a code outside +/-(M-1)/2 and any non-finite float, read or
+reconstructed: a step size at which code * delta overflows is rejected too.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -189,10 +191,18 @@ def load_checkpoint(path: str) -> Network:
                     f"(M={m}, delta={delta}): {exc}"
                 ) from exc
             q = np.frombuffer(r.take(floats.size), dtype=np.int8).astype(np.float64)
-            if np.abs(q).max(initial=0.0) > quantizer.max_code:
+            top = float(np.abs(q).max(initial=0.0))
+            if top > quantizer.max_code:
                 raise DataFormatError(
                     f"{path}: group {name!r} has a code beyond "
                     f"+/-{quantizer.max_code} (M={m})"
+                )
+            # A Python float product overflows to inf without a warning, and
+            # |code| * delta is largest at the largest code.
+            if not math.isfinite(top * delta):
+                raise DataFormatError(
+                    f"{path}: group {name!r} has non-finite values "
+                    f"(code {top:g} x delta {delta!r})"
                 )
             group.shadow_weights = group.weights
             group.weights = Tensor._wrap((q * delta).reshape(w_shape))

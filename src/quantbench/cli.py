@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -76,7 +77,13 @@ def _as_int(value, path: str) -> int:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {_type_name(value)}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):  # json also reads NaN, Infinity and 1e999
+        raise ConfigError(f"{path}: expected a finite number, got {number}")
+    return number
 
 
 def _as_str(value, path: str) -> str:

@@ -5,7 +5,9 @@ contiguous tap-major [C*25, N*H*W] patch matrix (``_im2col``), each row a run
 of whole image rows, that feeds both the forward GEMM and the dW GEMM; dX is
 the adjoint fold of that unfold (``_fold``). A 2x2 max-pool is the maximum
 of four strided views (``_maxpool2_even``), with an odd trailing row or
-column padded by -inf; ties resolve to the smallest flat index.
+column padded by -inf; ties resolve to the smallest flat index. ReLU is
+branch-free, ``fmax(x, 0) + 0.0``: NaN and -0.0 both give +0.0, byte for byte
+what ``where(x > 0, x, 0)`` gives.
 
 Every layer has two passes with one definition of its math: ``forward``
 returns what ``backward`` needs, ``infer`` returns only the output.
@@ -290,11 +292,16 @@ class _ReluLayer:
     group = None
 
     def forward(self, x, mode, rng):
+        # The mask first: taking it after infer raised peak RSS in cnn-train.
         mask = x > 0
-        return np.where(mask, x, 0.0), mask
+        return self.infer(x), mask
 
     def infer(self, x):
-        return np.where(x > 0, x, 0.0)  # -0.0 and NaN map to +0.0
+        # Branch-free max(x, 0): fmax maps NaN to 0.0, and += 0.0 turns the
+        # -0.0 it may return into +0.0, so every value x > 0 rejects is +0.0.
+        y = np.fmax(x, 0.0)
+        y += 0.0
+        return y
 
     def backward(self, dy, cache):
         return dy * cache, None

@@ -3,7 +3,9 @@ counter-based ``Rng``, and ``derive_seed`` for stable sub-seeds.
 
 Layer math (the conv patch layout and the pool windows) lives in ``nn``.
 All arithmetic is carried out in 64-bit floats; reduced precision in this
-package only ever applies to stored weight values, never to arithmetic.
+package only ever applies to stored weight values, never to arithmetic. The
+one integer computation, the ``Rng`` mixing, runs on uint64 arrays, which
+wrap modulo 2^64.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -75,7 +76,8 @@ class Rng:
         z ^= z >> 27;  z *= 0x94D049BB133111EB
         z ^= z >> 31
 
-    (all operations modulo 2^64). This is pure integer arithmetic, so a given
+    (all operations modulo 2^64: uint64 array arithmetic wraps, so the mixing
+    runs in place with no mask). This is pure integer arithmetic, so a given
     seed reproduces the identical sequence on every platform; the platform
     default generator is never used. Counter-based output also lets a block of
     draws be produced in one vectorized call.
@@ -91,28 +93,36 @@ class Rng:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            z = (np.uint64(self.seed) + idx * _GAMMA) & _MASK64
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9) & _MASK64
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB) & _MASK64
-            z = z ^ (z >> np.uint64(31))
+        # In place; uint64 array arithmetic wraps modulo 2^64 without a warning.
+        z *= _GAMMA
+        z += np.uint64(self.seed)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
         return z
+
+    def _unit(self, n: int) -> np.ndarray:
+        # Next n draws as 53-bit floats in [0, 1), k * 2^-53.
+        u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64)
+        u *= 2.0**-53
+        return u
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Uniform float64 draws in [low, high), shaped ``shape``."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return (low + (high - low) * u).reshape(shape)
+        return (low + (high - low) * self._unit(n)).reshape(shape)
 
     def normal(self, shape) -> np.ndarray:
         """Standard normal draws via the Box-Muller transform."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         half = (n + 1) // 2
-        u = (self.next_u64(2 * half) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u = self._unit(2 * half)
         u1 = 1.0 - u[:half]  # (0, 1]; keeps log() finite
         u2 = u[half:]
         r = np.sqrt(-2.0 * np.log(u1))

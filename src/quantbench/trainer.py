@@ -23,6 +23,7 @@ Per-parameter update rule, the single source of truth:
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -63,6 +64,9 @@ class TrainConfig:
     dropout_active: bool = True  # keep dropout on during training passes
 
     def __post_init__(self):
+        for name in ("lr_init", "lr_final", "rmsprop_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_init < 0 or self.lr_final < 0:

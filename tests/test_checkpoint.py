@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,20 @@ class TestCorruption:
         save_checkpoint(net, p)
         with pytest.raises(DataFormatError, match="non-finite"):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("delta", [1e307, np.finfo(np.float64).max])
+    def test_overflowing_step_size_rejected(self, tmp_path, delta):
+        net, _ = direct_quantize(build_ffdnn(8, 6, 1, 4, seed=3), 8)
+        p = tmp_path / "q.ckpt"
+        save_checkpoint(net, p)
+        raw = p.read_bytes()
+        old = struct.pack("<d", net.groups["In-h1"].quantizer.delta)
+        assert raw.count(old) == 1
+        p.write_bytes(raw.replace(old, struct.pack("<d", delta)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            with pytest.raises(DataFormatError, match="'In-h1' has non-finite"):
+                load_checkpoint(p)
 
 
 class TestSizeAccounting:

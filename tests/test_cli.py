@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,24 @@ class TestExitCodes:
         assert _run("retrain", "--config", config) == 3
         assert "code beyond" in capsys.readouterr().err
 
+    def test_retrain_on_overflowing_step_size(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["quant"] = {"n_bits": 8}
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 0
+        assert _run("quantize", "--config", config) == 0
+        ckpt = out / "quantized_8bit.ckpt"
+        raw = ckpt.read_bytes()
+        old = struct.pack("<d", load_checkpoint(ckpt).groups["In-h1"].quantizer.delta)
+        assert raw.count(old) == 1
+        ckpt.write_bytes(raw.replace(old, struct.pack("<d", 1e307)))
+        capsys.readouterr()
+        assert _run("retrain", "--config", config) == 3
+        err = capsys.readouterr().err
+        assert "'In-h1' has non-finite" in err
+        assert "Traceback" not in err
+
     def test_quantize_on_checkpoint_without_softmax(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = _base_config(out_dir=str(out))
@@ -307,6 +326,27 @@ class TestExitCodes:
         config = _write_config(tmp_path, cfg)
         assert _run("train", "--config", config) == 2
         assert "cnn needs [C, H, W] features" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("train", "lr_init", "NaN"), ("train", "lr_init", "Infinity"),
+         ("train", "lr_final", "NaN"), ("train", "lr_decay", "NaN"),
+         ("train", "momentum", "-Infinity"), ("train", "rmsprop_rho", "NaN"),
+         ("train", "rmsprop_eps", "NaN"), ("network", "dropout_rate", "NaN"),
+         ("dataset", "spread", "Infinity"), ("train", "lr_init", "1e999"),
+         ("train", "lr_init", "1" + "0" * 400)],
+    )
+    def test_non_finite_number(self, tmp_path, capsys, block, key, value):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg[block][key] = "@"
+        config = tmp_path / "config.json"
+        # json reads these literals; json.dumps can write only three of them
+        config.write_text(json.dumps(cfg).replace('"@"', value))
+        assert _run("train", "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert f"{block}.{key}: expected a finite number" in err
+        assert not (out / "float.ckpt").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_divergence(self, tmp_path, capsys):

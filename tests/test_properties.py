@@ -1,5 +1,5 @@
 """Property tests for the grid rule, the step-size fit, the cache-free
-inference pass and the training pool; skipped when hypothesis is not
+inference pass, the training pool and ReLU; skipped when hypothesis is not
 installed."""
 
 import os
@@ -220,3 +220,28 @@ def test_pool_training_pass_matches_argmax_scatter_bit_for_bit(x, data):
     expected_dx = np.zeros((n, x[0].size))
     np.put_along_axis(expected_dx, idx.reshape(n, -1), dy.reshape(n, -1), axis=1)
     assert pool.backward(dy, cache)[0].tobytes() == expected_dx.reshape(x.shape).tobytes()
+
+
+relu_inputs = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 4), st.integers(1, 33)),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                         -5e-324, 2.2e-308, -2.2e-308]),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    ),
+)
+
+
+@SETTINGS
+@given(x=relu_inputs)
+def test_relu_matches_where_reference_bit_for_bit(x):
+    relu = build_ffdnn(4, 3, 1, 2, seed=0).layers[1]
+    assert type(relu).__name__ == "_ReluLayer"
+    before = x.tobytes()
+    expected = np.where(x > 0, x, 0.0)
+    assert relu.infer(x).tobytes() == expected.tobytes()
+    out, mask = relu.forward(x, "train", None)
+    assert out.tobytes() == expected.tobytes()
+    assert np.array_equal(mask, x > 0)
+    assert x.tobytes() == before

@@ -1,6 +1,9 @@
 """Tensor container and RNG streams."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from quantbench.tensor import Rng, Tensor, derive_seed
 
@@ -60,6 +63,55 @@ class TestRng:
         assert np.array_equal(np.sort(p), np.arange(1000))
         assert not np.array_equal(p, np.arange(1000))
 
+    # Known answers: sha256 of the output bytes, recorded from the reference
+    # implementation before the in-place rewrite of next_u64.
+    @pytest.mark.parametrize(
+        "seed, first, second",
+        [
+            (0, "7f98a09e99350eb39ae57ed25756af8f24974ce73b4895960518a8028cf6c338",
+             "73f3b73296021b6de92ab056b4bf6a22e790f3099a983aaddc69357cebcf65d5"),
+            (1, "59e303618e1f1760bec1685f6c69fb1118eb3405a1b4f0a397e6e74f3eec78f0",
+             "d764eea49d42448f24f4bd1f2f5a5aba37eceb515d2212db902c90ed287db442"),
+            (2**63, "a41360317e81b5ab0f78c4e6c6438fc7161f06d1720a975321e823765c003317",
+             "e3aa67536daa6c871b953e1fed5ecca732ab1e19fc823879617463a3369a42d5"),
+            (2**64 - 1,
+             "f63dd15ba646356d869ec9010c9f6fec094ee5cecd902e47b1f17276d1710116",
+             "57151e325a53e21426e6a03e471f13a558138dbcab2bd2cb5983b0e894059fbd"),
+        ],
+    )
+    def test_next_u64_known_bytes(self, seed, first, second):
+        r = Rng(seed)
+        a = r.next_u64(1000)
+        assert a.dtype == np.uint64
+        assert _sha(a) == first
+        assert _sha(r.next_u64(37)) == second  # after an earlier draw
+
+    def test_uniform_known_bytes(self):
+        r = Rng(7)
+        assert _sha(r.uniform((3, 5))) == (
+            "5303142ed5dad59e44e4c9a1e918953c7b45eb37dd49e9f8dc5cc4f0065a676b")
+        assert _sha(r.uniform(11)) == (
+            "20532648eb5d60de5bfd088b56965f46f5f40a562b23bea96bfd07bef757592f")
+        assert _sha(Rng(7).uniform((4, 6), -2.0, 3.0)) == (
+            "34a1cfd33f06c81fa139116b8403365a2ae443a90cd1075641dceeac29b14dd8")
+        assert _sha(Rng(2**64 - 1).uniform(257)) == (
+            "344a2ffb41970ebc58fd143ead064826c5d9653a7cf52e208405d6da941b8740")
+
+    def test_normal_odd_count_known_bytes(self):
+        r = Rng(7)
+        z = r.normal(7)
+        assert z.shape == (7,)
+        assert _sha(z) == (
+            "a87792b57785a6f169ff302c54a4db1f1eb8a6004f6e5b4329626b0e7d30a5a0")
+        assert _sha(r.normal((3, 3))) == (
+            "38b1b6eed0babe413b8fc85cc850b3e978505bbf6b4510ccd2c90be9c3c6aa93")
+
+    def test_permutation_known_bytes(self):
+        p = Rng(7).permutation(1000)
+        assert p.dtype == np.int64
+        assert _sha(p) == (
+            "7f05a8d169f7e0cb3d5252d8208b1bc98ad25f19e1098a37805287bcc2f43a90")
+
     def test_spawn_gives_independent_streams(self):
         base = Rng(42)
         a = base.spawn("alpha").next_u64(50)
@@ -72,3 +124,7 @@ class TestRng:
         assert derive_seed(7, "dataset") == 6871436197299753516
         assert derive_seed(7, "dataset") != derive_seed(7, "dropout")
         assert derive_seed(7, "dataset") != derive_seed(8, "dataset")
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()

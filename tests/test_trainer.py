@@ -63,6 +63,11 @@ class TestTrainConfig:
             {"rmsprop_eps": 0.0},
             {"max_epochs": -1},
             {"patience": 0},
+            {"lr_init": float("nan")},
+            {"lr_init": float("inf")},
+            {"lr_final": float("nan")},
+            {"rmsprop_eps": float("nan")},
+            {"rmsprop_eps": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kw):
