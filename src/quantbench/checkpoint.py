@@ -53,16 +53,16 @@ def _write_array(out: io.BufferedIOBase, arr: np.ndarray) -> None:
     out.write(struct.pack("<I", arr.ndim))
     for dim in arr.shape:
         out.write(struct.pack("<I", dim))
-    out.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    out.write(np.ascontiguousarray(arr, dtype="<f8"))  # its buffer, not a copy
 
 
 class _Reader:
     def __init__(self, data: bytes, path: str):
-        self.data = data
+        self.data = memoryview(data)  # so that take slices without copying
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise DataFormatError(
                 f"{self.path}: checkpoint truncated at byte {self.pos} "
@@ -82,7 +82,7 @@ class _Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def blob(self) -> bytes:
-        return self.take(self.u32())
+        return bytes(self.take(self.u32()))
 
     def array(self) -> np.ndarray:
         ndim = self.u32()
@@ -119,8 +119,8 @@ def save_checkpoint(net: Network, path: str) -> None:
                 fh.write(struct.pack("<B", 1))
                 fh.write(struct.pack("<I", group.quantizer.M))
                 fh.write(struct.pack("<d", group.quantizer.delta))
-                q = codes(group.weights.ndarray, group.quantizer).astype(np.int8)
-                fh.write(q.tobytes())
+                q = codes(group.weights.ndarray, group.quantizer)
+                fh.write(np.ascontiguousarray(q, dtype=np.int8))
             else:
                 _write_array(fh, group.weights.ndarray)
                 _write_array(fh, group.bias.ndarray)

@@ -9,6 +9,7 @@ teacher network whose argmax labels guarantee the task is realizable.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterator
@@ -258,6 +259,8 @@ def make_synthetic(
         raise ConfigError(f"class_count must be >= 2, got {classes}")
     if dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
+    if not math.isfinite(spread):
+        raise ConfigError(f"spread must be finite, got {spread}")
     if shape is not None:
         if any(d < 1 for d in shape):
             raise ConfigError(f"shape entries must be >= 1, got {list(shape)}")

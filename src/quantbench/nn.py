@@ -1,13 +1,19 @@
 """Layers, network assembly, and manual forward/backward passes.
 
-All layer math lives here. A conv layer unfolds its input once into a
-contiguous tap-major [C*25, N*H*W] patch matrix (``_im2col``), each row a run
-of whole image rows, that feeds both the forward GEMM and the dW GEMM; dX is
-the adjoint fold of that unfold (``_fold``). A 2x2 max-pool is the maximum
-of four strided views (``_maxpool2_even``), with an odd trailing row or
-column padded by -inf; ties resolve to the smallest flat index. ReLU is
-branch-free, ``fmax(x, 0) + 0.0``: NaN and -0.0 both give +0.0, byte for byte
-what ``where(x > 0, x, 0)`` gives.
+All layer math lives here. A conv layer in training unfolds its input once
+into a contiguous tap-major [C*25, N*H*W] patch matrix (``_im2col``), each row
+a run of whole image rows, that feeds both the forward GEMM and the dW GEMM.
+Backward releases that matrix once dW is taken. dX (``_input_grad``) is the
+adjoint of the unfold: its tap gradients are built one sample run at a time
+and added tap by tap onto the padded input gradient. Inference unfolds a
+batch whose patch matrix would pass CONV_SLICE_BYTES in sample runs too
+(``_sample_runs``), each written into one preallocated output. The runs are
+aligned and large, so both passes give every bit of one whole-batch GEMM.
+
+A 2x2 max-pool is the maximum of four strided views (``_maxpool2_even``),
+with an odd trailing row or column padded by -inf; ties resolve to the
+smallest flat index. ReLU is branch-free, ``fmax(x, 0) + 0.0``: NaN and -0.0
+both give +0.0, byte for byte what ``where(x > 0, x, 0)`` gives.
 
 Every layer has two passes with one definition of its math: ``forward``
 returns what ``backward`` needs, ``infer`` returns only the output.
@@ -48,6 +54,8 @@ from .tensor import Rng, Tensor
 KERNEL_SIZE = 5
 CONV_PAD = 2
 BIAS_BITS = 32  # biases always stay full width
+# Patch-matrix bytes of one sample run of conv inference and dX (_sample_runs).
+CONV_SLICE_BYTES = 16 << 20
 
 
 @dataclass
@@ -157,18 +165,43 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * KERNEL_SIZE**2, n * h * w)
 
 
-def _fold(dcols: np.ndarray, x_shape: tuple) -> np.ndarray:
-    """Adjoint of _im2col: add the [C*25, N*H*W] patch gradients back onto
-    the input. Each of the 25 taps is one block of whole [H, W] planes, so
-    every add reads contiguous rows."""
+def _sample_runs(x_shape: tuple) -> list[tuple[int, int]]:
+    """[start, stop) sample runs of a conv batch, each one column block of the
+    inference GEMM or the dX GEMM: one run when the batch's patch matrix fits
+    in CONV_SLICE_BYTES, more only when it would pass that bound.
+
+    Every run computes each output bit for bit as one whole-batch GEMM does
+    (measured with OpenBLAS 0.3.31). Each run but the last spans a multiple of
+    8 patch columns, because a block that ends inside a kernel tile sums its
+    last columns in another order. No run builds less than about half the
+    bound, so the remainder joins the last run: a small block sums in another
+    order too (OpenBLAS takes a small-matrix kernel up to 10^6 multiply-adds)."""
     n, c, h, w = x_shape
-    k = KERNEL_SIZE
-    taps = dcols.reshape(c, k, k, n, h, w)
-    dxp = np.zeros((n, c, h + 2 * CONV_PAD, w + 2 * CONV_PAD), dtype=np.float64)
-    for dy in range(k):
-        for dx in range(k):
-            dxp[:, :, dy : dy + h, dx : dx + w] += taps[:, dy, dx].transpose(1, 0, 2, 3)
-    return dxp[:, :, CONV_PAD : CONV_PAD + h, CONV_PAD : CONV_PAD + w]
+    unit = 8 // math.gcd(h * w, 8)  # samples per multiple of 8 columns
+    per_sample = 8 * KERNEL_SIZE**2 * c * h * w
+    step = max(unit, CONV_SLICE_BYTES // per_sample // unit * unit)
+    starts = list(range(0, max(n - step, 0) + 1, step))
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _input_grad(k: np.ndarray, dyf: np.ndarray, x_shape: tuple) -> np.ndarray:
+    """dX of a same-size 5x5 conv with kernels ``k`` from the [N*H*W, C_out]
+    output gradient ``dyf``: the adjoint of _im2col applied to K^T dY.
+
+    Each sample run's [C*25, run*H*W] tap gradients come from one GEMM and
+    are added tap by tap, in kernel order, onto a zeroed channel-major padded
+    gradient, so no whole-batch patch gradient is ever built."""
+    n, c, h, w = x_shape
+    kt = k.reshape(k.shape[0], -1).T
+    hw, p = h * w, CONV_PAD
+    dxp = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=np.float64)
+    for s, e in _sample_runs(x_shape):
+        taps = kt @ dyf[s * hw : e * hw].T  # [C*25, run*H*W]
+        taps = taps.reshape(c, KERNEL_SIZE, KERNEL_SIZE, e - s, h, w)
+        for dy in range(KERNEL_SIZE):
+            for dx in range(KERNEL_SIZE):
+                dxp[:, s:e, dy : dy + h, dx : dx + w] += taps[:, dy, dx]
+    return dxp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
 
 
 def _maxpool2_even(x: np.ndarray) -> np.ndarray:
@@ -217,13 +250,24 @@ class _ConvLayer:
         self.group = group
 
     def forward(self, x, mode, rng):
-        y, cols = self._conv(x)
-        return y, (cols, x.shape)  # the patch matrix is reused by the dW GEMM
+        # One whole-batch patch matrix: the dW GEMM needs it in one piece to
+        # keep its bits.
+        y, cols = self._conv(self._checked(x))
+        return y, (cols, x.shape)
 
     def infer(self, x):
-        return self._conv(x)[0]
+        runs = _sample_runs(self._checked(x).shape)
+        c_out = self.group.weights.shape[0]
+        # numpy runs a one-map conv's GEMM as a matrix-vector product, whose
+        # bits depend on the column count, so that conv is never split.
+        if len(runs) == 1 or c_out == 1:
+            return self._conv(x)[0]
+        y = np.empty((x.shape[0], c_out, *x.shape[2:]), dtype=np.float64)
+        for s, e in runs:
+            y[s:e] = self._conv(x[s:e])[0]
+        return y
 
-    def _conv(self, x):
+    def _checked(self, x):
         if x.ndim != 4:
             raise DimensionError(f"conv layer expects [N, C, H, W], got {x.shape}")
         k = self.group.weights.ndarray
@@ -231,6 +275,10 @@ class _ConvLayer:
             raise DimensionError(
                 f"conv channel mismatch: input {x.shape} vs kernels {k.shape}"
             )
+        return x
+
+    def _conv(self, x):
+        k = self.group.weights.ndarray
         n, _, h, w = x.shape
         c_out = k.shape[0]
         cols = _im2col(x)  # [C_in*25, N*H*W]
@@ -249,10 +297,10 @@ class _ConvLayer:
         # Summed down the columns of this copy: a row sum of dyf.T would add
         # pairwise and change db's last bits.
         db = dyf.sum(axis=0)
+        del cache, cols  # dX does not read the patch matrix: release it now
         if not need_dx:
             return None, (dw, db)
-        dx = _fold(self.group.weights.ndarray.reshape(c_out, -1).T @ dyf.T, x_shape)
-        return dx, (dw, db)
+        return _input_grad(self.group.weights.ndarray, dyf, x_shape), (dw, db)
 
 
 def _pool_input(x: np.ndarray) -> np.ndarray:

@@ -83,6 +83,16 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             make_synthetic("blobs", 2, 3, seed=0)
 
+    @pytest.mark.parametrize("kind, spread", [
+        ("blobs", float("nan")), ("spirals", float("inf")),
+        ("teacher_net", -float("inf")),
+    ])
+    def test_non_finite_spread_rejected(self, kind, spread):
+        with pytest.raises(ConfigError, match="spread"):
+            make_synthetic(kind, 30, 3, seed=1, dim=4, spread=spread)
+        with pytest.raises(ConfigError, match="spread"):
+            synthetic_split(kind, 30, 10, 10, 3, 1, dim=4, spread=spread)
+
     def test_split_disjoint_and_seeded(self):
         split = synthetic_split("blobs", 60, 20, 20, classes=3, seed=5, dim=4)
         assert split.train.features.shape == (60, 4)

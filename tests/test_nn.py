@@ -236,12 +236,14 @@ class TestBackward:
 
     def test_pass_stops_at_the_lowest_weight_layer(self, monkeypatch):
         net = build_cnn([2, 3], input_shape=(1, 8, 8), fc_units=4, classes=2, seed=1)
-        folds = []
-        fold = nn._fold
-        monkeypatch.setattr(nn, "_fold", lambda *a: folds.append(a[1]) or fold(*a))
+        dx_shapes = []
+        input_grad = nn._input_grad
+        monkeypatch.setattr(
+            nn, "_input_grad", lambda *a: dx_shapes.append(a[2]) or input_grad(*a)
+        )
         _, cache = forward(net, Tensor(Rng(2).uniform((3, 1, 8, 8))))
         grads = backward(net, cache, [0, 1, 1])
-        assert folds == [(3, 2, 4, 4)]  # C2's input gradient only, none for C1
+        assert dx_shapes == [(3, 2, 4, 4)]  # C2's input gradient only, none for C1
         assert list(grads) == ["Out", "FC", "C2", "C1"]
 
     @pytest.mark.parametrize("which", ["cnn", "relu-first", "ffdnn"])

@@ -1,6 +1,6 @@
 """Property tests for the grid rule, the step-size fit, the cache-free
-inference pass, the training pool and ReLU; skipped when hypothesis is not
-installed."""
+inference pass, the conv input gradient and sample runs, the training pool
+and ReLU; skipped when hypothesis is not installed."""
 
 import os
 import tempfile
@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from quantbench import nn  # noqa: E402
 from quantbench.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from quantbench.nn import (  # noqa: E402
     LayerSpec,
@@ -220,6 +221,138 @@ def test_pool_training_pass_matches_argmax_scatter_bit_for_bit(x, data):
     expected_dx = np.zeros((n, x[0].size))
     np.put_along_axis(expected_dx, idx.reshape(n, -1), dy.reshape(n, -1), axis=1)
     assert pool.backward(dy, cache)[0].tobytes() == expected_dx.reshape(x.shape).tobytes()
+
+
+def _fold(dcols, x_shape):
+    """Reference adjoint of nn._im2col: add the whole-batch [C*25, N*H*W]
+    patch gradient back onto the input, tap by tap in kernel order."""
+    n, c, h, w = x_shape
+    taps = dcols.reshape(c, 5, 5, n, h, w)
+    dxp = np.zeros((n, c, h + 4, w + 4), dtype=np.float64)
+    for dy in range(5):
+        for dx in range(5):
+            dxp[:, :, dy : dy + h, dx : dx + w] += taps[:, dy, dx].transpose(1, 0, 2, 3)
+    return dxp[:, :, 2 : 2 + h, 2 : 2 + w]
+
+
+def _reference_input_grad(k, dyf, x_shape):
+    return _fold(k.reshape(k.shape[0], -1).T @ dyf.T, x_shape)
+
+
+@SETTINGS
+@given(
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 9),
+                    st.integers(1, 9)),
+    c_out=st.integers(1, 4),
+    seed=st.integers(0, 99),
+    data=st.data(),
+)
+def test_input_grad_matches_whole_batch_fold_bit_for_bit(shape, c_out, seed, data):
+    n, c, h, w = shape
+    k = Rng(seed).uniform((c_out, c, 5, 5), -1.0, 1.0)
+    dy = data.draw(arrays(np.float64, (n, c_out, h, w),
+                          elements=st.one_of(special, st.floats(-4.0, 4.0))))
+    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
+    with np.errstate(all="ignore"):  # inf - inf and 0 * inf are part of the check
+        got = nn._input_grad(k, dyf, shape)
+        want = _reference_input_grad(k, dyf, shape)
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+# Batches that split into sample runs under the real CONV_SLICE_BYTES, 2 to 3
+# bounds of patch matrix each. The rule never makes a small run
+# (test_sample_runs_are_aligned_and_never_small), and these cases keep runs
+# real-sized too: runs of a few KiB would change last bits, because OpenBLAS
+# sums a product that small with another kernel.
+def _patch_bytes(c, h, w):
+    return 8 * 25 * c * h * w
+
+
+def _split_batch_size(c, h, w, bounds):
+    """Samples in ``bounds`` bounds of patch matrix, and at least two runs of
+    the samples that span a multiple of 8 patch columns."""
+    unit = 8 // np.gcd(h * w, 8)
+    return max(int(bounds * nn.CONV_SLICE_BYTES / _patch_bytes(c, h, w)), 2 * unit)
+
+
+sliced_cases = st.tuples(
+    st.sampled_from([4, 8, 16]), st.integers(9, 40), st.integers(9, 40),
+    st.sampled_from([2, 3, 8, 48, 64]), st.floats(2.0, 3.0), st.integers(0, 99),
+).map(lambda t: (*t[:4], _split_batch_size(*t[:3], t[4]), t[5]))
+SLICE_SETTINGS = settings(max_examples=10, deadline=None)
+
+
+def _sliced_case(c, h, w, c_out, n, seed):
+    """(conv layer, input batch) of a batch that splits into two or more runs."""
+    assert len(nn._sample_runs((n, c, h, w))) >= 2
+    conv = _conv_layer(c, c_out, h, w, seed)
+    x = Rng(seed + 1).uniform((n, c, h, w), -1.0, 1.0)
+    x[np.abs(x) < 0.2] = -0.0
+    return conv, x
+
+
+def _conv_layer(c_in, c_out, h, w, seed):
+    return build_cnn([c_out], input_shape=(c_in, h, w), fc_units=2, classes=2,
+                     seed=seed).layers[0]
+
+
+@SLICE_SETTINGS
+@given(case=sliced_cases)
+@example(case=(16, 52, 52, 48, 3, 0))  # three 1-sample runs
+@example(case=(16, 21, 23, 64, 21, 1))  # odd maps: runs of 8 and 13 samples
+def test_sliced_conv_inference_matches_one_conv_bit_for_bit(case):
+    conv, x = _sliced_case(*case)
+    assert conv.infer(x).tobytes() == conv._conv(x)[0].tobytes()
+
+
+@SLICE_SETTINGS
+@given(case=sliced_cases)
+@example(case=(16, 52, 52, 48, 3, 0))
+@example(case=(16, 21, 23, 64, 21, 1))
+def test_sliced_input_grad_matches_whole_batch_fold_bit_for_bit(case):
+    conv, x = _sliced_case(*case)
+    k = conv.group.weights.ndarray
+    dy = Rng(case[-1] + 2).uniform((x.shape[0], k.shape[0], *x.shape[2:]), -1, 1)
+    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, k.shape[0])
+    got = np.ascontiguousarray(nn._input_grad(k, dyf, x.shape))
+    assert got.tobytes() == _reference_input_grad(k, dyf, x.shape).tobytes()
+
+
+@SETTINGS
+@given(
+    shape=st.tuples(st.integers(0, 3000), st.integers(1, 64), st.integers(1, 64),
+                    st.integers(1, 64)),
+)
+def test_sample_runs_are_aligned_and_never_small(shape):
+    n, c, h, w = shape
+    runs = nn._sample_runs(shape)
+    per_sample = _patch_bytes(c, h, w)
+    assert [s for s, _ in runs] == [0] + [e for _, e in runs[:-1]]
+    assert runs[-1][1] == n
+    if n * per_sample <= nn.CONV_SLICE_BYTES:
+        assert runs == [(0, n)]
+    for s, e in runs[:-1]:
+        assert (e - s) * h * w % 8 == 0
+    if len(runs) > 1:  # so every run's patch holds at least 2^20 entries
+        assert min(e - s for s, e in runs) * per_sample >= nn.CONV_SLICE_BYTES // 2
+
+
+def test_one_map_conv_is_never_sliced(monkeypatch):
+    # numpy runs a one-row GEMM as a matrix-vector product whose bits depend
+    # on the column count; split into samples, this batch changes bits.
+    monkeypatch.setattr(nn, "CONV_SLICE_BYTES", 1)
+    conv = _conv_layer(8, 1, 17, 18, seed=3)
+    x = Rng(4).uniform((9, 8, 17, 18), -1.0, 1.0)
+    assert nn._sample_runs(x.shape) == [(0, 4), (4, 9)]
+    assert conv.infer(x).tobytes() == conv._conv(x)[0].tobytes()
+
+
+def test_predict_is_eval_forward_across_conv_slices():
+    net = build_cnn([8, 4], input_shape=(16, 32, 32), fc_units=8, classes=3, seed=5)
+    x = Rng(6).uniform((11, 16, 32, 32), -1.0, 1.0)
+    assert nn._sample_runs(x.shape) == [(0, 5), (5, 11)]  # C1's runs
+    probs, _ = forward(net, Tensor(x), mode="eval")
+    assert predict(net, x).tobytes() == probs.ndarray.tobytes()
 
 
 relu_inputs = arrays(
