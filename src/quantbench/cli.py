@@ -375,10 +375,9 @@ def cmd_train(cfg: dict, out_dir: str, jobs: int) -> int:
     save_checkpoint(best, ckpt)
     log_path = os.path.join(out_dir, "train_log.csv")
     write_train_log(log, log_path)
-    val = evaluate(best, split.valid)
     test = evaluate(best, split.test)
     print(f"trained {_family(cfg)} ({count_params(best)} params): "
-          f"val {val:.2f}% test {test:.2f}%")
+          f"val {log.best_metric:.2f}% test {test:.2f}%")
     print(f"wrote {ckpt}")
     print(f"wrote {log_path}")
     return 0
@@ -415,8 +414,7 @@ def cmd_retrain(cfg: dict, out_dir: str, jobs: int) -> int:
     save_checkpoint(best, ckpt_out)
     log_path = os.path.join(out_dir, "retrain_log.csv")
     write_train_log(log, log_path)
-    val = evaluate(best, split.valid)
-    print(f"retrained: val {val:.2f}% over {len(log.records)} epochs")
+    print(f"retrained: val {log.best_metric:.2f}% over {len(log.records)} epochs")
     print(f"wrote {ckpt_out}")
     print(f"wrote {log_path}")
     return 0
@@ -519,9 +517,6 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except QuantbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``reject_repeats``.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 DataFormatError -> 3, DivergenceError -> 4.
@@ -39,3 +39,10 @@ class DivergenceError(QuantbenchError):
         # args holds the formatted message, not (epoch, lr); reconstruct from
         # the originals so the error survives a trip through a process pool.
         return (DivergenceError, (self.epoch, self.lr))
+
+
+def reject_repeats(values: list, key: str) -> None:
+    """Raise ConfigError naming ``key`` and the first value listed twice."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{key}: {v} is listed twice")

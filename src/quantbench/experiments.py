@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import DatasetSplit
-from .errors import ConfigError
+from .errors import ConfigError, reject_repeats
 from .nn import Network, build_cnn, build_ffdnn, count_params, count_weight_bits
 from .quantizer import QuantizationReport, bits_to_levels, direct_quantize
 from .tensor import derive_seed
@@ -226,12 +226,12 @@ def _run_point(args) -> list[SweepRecord]:
         cell, data.train.features.shape[1:], data.train.class_count, point_seed
     )
     point_cfg = dataclasses.replace(cfg, seed=point_seed)
-    trained, _ = train_float(net, data, point_cfg)
+    trained, log = train_float(net, data, point_cfg)
     params = count_params(trained)
     label, depth = _cell_label(cell)
     records: list[SweepRecord] = []
 
-    def record(mode: str, bits: int, network: Network) -> SweepRecord:
+    def record(mode: str, bits: int, network: Network, val: float) -> SweepRecord:
         return SweepRecord(
             family=cell["family"],
             width_or_maps=label,
@@ -241,19 +241,19 @@ def _run_point(args) -> list[SweepRecord]:
             seed=point_seed,
             param_count=params,
             total_weight_bits=count_weight_bits(network, bits),
-            val_metric=evaluate(network, data.valid),
+            val_metric=val,
             test_metric=evaluate(network, data.test),
         )
 
     if "float" in modes:
-        records.append(record("float", FLOAT_BITS, trained))
+        records.append(record("float", FLOAT_BITS, trained, log.best_metric))
     for bits in bit_list:
         qnet, _ = direct_quantize(trained, bits)
         if "direct" in modes:
-            records.append(record("direct", bits, qnet))
+            records.append(record("direct", bits, qnet, evaluate(qnet, data.valid)))
         if "retrained" in modes:
-            rnet, _ = retrain_quantized(qnet, data, retrain_config(point_cfg))
-            records.append(record("retrained", bits, rnet))
+            rnet, rlog = retrain_quantized(qnet, data, retrain_config(point_cfg))
+            records.append(record("retrained", bits, rnet, rlog.best_metric))
     return records
 
 
@@ -271,6 +271,7 @@ def _check_bits(bit_list: Sequence[int], modes) -> list[int]:
     bits = [int(b) for b in bit_list]
     for b in bits:
         bits_to_levels(b)  # range check before any training
+    reject_repeats(bits, "quant.bits")
     if not bits and set(modes) != {"float"}:
         raise ConfigError("direct/retrained modes need a non-empty bit list")
     return bits
@@ -329,6 +330,7 @@ def run_width_sweep(
     every precision setting.
     """
     cells = [_width_cell(network, family, size) for size in sizes]
+    reject_repeats([_cell_label(c)[0] for c in cells], "sweep.sizes")
     return _sweep(cells, bit_list, modes, data, cfg, seed_reps, jobs)
 
 
@@ -349,6 +351,7 @@ def run_depth_sweep(
     d entries of ``network["map_counts"]``.
     """
     cells = [_depth_cell(network, family, int(d)) for d in depths]
+    reject_repeats([_cell_label(c)[1] for c in cells], "sweep.depths")
     return _sweep(cells, bit_list, modes, data, cfg, seed_reps, jobs)
 
 

@@ -6,9 +6,10 @@ a run of whole image rows, that feeds both the forward GEMM and the dW GEMM.
 Backward releases that matrix once dW is taken. dX (``_input_grad``) is the
 adjoint of the unfold: its tap gradients are built one sample run at a time
 and added tap by tap onto the padded input gradient. Inference unfolds a
-batch whose patch matrix would pass CONV_SLICE_BYTES in sample runs too
+batch whose patch matrix would pass SLICE_BYTES in sample runs too
 (``_sample_runs``), each written into one preallocated output. The runs are
 aligned and large, so both passes give every bit of one whole-batch GEMM.
+SLICE_BYTES also bounds the largest activation of an evaluation chunk.
 
 A 2x2 max-pool is the maximum of four strided views (``_maxpool2_even``),
 with an odd trailing row or column padded by -inf; ties resolve to the
@@ -54,8 +55,9 @@ from .tensor import Rng, Tensor
 KERNEL_SIZE = 5
 CONV_PAD = 2
 BIAS_BITS = 32  # biases always stay full width
-# Patch-matrix bytes of one sample run of conv inference and dX (_sample_runs).
-CONV_SLICE_BYTES = 16 << 20
+# Bytes of one conv sample run's patch matrix and of an eval chunk's activation.
+SLICE_BYTES = 16 << 20
+EVAL_BATCH = 512  # samples per evaluation chunk at most
 
 
 @dataclass
@@ -168,7 +170,7 @@ def _im2col(x: np.ndarray) -> np.ndarray:
 def _sample_runs(x_shape: tuple) -> list[tuple[int, int]]:
     """[start, stop) sample runs of a conv batch, each one column block of the
     inference GEMM or the dX GEMM: one run when the batch's patch matrix fits
-    in CONV_SLICE_BYTES, more only when it would pass that bound.
+    in SLICE_BYTES, more only when it would pass that bound.
 
     Every run computes each output bit for bit as one whole-batch GEMM does
     (measured with OpenBLAS 0.3.31). Each run but the last spans a multiple of
@@ -179,7 +181,7 @@ def _sample_runs(x_shape: tuple) -> list[tuple[int, int]]:
     n, c, h, w = x_shape
     unit = 8 // math.gcd(h * w, 8)  # samples per multiple of 8 columns
     per_sample = 8 * KERNEL_SIZE**2 * c * h * w
-    step = max(unit, CONV_SLICE_BYTES // per_sample // unit * unit)
+    step = max(unit, SLICE_BYTES // per_sample // unit * unit)
     starts = list(range(0, max(n - step, 0) + 1, step))
     return list(zip(starts, starts[1:] + [n]))
 
@@ -582,18 +584,18 @@ def group_shapes(spec: NetworkSpec) -> dict[str, tuple[tuple, tuple]]:
     return _walk_shapes(spec)[0]
 
 
-def patch_bytes(spec: NetworkSpec) -> int:
-    """Per-sample bytes of the largest float64 [C*25, H*W] patch matrix that a
-    conv layer of ``spec`` builds; 0 when it has none."""
-    return _walk_shapes(spec)[1]
+def eval_chunk(spec: NetworkSpec) -> int:
+    """Samples per evaluation chunk: EVAL_BATCH, or as many as keep the
+    largest activation of a chunk within SLICE_BYTES."""
+    return max(1, min(EVAL_BATCH, SLICE_BYTES // _walk_shapes(spec)[1]))
 
 
 def _walk_shapes(spec: NetworkSpec) -> tuple[dict[str, tuple[tuple, tuple]], int]:
-    """``group_shapes`` and ``patch_bytes`` from one walk of the layer stack."""
+    """``group_shapes`` and the largest input or layer output, in float64 bytes."""
     if not spec.layers or spec.layers[-1].kind != "softmax":
         raise ConfigError("a network must end with a softmax layer")
     shapes: dict[str, tuple[tuple, tuple]] = {}
-    shape, patch = tuple(spec.input_shape), 0
+    shape, largest = tuple(spec.input_shape), 8 * math.prod(spec.input_shape)
     if any(d <= 0 for d in shape):
         raise ConfigError(f"input shape entries must be positive, got {list(shape)}")
     for ls in spec.layers:
@@ -612,18 +614,18 @@ def _walk_shapes(spec: NetworkSpec) -> tuple[dict[str, tuple[tuple, tuple]], int
                 raise ConfigError(f"bad conv layer spec {ls}")
             c, h, w = shape
             shapes[ls.group] = ((ls.maps, c, KERNEL_SIZE, KERNEL_SIZE), (ls.maps,))
-            patch = max(patch, 8 * KERNEL_SIZE**2 * c * h * w)
             shape = (ls.maps, h, w)
         elif ls.kind == "maxpool2":
             c, h, w = shape
             shape = (c, (h + 1) // 2, (w + 1) // 2)
         elif ls.kind not in ("relu", "dropout", "softmax"):
             raise ConfigError(f"unknown layer kind {ls.kind!r}")
+        largest = max(largest, 8 * math.prod(shape))
     if shape != (spec.classes,):
         raise ConfigError(
             f"layer stack produces shape {shape}, expected ({spec.classes},)"
         )
-    return shapes, patch
+    return shapes, largest
 
 
 def _init_group(name: str, w_shape: tuple, b_shape: tuple, rng: Rng) -> WeightGroup:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, reject_repeats
 from .tensor import Tensor
 
 _DELTA_REL_TOL = 1e-8
@@ -358,4 +358,5 @@ def _resolve_groups(net, groups) -> list[str]:
         raise ConfigError(
             f"unknown weight group(s) {unknown}; this network has {known}"
         )
+    reject_repeats(names, "quant.groups")
     return names

@@ -35,16 +35,13 @@ from .nn import (
     Network,
     backward,
     cross_entropy,
+    eval_chunk,
     forward,
     logit_cross_entropy,
-    patch_bytes,
     predict,
 )
 from .quantizer import apply
 from .tensor import Rng, Tensor
-
-EVAL_BATCH = 512
-EVAL_PATCH_BYTES = 128 << 20  # largest conv patch matrix one eval chunk may build
 
 
 @dataclass(frozen=True)
@@ -129,17 +126,11 @@ def evaluate(net: Network, ds: Dataset) -> float:
         raise ConfigError("cannot evaluate on an empty split")
     wrong = 0
     feats = ds.features.ndarray
-    chunk = _eval_chunk(net)
+    chunk = eval_chunk(net.spec)
     for start in range(0, ds.size, chunk):
         pred = predict(net, feats[start : start + chunk]).argmax(axis=1)
         wrong += int((pred != ds.labels[start : start + chunk]).sum())
     return 100.0 * wrong / ds.size
-
-
-def _eval_chunk(net: Network) -> int:
-    """Samples per evaluation chunk: EVAL_BATCH, or as many as keep every conv
-    layer's patch matrix within EVAL_PATCH_BYTES."""
-    return max(1, min(EVAL_BATCH, EVAL_PATCH_BYTES // max(patch_bytes(net.spec), 1)))
 
 
 class _Optimizer:

@@ -376,6 +376,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "h9-out" in err and "In-h1" not in err.split("expected among")[0].split("[")[-1]
 
+    def test_repeated_quant_group(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 0
+        cfg["quant"] = {"n_bits": 2, "groups": ["In-h1", "In-h1"]}
+        config = _write_config(tmp_path, cfg)
+        assert _run("quantize", "--config", config) == 2
+        assert "quant.groups: In-h1 is listed twice" in capsys.readouterr().err
+        assert not (out / "quantized_2bit.ckpt").exists()
+        assert not (out / "quant_report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "sweep, bits, message",
+        [({"sizes": [4, 4]}, [2], "sweep.sizes: 4 is listed twice"),
+         ({"axis": "depth", "depths": [1, 1]}, [2], "sweep.depths: 1 is listed twice"),
+         ({"sizes": [4]}, [2, 2], "quant.bits: 2 is listed twice")],
+    )
+    def test_repeated_sweep_entry(self, tmp_path, capsys, sweep, bits, message):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["sweep"] = {**sweep, "seed_reps": 1}
+        cfg["quant"] = {"bits": bits}
+        config = _write_config(tmp_path, cfg)
+        assert _run("sweep", "--config", config) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     def test_ecr_without_records(self, tmp_path, capsys):
         cfg = _base_config(out_dir=str(tmp_path / "out"))
         config = _write_config(tmp_path, cfg)

@@ -5,11 +5,13 @@ import csv
 import numpy as np
 import pytest
 
+from quantbench import experiments
 from quantbench.data import synthetic_split
 from quantbench.errors import ConfigError, DataFormatError
 from quantbench.experiments import (
     ECR_FIELDS,
     FLOAT_BITS,
+    MODES,
     RECORD_FIELDS,
     FloatBaselineCurve,
     SweepRecord,
@@ -274,6 +276,20 @@ class TestWidthSweep:
             run_width_sweep("rnn", [4], [2], ("float",), split, cfg)
 
     @pytest.mark.parametrize(
+        "family, sizes, bits, match",
+        [("ffdnn", [4, 8, 4], [2], r"sweep\.sizes: 4 is listed twice"),
+         ("cnn", [[2, 3], (2, 3)], [2], r"sweep\.sizes: 2-3 is listed twice"),
+         ("ffdnn", [4], [2, 4, 2], r"quant\.bits: 2 is listed twice")],
+    )
+    def test_repeats_rejected_before_any_work(self, monkeypatch, family, sizes, bits,
+                                              match):
+        # A repeated cell or bit width would rerun its points with the same
+        # seeds: duplicate records for twice the work.
+        monkeypatch.setattr(experiments, "_run_point", lambda args: pytest.fail("ran"))
+        with pytest.raises(ConfigError, match=match):
+            run_width_sweep(family, sizes, bits, MODES, _tiny_split(), _tiny_cfg())
+
+    @pytest.mark.parametrize(
         "family, sizes, match",
         [("cnn", [4], "sweep.sizes"), ("ffdnn", [[4]], "sweep.sizes"),
          ("ffdnn", [True], "sweep.sizes"), ("CNN", [[2]], "family")],
@@ -334,6 +350,13 @@ class TestDepthSweep:
         by_depth = run_depth_sweep("cnn", [2], network={"map_counts": [2, 3]}, **kw)
         assert {r.depth for r in by_width} == {2}
         assert by_width == by_depth
+
+    def test_repeated_depth_rejected(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_run_point", lambda args: pytest.fail("ran"))
+        with pytest.raises(ConfigError, match=r"sweep\.depths: 1 is listed twice"):
+            run_depth_sweep(
+                "ffdnn", [1, 0, 1], [2], ("float",), _tiny_split(), _tiny_cfg()
+            )
 
     def test_cnn_depth_needs_map_counts(self):
         split = synthetic_split(

@@ -1,6 +1,7 @@
 """Property tests for the grid rule, the step-size fit, the cache-free
 inference pass, the conv input gradient and sample runs, the training pool
-and ReLU; skipped when hypothesis is not installed."""
+and ReLU, and a check that a failing property reports under the repo's
+warning filters; skipped when hypothesis is not installed."""
 
 import os
 import tempfile
@@ -26,6 +27,8 @@ from quantbench.nn import (  # noqa: E402
 )
 from quantbench.quantizer import QuantizerSpec, apply, codes, optimize_delta  # noqa: E402
 from quantbench.tensor import Rng, Tensor  # noqa: E402
+
+pytest_plugins = ["pytester"]
 
 levels = st.integers(min_value=1, max_value=127).map(lambda h: 2 * h + 1)
 deltas = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
@@ -259,7 +262,7 @@ def test_input_grad_matches_whole_batch_fold_bit_for_bit(shape, c_out, seed, dat
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
-# Batches that split into sample runs under the real CONV_SLICE_BYTES, 2 to 3
+# Batches that split into sample runs under the real SLICE_BYTES, 2 to 3
 # bounds of patch matrix each. The rule never makes a small run
 # (test_sample_runs_are_aligned_and_never_small), and these cases keep runs
 # real-sized too: runs of a few KiB would change last bits, because OpenBLAS
@@ -272,7 +275,7 @@ def _split_batch_size(c, h, w, bounds):
     """Samples in ``bounds`` bounds of patch matrix, and at least two runs of
     the samples that span a multiple of 8 patch columns."""
     unit = 8 // np.gcd(h * w, 8)
-    return max(int(bounds * nn.CONV_SLICE_BYTES / _patch_bytes(c, h, w)), 2 * unit)
+    return max(int(bounds * nn.SLICE_BYTES / _patch_bytes(c, h, w)), 2 * unit)
 
 
 sliced_cases = st.tuples(
@@ -329,18 +332,18 @@ def test_sample_runs_are_aligned_and_never_small(shape):
     per_sample = _patch_bytes(c, h, w)
     assert [s for s, _ in runs] == [0] + [e for _, e in runs[:-1]]
     assert runs[-1][1] == n
-    if n * per_sample <= nn.CONV_SLICE_BYTES:
+    if n * per_sample <= nn.SLICE_BYTES:
         assert runs == [(0, n)]
     for s, e in runs[:-1]:
         assert (e - s) * h * w % 8 == 0
     if len(runs) > 1:  # so every run's patch holds at least 2^20 entries
-        assert min(e - s for s, e in runs) * per_sample >= nn.CONV_SLICE_BYTES // 2
+        assert min(e - s for s, e in runs) * per_sample >= nn.SLICE_BYTES // 2
 
 
 def test_one_map_conv_is_never_sliced(monkeypatch):
     # numpy runs a one-row GEMM as a matrix-vector product whose bits depend
     # on the column count; split into samples, this batch changes bits.
-    monkeypatch.setattr(nn, "CONV_SLICE_BYTES", 1)
+    monkeypatch.setattr(nn, "SLICE_BYTES", 1)
     conv = _conv_layer(8, 1, 17, 18, seed=3)
     x = Rng(4).uniform((9, 8, 17, 18), -1.0, 1.0)
     assert nn._sample_runs(x.shape) == [(0, 4), (4, 9)]
@@ -378,3 +381,32 @@ def test_relu_matches_where_reference_bit_for_bit(x):
     assert out.tobytes() == expected.tobytes()
     assert np.array_equal(mask, x > 0)
     assert x.tobytes() == before
+
+
+_FAIL_THEN_PASS = """
+from hypothesis import given, strategies as st
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 3
+
+def test_after():
+    pass
+"""
+
+
+def test_failing_property_reports_and_the_session_goes_on(pytester):
+    # Reporting a falsifying example imports libcst, which raises a
+    # DeprecationWarning; under the repo's warning filters it must not turn
+    # into an INTERNALERROR that ends the session.
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        filters = tomllib.load(fh)["tool"]["pytest"]["ini_options"]["filterwarnings"]
+    pytester.makeini(
+        "[pytest]\nfilterwarnings =\n" + "".join(f"    {f}\n" for f in filters)
+    )
+    pytester.makepyfile(test_inner=_FAIL_THEN_PASS)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result.stdout.no_fnmatch_line("*INTERNALERROR*")
+    result.assert_outcomes(failed=1, passed=1)

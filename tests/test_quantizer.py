@@ -316,6 +316,12 @@ class TestDirectQuantize:
         with pytest.raises(ConfigError, match="nope"):
             direct_quantize(self._net(), 2, groups=["nope"])
 
+    def test_repeated_group_rejected(self):
+        # A second pass would fit the grid values and keep them as the shadow,
+        # losing the float master that retraining starts from.
+        with pytest.raises(ConfigError, match=r"quant\.groups: In-h1 is listed twice"):
+            direct_quantize(self._net(), 2, groups=["In-h1", "h1-h2", "In-h1"])
+
     def test_eight_bit_quantization_close_to_float(self):
         net = self._net()
         qnet, _ = direct_quantize(net, 8)

@@ -1,6 +1,7 @@
 """Training loops, the shared optimizer, and retraining invariants."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,19 @@ import pytest
 from quantbench.data import Dataset, DatasetSplit, synthetic_split
 from quantbench.errors import ConfigError, DivergenceError, UsageError
 from quantbench.experiments import LOG_FIELDS, write_train_log
-from quantbench import trainer
-from quantbench.nn import build_cnn, build_ffdnn, forward, predict
+from quantbench import nn, trainer
+from quantbench.nn import (
+    EVAL_BATCH,
+    build_cnn,
+    build_ffdnn,
+    eval_chunk,
+    forward,
+    predict,
+)
 from quantbench.quantizer import direct_quantize
 from quantbench.tensor import Rng, Tensor
 from quantbench.trainer import (
-    EVAL_BATCH,
     TrainConfig,
-    _eval_chunk,
     _Optimizer,
     evaluate,
     retrain_config,
@@ -157,23 +163,39 @@ class TestEvaluate:
         )
         assert evaluate(net, split.train) == pytest.approx(expected)
 
-    def test_cnn_chunks_bounded_by_patch_bytes(self, monkeypatch):
+    def test_cnn_chunks_bounded_by_activation_bytes(self, monkeypatch):
         split = synthetic_split("blobs", 30, 5, 5, classes=3, seed=2, shape=(2, 8, 8))
         net = build_cnn([3, 2], input_shape=(2, 8, 8), fc_units=4, classes=3, seed=1)
         whole = evaluate(net, split.train)
         chunks = []
         monkeypatch.setattr(trainer, "predict",
                             lambda n, x: chunks.append(len(x)) or predict(n, x))
-        # C1's patch matrix is the larger: 2*25 rows of 8*8 float64 per sample
-        monkeypatch.setattr(trainer, "EVAL_PATCH_BYTES", 7 * 8 * 50 * 64)
+        # C1's output is the largest activation: 3 maps of 8*8 float64 per sample
+        monkeypatch.setattr(nn, "SLICE_BYTES", 7 * 8 * 3 * 64)
         assert evaluate(net, split.train) == whole
         assert chunks == [7, 7, 7, 7, 2]
 
     def test_cifar_shaped_chunk(self):
-        # 128 MiB over C2's 1.6 MB per sample: cnn-train's 64-sample
-        # evaluations stay one chunk, and 512 CIFAR samples take seven.
-        assert _eval_chunk(build_cnn([32, 32, 64])) == 81
-        assert _eval_chunk(build_ffdnn(3072, 512, 3, 10)) == EVAL_BATCH
+        # 16 MiB over C1's 256 KiB output per sample: cnn-train's 64-sample
+        # evaluations stay one chunk, and 512 CIFAR samples take eight.
+        assert eval_chunk(build_cnn([32, 32, 64]).spec) == 64
+        assert eval_chunk(build_ffdnn(3072, 512, 3, 10).spec) == EVAL_BATCH
+
+    def test_cifar_shaped_evaluation_memory_bounded(self):
+        net = build_cnn([32, 32, 64], seed=1)
+        x = Rng(0).uniform((512, 3, 32, 32), -1.0, 1.0)
+        ds = Dataset(Tensor(x), np.zeros(512, dtype=np.int64), 10)
+        tracemalloc.start()
+        try:
+            evaluate(net, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # At C1 a chunk holds its output (at most SLICE_BYTES), one patch run
+        # (under twice SLICE_BYTES), and that run's output in GEMM order and
+        # transposed (each at most SLICE_BYTES). A whole 512-sample chunk
+        # would hold 128 MiB in C1's output alone.
+        assert peak < 5 * nn.SLICE_BYTES
 
     def test_empty_split_rejected(self):
         net = build_ffdnn(4, 3, 1, 2, seed=1)
