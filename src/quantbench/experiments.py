@@ -301,7 +301,9 @@ def _sweep(
             key = f"{cell['family']}|w{label}|d{depth}|s{rep}"
             points.append((cell, bits, modes, data, cfg, derive_seed(cfg.seed, key)))
     if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts all its workers at the first submit: no more than
+        # there are points.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
             chunks = list(pool.map(_run_point, points))
     else:
         chunks = [_run_point(p) for p in points]

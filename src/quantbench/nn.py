@@ -1,15 +1,19 @@
 """Layers, network assembly, and manual forward/backward passes.
 
-All layer math lives here. A conv layer in training unfolds its input once
-into a contiguous tap-major [C*25, N*H*W] patch matrix (``_im2col``), each row
-a run of whole image rows, that feeds both the forward GEMM and the dW GEMM.
-Backward releases that matrix once dW is taken. dX (``_input_grad``) is the
-adjoint of the unfold: its tap gradients are built one sample run at a time
-and added tap by tap onto the padded input gradient. Inference unfolds a
-batch whose patch matrix would pass SLICE_BYTES in sample runs too
-(``_sample_runs``), each written into one preallocated output. The runs are
-aligned and large, so both passes give every bit of one whole-batch GEMM.
-SLICE_BYTES also bounds the largest activation of an evaluation chunk.
+All layer math lives here. A conv layer unfolds its input into a contiguous
+tap-major [C*25, N*H*W] patch matrix (``_im2col``), each row a run of whole
+image rows, written into one module-level workspace (``_scratch``) that every
+conv call reuses and grows on demand. The training forward caches its input,
+not its patch matrix: backward unfolds that input again, whole-batch, for the
+dW GEMM. So no cache holds a view of the workspace, and any number of
+forwards or inference passes may run before a backward. dX (``_input_grad``)
+is the adjoint of the unfold: its tap gradients are built in the workspace
+one sample run at a time and added tap by tap onto the padded input gradient.
+Inference unfolds a batch whose patch matrix would pass SLICE_BYTES in sample
+runs too (``_sample_runs``), each run's output written straight into one
+preallocated output. The runs are aligned and large, so both passes give
+every bit of one whole-batch GEMM. SLICE_BYTES also bounds the largest
+activation of an evaluation chunk.
 
 A 2x2 max-pool is the maximum of four strided views (``_maxpool2_even``),
 with an odd trailing row or column padded by -inf; ties resolve to the
@@ -18,13 +22,13 @@ both give +0.0, byte for byte what ``where(x > 0, x, 0)`` gives.
 
 Every layer has two passes with one definition of its math: ``forward``
 returns what ``backward`` needs, ``infer`` returns only the output.
-``predict`` chains ``infer``, so evaluation runs a cache-free pass: no patch
-matrix, ReLU mask or pool argmax outlives its layer. In training the pool
-caches the winning tap of each window as an int8 (``_maxpool2_taps``), which
-backward turns into argmax positions. ``backward`` pops each layer's cache
-as it consumes it, so a ``ForwardCache`` serves exactly one backward pass,
-and it stops at the lowest layer that owns a weight group: no layer below it
-has a weight, so that layer computes no input gradient.
+``predict`` chains ``infer``, so evaluation runs a cache-free pass: no ReLU
+mask or pool argmax outlives its layer. In training the pool caches the
+winning tap of each window as an int8 (``_maxpool2_taps``), which backward
+turns into argmax positions. ``backward`` pops each layer's cache as it
+consumes it, so a ``ForwardCache`` serves exactly one backward pass, and it
+stops at the lowest layer that owns a weight group: no layer below it has a
+weight, so that layer computes no input gradient.
 
 Networks are flat ordered lists of layers. Every learnable layer owns a named
 WeightGroup (weight tensor + bias); quantization and retraining operate on
@@ -155,16 +159,39 @@ class _DenseLayer:
         return dx, (dw, db)
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
+# The one unfold workspace of every conv layer (``_scratch``). A view of it is
+# valid only inside the layer call that took it, so no cache holds one. It is
+# not thread-safe: the package starts no threads, and --jobs uses processes.
+_workspace = np.empty(0)
+
+
+def _scratch(rows: int, cols: int) -> np.ndarray:
+    """A [rows, cols] float64 view of the workspace, grown first if it is too
+    small. Its entries are whatever the last call left there."""
+    global _workspace
+    if _workspace.size < rows * cols:
+        _workspace = np.empty(0)  # release the old buffer before the new one
+        _workspace = np.empty(rows * cols)
+    return _workspace[: rows * cols].reshape(rows, cols)
+
+
+def _im2col(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Unfold a [N, C, H, W] batch, zero-padded for a same-size 5x5 conv, into
-    one contiguous tap-major [C*25, N*H*W] patch matrix: row (c, dy, dx), in
-    the order of a flattened kernel, holds input channel c shifted by tap
-    (dy, dx) at every output pixel (i, y, x). Each row is a run of whole image
-    rows, so the unfold copies contiguous stretches of the padded input."""
-    n, c, h, w = x.shape
+    ``out``, a contiguous tap-major [C*25, N*H*W] patch matrix: row (c, dy,
+    dx), in the order of a flattened kernel, holds input channel c shifted by
+    tap (dy, dx) at every output pixel (i, y, x). Each row is a run of whole
+    image rows, so the unfold copies contiguous stretches of the padded input."""
     xp = np.pad(x, ((0, 0), (0, 0), (CONV_PAD, CONV_PAD), (CONV_PAD, CONV_PAD)))
     windows = sliding_window_view(xp, (KERNEL_SIZE, KERNEL_SIZE), axis=(2, 3))
-    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * KERNEL_SIZE**2, n * h * w)
+    taps = windows.transpose(1, 4, 5, 0, 2, 3)  # [C, 5, 5, N, H, W]
+    out.reshape(taps.shape)[...] = taps
+    return out
+
+
+def _unfold(x: np.ndarray) -> np.ndarray:
+    """The patch matrix of x, unfolded into the workspace."""
+    n, c, h, w = x.shape
+    return _im2col(x, _scratch(c * KERNEL_SIZE**2, n * h * w))
 
 
 def _sample_runs(x_shape: tuple) -> list[tuple[int, int]]:
@@ -190,15 +217,16 @@ def _input_grad(k: np.ndarray, dyf: np.ndarray, x_shape: tuple) -> np.ndarray:
     """dX of a same-size 5x5 conv with kernels ``k`` from the [N*H*W, C_out]
     output gradient ``dyf``: the adjoint of _im2col applied to K^T dY.
 
-    Each sample run's [C*25, run*H*W] tap gradients come from one GEMM and
-    are added tap by tap, in kernel order, onto a zeroed channel-major padded
-    gradient, so no whole-batch patch gradient is ever built."""
+    Each sample run's [C*25, run*H*W] tap gradients come from one GEMM into
+    the workspace and are added tap by tap, in kernel order, onto a zeroed
+    channel-major padded gradient, so no whole-batch patch gradient is built."""
     n, c, h, w = x_shape
     kt = k.reshape(k.shape[0], -1).T
     hw, p = h * w, CONV_PAD
     dxp = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=np.float64)
     for s, e in _sample_runs(x_shape):
-        taps = kt @ dyf[s * hw : e * hw].T  # [C*25, run*H*W]
+        taps = _scratch(c * KERNEL_SIZE**2, (e - s) * hw)
+        np.matmul(kt, dyf[s * hw : e * hw].T, out=taps)  # [C*25, run*H*W]
         taps = taps.reshape(c, KERNEL_SIZE, KERNEL_SIZE, e - s, h, w)
         for dy in range(KERNEL_SIZE):
             for dx in range(KERNEL_SIZE):
@@ -252,21 +280,18 @@ class _ConvLayer:
         self.group = group
 
     def forward(self, x, mode, rng):
-        # One whole-batch patch matrix: the dW GEMM needs it in one piece to
-        # keep its bits.
-        y, cols = self._conv(self._checked(x))
-        return y, (cols, x.shape)
+        # The cache is the input: backward unfolds it again, whole-batch, since
+        # the dW GEMM needs the patch matrix in one piece to keep its bits.
+        return self._conv(self._checked(x)), x
 
     def infer(self, x):
-        runs = _sample_runs(self._checked(x).shape)
+        n, _, h, w = self._checked(x).shape
         c_out = self.group.weights.shape[0]
+        y = np.empty((n, c_out, h, w), dtype=np.float64)
         # numpy runs a one-map conv's GEMM as a matrix-vector product, whose
         # bits depend on the column count, so that conv is never split.
-        if len(runs) == 1 or c_out == 1:
-            return self._conv(x)[0]
-        y = np.empty((x.shape[0], c_out, *x.shape[2:]), dtype=np.float64)
-        for s, e in runs:
-            y[s:e] = self._conv(x[s:e])[0]
+        for s, e in _sample_runs(x.shape) if c_out > 1 else [(0, n)]:
+            self._conv(x[s:e], y[s:e])
         return y
 
     def _checked(self, x):
@@ -279,30 +304,30 @@ class _ConvLayer:
             )
         return x
 
-    def _conv(self, x):
+    def _conv(self, x, y=None):
+        """The conv of x, bias added, written into ``y`` (a new array if None)."""
         k = self.group.weights.ndarray
         n, _, h, w = x.shape
         c_out = k.shape[0]
-        cols = _im2col(x)  # [C_in*25, N*H*W]
         # K @ cols, not cols.T @ K.T: the same products, but BLAS runs this
         # orientation about 3x faster on a CIFAR-sized batch.
-        y = k.reshape(c_out, -1) @ cols
-        y += self.group.bias.ndarray[:, None]
-        y = np.ascontiguousarray(y.reshape(c_out, n, h, w).transpose(1, 0, 2, 3))
-        return y, cols
+        g = k.reshape(c_out, -1) @ _unfold(x)
+        g += self.group.bias.ndarray[:, None]
+        if y is None:
+            y = np.empty((n, c_out, h, w), dtype=np.float64)
+        y[...] = g.reshape(c_out, n, h, w).transpose(1, 0, 2, 3)
+        return y
 
-    def backward(self, dy, cache, need_dx=True):
-        cols, x_shape = cache
+    def backward(self, dy, x, need_dx=True):
         c_out = dy.shape[1]
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)  # [N*H*W, C_out]
-        dw = (dyf.T @ cols.T).reshape(self.group.weights.shape)
+        dw = (dyf.T @ _unfold(x).T).reshape(self.group.weights.shape)
         # Summed down the columns of this copy: a row sum of dyf.T would add
         # pairwise and change db's last bits.
         db = dyf.sum(axis=0)
-        del cache, cols  # dX does not read the patch matrix: release it now
         if not need_dx:
             return None, (dw, db)
-        return _input_grad(self.group.weights.ndarray, dyf, x_shape), (dw, db)
+        return _input_grad(self.group.weights.ndarray, dyf, x.shape), (dw, db)
 
 
 def _pool_input(x: np.ndarray) -> np.ndarray:
@@ -601,6 +626,8 @@ def _walk_shapes(spec: NetworkSpec) -> tuple[dict[str, tuple[tuple, tuple]], int
     for ls in spec.layers:
         if ls.group is not None and ls.group in shapes:
             raise ConfigError(f"weight group {ls.group!r} is declared twice")
+        if ls.kind in ("conv5x5", "maxpool2") and len(shape) != 3:
+            raise ConfigError(f"{ls.kind} layer needs [C, H, W] input, got {shape}")
         if ls.kind == "dense":
             fan_in = int(math.prod(shape))
             if ls.units is None or ls.units <= 0 or ls.group is None:
@@ -608,8 +635,6 @@ def _walk_shapes(spec: NetworkSpec) -> tuple[dict[str, tuple[tuple, tuple]], int
             shapes[ls.group] = ((fan_in, ls.units), (ls.units,))
             shape = (ls.units,)
         elif ls.kind == "conv5x5":
-            if len(shape) != 3:
-                raise ConfigError(f"conv layer needs [C, H, W] input, got {shape}")
             if ls.maps is None or ls.maps <= 0 or ls.group is None:
                 raise ConfigError(f"bad conv layer spec {ls}")
             c, h, w = shape

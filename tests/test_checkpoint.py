@@ -1,6 +1,7 @@
 """Binary checkpoint round-trips and corruption handling."""
 
 import hashlib
+import json
 import struct
 import warnings
 
@@ -162,6 +163,16 @@ class TestCorruption:
         p.write_bytes(MAGIC + struct.pack("<II", 1, len(spec)) + spec
                       + struct.pack("<I", 0))
         with pytest.raises(DataFormatError, match="invalid network spec"):
+            load_checkpoint(p)
+
+    def test_pool_over_flat_shape_is_a_format_error(self, tmp_path):
+        layers = [{"kind": "dense", "units": 4, "group": "In-h1"}, {"kind": "maxpool2"},
+                  {"kind": "dense", "units": 3, "group": "h1-out"}, {"kind": "softmax"}]
+        spec = json.dumps({"input_shape": [6], "classes": 3, "layers": layers}).encode()
+        p = tmp_path / "pool.ckpt"
+        p.write_bytes(MAGIC + struct.pack("<II", 1, len(spec)) + spec
+                      + struct.pack("<I", 0))
+        with pytest.raises(DataFormatError, match="maxpool2 layer needs"):
             load_checkpoint(p)
 
     def test_missing_file(self, tmp_path):

@@ -262,6 +262,29 @@ class TestWidthSweep:
         )
         assert run_width_sweep(**kw, jobs=2) == run_width_sweep(**kw, jobs=1)
 
+    def test_pool_never_larger_than_the_sweep(self, monkeypatch):
+        # A process pool starts all its workers at the first submit, so the
+        # pool is sized by the points; this fake runs them in this process.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        kw = dict(family="ffdnn", sizes=[2, 3, 4], bit_list=[], modes=("float",),
+                  data=_tiny_split(), cfg=_tiny_cfg(max_epochs=1), seed_reps=1)
+        assert run_width_sweep(**kw, jobs=64) == run_width_sweep(**kw, jobs=1)
+        assert sizes == [3]
+
     def test_input_validation(self):
         split, cfg = _tiny_split(), _tiny_cfg()
         with pytest.raises(ConfigError, match="mode"):

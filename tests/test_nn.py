@@ -1,6 +1,8 @@
 """Network assembly, the dense/conv/pool layer math against naive references,
 forward/backward passes, and parameter accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,13 @@ class TestSpecRoundTrip:
         spec = build_cnn([2], input_shape=(3, 4, 4)).spec
         spec = NetworkSpec(input_shape, spec.classes, spec.layers)
         with pytest.raises(ConfigError, match="input shape"):
+            group_shapes(spec)
+
+    def test_pool_over_flat_shape_rejected(self):
+        layers = (LayerSpec("dense", units=4, group="In-h1"), LayerSpec("maxpool2"),
+                  LayerSpec("dense", units=3, group="h1-out"), LayerSpec("softmax"))
+        spec = NetworkSpec((6,), 3, layers)
+        with pytest.raises(ConfigError, match=r"maxpool2 layer needs \[C, H, W\]"):
             group_shapes(spec)
 
     def test_stack_must_end_at_class_count(self):
@@ -438,6 +447,57 @@ class TestConv2d:
         save_checkpoint(net, tmp_path / "k3.ckpt")
         with pytest.raises(DataFormatError, match="spec shape"):
             load_checkpoint(tmp_path / "k3.ckpt")
+
+
+def _grad_bytes(grads):
+    return {name: (dw.tobytes(), db.tobytes()) for name, (dw, db) in grads.items()}
+
+
+def _one_step(net, x, targets):
+    _, cache = forward(net, Tensor(x), mode="train")
+    return _grad_bytes(backward(net, cache, targets))
+
+
+class TestConvWorkspace:
+    """Every conv call unfolds into one shared workspace, so no forward cache
+    may depend on what a later call leaves there."""
+
+    def _case(self):
+        net = build_cnn([3, 4], input_shape=(2, 10, 9), fc_units=5, classes=3, seed=2)
+        xa, xb = (Rng(s).uniform((n, 2, 10, 9), -1, 1) for s, n in ((3, 5), (4, 7)))
+        return net, xa, xb, [0, 1, 2, 1, 0], [2, 2, 1, 0, 1, 0, 0]
+
+    def test_two_forwards_then_two_backwards(self):
+        net, xa, xb, ta, tb = self._case()
+        want_a, want_b = _one_step(net, xa, ta), _one_step(net, xb, tb)
+        _, cache_a = forward(net, Tensor(xa), mode="train")
+        _, cache_b = forward(net, Tensor(xb), mode="train")
+        assert _grad_bytes(backward(net, cache_a, ta)) == want_a
+        assert _grad_bytes(backward(net, cache_b, tb)) == want_b
+
+    def test_predict_between_forward_and_backward(self):
+        net, xa, xb, ta, _ = self._case()
+        want = _one_step(net, xa, ta)
+        _, cache = forward(net, Tensor(xa), mode="train")
+        predict(net, xb)
+        assert _grad_bytes(backward(net, cache, ta)) == want
+
+    def test_cifar_shaped_training_step_memory_bounded(self, monkeypatch):
+        net = build_cnn([32, 32, 64], seed=1)
+        x = Rng(0).uniform((64, 3, 32, 32), -1.0, 1.0)
+        targets = np.arange(64) % 10
+        monkeypatch.setattr(nn, "_workspace", np.empty(0))  # count its growth
+        tracemalloc.start()
+        try:
+            _, cache = forward(net, Tensor(x), mode="train")
+            backward(net, cache, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The workspace grows to C2's whole-batch patch matrix; no step holds
+        # a second one, nor C1's or C3's, beside it.
+        c2_patch = 8 * 25 * 32 * 16 * 16 * 64
+        assert peak < c2_patch + 3 * nn.SLICE_BYTES
 
 
 def _assert_pool_pass_is_naive(x):

@@ -305,7 +305,7 @@ def _conv_layer(c_in, c_out, h, w, seed):
 @example(case=(16, 21, 23, 64, 21, 1))  # odd maps: runs of 8 and 13 samples
 def test_sliced_conv_inference_matches_one_conv_bit_for_bit(case):
     conv, x = _sliced_case(*case)
-    assert conv.infer(x).tobytes() == conv._conv(x)[0].tobytes()
+    assert conv.infer(x).tobytes() == conv._conv(x).tobytes()
 
 
 @SLICE_SETTINGS
@@ -347,7 +347,7 @@ def test_one_map_conv_is_never_sliced(monkeypatch):
     conv = _conv_layer(8, 1, 17, 18, seed=3)
     x = Rng(4).uniform((9, 8, 17, 18), -1.0, 1.0)
     assert nn._sample_runs(x.shape) == [(0, 4), (4, 9)]
-    assert conv.infer(x).tobytes() == conv._conv(x)[0].tobytes()
+    assert conv.infer(x).tobytes() == conv._conv(x).tobytes()
 
 
 def test_predict_is_eval_forward_across_conv_slices():

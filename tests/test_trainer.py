@@ -181,21 +181,23 @@ class TestEvaluate:
         assert eval_chunk(build_cnn([32, 32, 64]).spec) == 64
         assert eval_chunk(build_ffdnn(3072, 512, 3, 10).spec) == EVAL_BATCH
 
-    def test_cifar_shaped_evaluation_memory_bounded(self):
+    def test_cifar_shaped_evaluation_memory_bounded(self, monkeypatch):
         net = build_cnn([32, 32, 64], seed=1)
         x = Rng(0).uniform((512, 3, 32, 32), -1.0, 1.0)
         ds = Dataset(Tensor(x), np.zeros(512, dtype=np.int64), 10)
+        monkeypatch.setattr(nn, "_workspace", np.empty(0))  # count its growth
         tracemalloc.start()
         try:
             evaluate(net, ds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # At C1 a chunk holds its output (at most SLICE_BYTES), one patch run
-        # (under twice SLICE_BYTES), and that run's output in GEMM order and
-        # transposed (each at most SLICE_BYTES). A whole 512-sample chunk
-        # would hold 128 MiB in C1's output alone.
-        assert peak < 5 * nn.SLICE_BYTES
+        # At C1 a chunk holds its output (at most SLICE_BYTES), the unfold
+        # workspace (one patch run, under twice SLICE_BYTES) and that run's
+        # output in GEMM order (at most SLICE_BYTES); at C1's ReLU, the output,
+        # the ReLU's and the workspace. A whole 512-sample chunk would hold
+        # 128 MiB in C1's output alone.
+        assert peak < 4 * nn.SLICE_BYTES
 
     def test_empty_split_rejected(self):
         net = build_ffdnn(4, 3, 1, 2, seed=1)
