@@ -133,10 +133,9 @@ def load_cifar10(directory: str) -> DatasetSplit:
 # ---------------------------------------------------------------------------
 
 
-def _parse_csv_rows(path: str) -> tuple[list[list[float]], bool]:
-    """Parse a numeric CSV; returns (rows, had_header). Errors carry line numbers."""
+def _parse_csv_rows(path: str) -> list[list[float]]:
+    """Parse a numeric CSV, skipping a header row. Errors carry line numbers."""
     rows: list[list[float]] = []
-    had_header = False
     width = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -151,7 +150,6 @@ def _parse_csv_rows(path: str) -> tuple[list[list[float]], bool]:
     try:
         [float(c) for c in cells]
     except ValueError:
-        had_header = True
         body_start = first_data + 1
     for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
         if not line.strip():
@@ -170,7 +168,7 @@ def _parse_csv_rows(path: str) -> tuple[list[list[float]], bool]:
         rows.append(row)
     if not rows:
         raise DataFormatError(f"{path}: file holds no data rows")
-    return rows, had_header
+    return rows
 
 
 def _labels_from_column(values: list[float], path: str) -> np.ndarray:
@@ -199,9 +197,9 @@ def load_csv(
     file is taken as the label column. A single non-numeric first row is
     treated as a header. ``class_count`` defaults to max(label) + 1.
     """
-    rows, _ = _parse_csv_rows(features_path)
+    rows = _parse_csv_rows(features_path)
     if labels_path is not None:
-        label_rows, _ = _parse_csv_rows(labels_path)
+        label_rows = _parse_csv_rows(labels_path)
         if any(len(r) != 1 for r in label_rows):
             raise DataFormatError(f"{labels_path}: labels file must have one column")
         if len(label_rows) != len(rows):
@@ -339,7 +337,7 @@ def synthetic_split(
 
 def batches(
     ds: Dataset, batch_size: int, shuffle: bool = False, rng: Rng | None = None
-) -> Iterator[tuple[Tensor, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (features, labels) covering every sample exactly once.
 
     The final short batch is included. Shuffling consumes the supplied rng;
@@ -356,4 +354,4 @@ def batches(
     feats = ds.features.ndarray
     for start in range(0, ds.size, batch_size):
         idx = order[start : start + batch_size]
-        yield Tensor._wrap(feats[idx]), ds.labels[idx]
+        yield feats[idx], ds.labels[idx]

@@ -3,17 +3,17 @@
 All layer math lives here. A conv layer unfolds its input into a contiguous
 tap-major [C*25, N*H*W] patch matrix (``_im2col``), each row a run of whole
 image rows, written into one module-level workspace (``_scratch``) that every
-conv call reuses and grows on demand. The training forward caches its input,
-not its patch matrix: backward unfolds that input again, whole-batch, for the
-dW GEMM. So no cache holds a view of the workspace, and any number of
-forwards or inference passes may run before a backward. dX (``_input_grad``)
-is the adjoint of the unfold: its tap gradients are built in the workspace
-one sample run at a time and added tap by tap onto the padded input gradient.
-Inference unfolds a batch whose patch matrix would pass SLICE_BYTES in sample
-runs too (``_sample_runs``), each run's output written straight into one
-preallocated output. The runs are aligned and large, so both passes give
-every bit of one whole-batch GEMM. SLICE_BYTES also bounds the largest
-activation of an evaluation chunk.
+conv call reuses and grows on demand. Both passes compute a conv's output
+with ``infer``: a batch whose patch matrix would pass SLICE_BYTES is unfolded
+in sample runs (``_sample_runs``), each run's output written straight into
+one preallocated output. The training forward caches its input, not a patch
+matrix: backward unfolds that input again, whole-batch, for the dW GEMM. So
+no cache holds a view of the workspace, and any number of forwards or
+inference passes may run before a backward. dX (``_input_grad``) is the
+adjoint of the unfold, built in the workspace one sample run at a time and
+added tap by tap onto the padded input gradient. The runs are aligned and
+large, so each gives every bit of one whole-batch GEMM. SLICE_BYTES also
+bounds the largest activation of an evaluation chunk.
 
 A 2x2 max-pool is the maximum of four strided views (``_maxpool2_even``),
 with an odd trailing row or column padded by -inf; ties resolve to the
@@ -21,9 +21,11 @@ smallest flat index. ReLU is branch-free, ``fmax(x, 0) + 0.0``: NaN and -0.0
 both give +0.0, byte for byte what ``where(x > 0, x, 0)`` gives.
 
 Every layer has two passes with one definition of its math: ``forward``
-returns what ``backward`` needs, ``infer`` returns only the output.
-``predict`` chains ``infer``, so evaluation runs a cache-free pass: no ReLU
-mask or pool argmax outlives its layer. In training the pool caches the
+returns what ``backward`` needs, ``infer`` returns only the output. A network
+has one pass per purpose, both on ndarrays: ``forward`` trains, with dropout
+only when given an ``Rng`` (without one its probabilities are ``predict``'s
+bit for bit), and ``predict`` infers through ``infer`` with no caches, so no
+ReLU mask or pool argmax outlives its layer. In training the pool caches the
 winning tap of each window as an int8 (``_maxpool2_taps``), which backward
 turns into argmax positions. ``backward`` pops each layer's cache as it
 consumes it, so a ``ForwardCache`` serves exactly one backward pass, and it
@@ -46,7 +48,8 @@ quantized point while updates accumulate in float shadow copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -142,7 +145,7 @@ class _DenseLayer:
     def __init__(self, group: WeightGroup):
         self.group = group
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, rng):
         return self.infer(x), (x.reshape(x.shape[0], -1), x.shape)
 
     def infer(self, x):
@@ -279,43 +282,30 @@ class _ConvLayer:
     def __init__(self, group: WeightGroup):
         self.group = group
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, rng):
         # The cache is the input: backward unfolds it again, whole-batch, since
         # the dW GEMM needs the patch matrix in one piece to keep its bits.
-        return self._conv(self._checked(x)), x
+        return self.infer(x), x
 
     def infer(self, x):
-        n, _, h, w = self._checked(x).shape
-        c_out = self.group.weights.shape[0]
-        y = np.empty((n, c_out, h, w), dtype=np.float64)
-        # numpy runs a one-map conv's GEMM as a matrix-vector product, whose
-        # bits depend on the column count, so that conv is never split.
-        for s, e in _sample_runs(x.shape) if c_out > 1 else [(0, n)]:
-            self._conv(x[s:e], y[s:e])
-        return y
-
-    def _checked(self, x):
+        k = self.group.weights.ndarray
         if x.ndim != 4:
             raise DimensionError(f"conv layer expects [N, C, H, W], got {x.shape}")
-        k = self.group.weights.ndarray
         if x.shape[1] != k.shape[1]:
             raise DimensionError(
                 f"conv channel mismatch: input {x.shape} vs kernels {k.shape}"
             )
-        return x
-
-    def _conv(self, x, y=None):
-        """The conv of x, bias added, written into ``y`` (a new array if None)."""
-        k = self.group.weights.ndarray
-        n, _, h, w = x.shape
-        c_out = k.shape[0]
-        # K @ cols, not cols.T @ K.T: the same products, but BLAS runs this
-        # orientation about 3x faster on a CIFAR-sized batch.
-        g = k.reshape(c_out, -1) @ _unfold(x)
-        g += self.group.bias.ndarray[:, None]
-        if y is None:
-            y = np.empty((n, c_out, h, w), dtype=np.float64)
-        y[...] = g.reshape(c_out, n, h, w).transpose(1, 0, 2, 3)
+        (n, _, h, w), c_out = x.shape, k.shape[0]
+        kmat, bias = k.reshape(c_out, -1), self.group.bias.ndarray[:, None]
+        y = np.empty((n, c_out, h, w), dtype=np.float64)
+        # numpy runs a one-map conv's GEMM as a matrix-vector product, whose
+        # bits depend on the column count, so that conv is never split.
+        for s, e in _sample_runs(x.shape) if c_out > 1 else [(0, n)]:
+            # K @ cols, not cols.T @ K.T: the same products, but BLAS runs this
+            # orientation about 3x faster on a CIFAR-sized batch.
+            g = kmat @ _unfold(x[s:e])
+            g += bias
+            y[s:e] = g.reshape(c_out, e - s, h, w).transpose(1, 0, 2, 3)
         return y
 
     def backward(self, dy, x, need_dx=True):
@@ -345,7 +335,7 @@ def _pool_input(x: np.ndarray) -> np.ndarray:
 class _MaxPool2Layer:
     group = None
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, rng):
         xp = _pool_input(x)
         out = _maxpool2_even(xp)
         return out, (_maxpool2_taps(xp, out), x.shape)  # int8 tap per window
@@ -366,7 +356,7 @@ class _MaxPool2Layer:
 class _ReluLayer:
     group = None
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, rng):
         # The mask first: taking it after infer raised peak RSS in cnn-train.
         mask = x > 0
         return self.infer(x), mask
@@ -386,15 +376,11 @@ class _DropoutLayer:
     group = None
 
     def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
+        self.rate = rate  # checked in _walk_shapes
 
-    def forward(self, x, mode, rng):
-        if mode != "train" or self.rate == 0.0:
+    def forward(self, x, rng):
+        if rng is None or self.rate == 0.0:
             return x, None
-        if rng is None:
-            raise UsageError("training-mode forward through dropout requires an Rng")
         keep = rng.uniform(x.shape) >= self.rate
         mask = keep / (1.0 - self.rate)  # inverted dropout: eval path scales nothing
         return x * mask, mask
@@ -411,7 +397,7 @@ class _DropoutLayer:
 class _SoftmaxLayer:
     group = None
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, rng):
         return self.infer(x), x  # the logits, for logit_cross_entropy
 
     def infer(self, x):
@@ -433,7 +419,7 @@ def _make_layer(spec: LayerSpec, groups: dict[str, WeightGroup]):
     if spec.kind == "relu":
         return _ReluLayer()
     if spec.kind == "dropout":
-        return _DropoutLayer(spec.rate if spec.rate is not None else 0.0)
+        return _DropoutLayer(spec.rate or 0.0)
     if spec.kind == "softmax":
         return _SoftmaxLayer()
     raise ConfigError(f"unknown layer kind {spec.kind!r}")
@@ -464,6 +450,7 @@ class Network:
     """Ordered layer stack with named weight groups."""
 
     def __init__(self, spec: NetworkSpec, groups: dict[str, WeightGroup]):
+        _walk_shapes(spec)  # the one spec check, dropout rates included
         self.spec = spec
         self.groups = groups
         self.layers = [_make_layer(ls, groups) for ls in spec.layers]
@@ -475,54 +462,30 @@ class Network:
 
     def copy(self) -> "Network":
         """Independent network sharing this one's (immutable) tensors."""
-        groups = {
-            name: WeightGroup(
-                name=g.name,
-                weights=g.weights,
-                bias=g.bias,
-                shadow_weights=g.shadow_weights,
-                quantizer=g.quantizer,
-            )
-            for name, g in self.groups.items()
-        }
+        groups = {name: replace(g) for name, g in self.groups.items()}
         return Network(self.spec, groups)
 
 
 def forward(
-    net: Network, batch: Tensor, mode: str = "eval", rng: Rng | None = None
-) -> tuple[Tensor, ForwardCache]:
-    """Run the network on a batch; returns class probabilities and a cache.
-
-    ``mode`` is "train" (dropout active, needs ``rng``) or "eval" (dropout
-    disabled; deterministic). The cache feeds ``backward`` and is tied to the
-    parameter values used here.
-    """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = _checked_batch(net, batch.ndarray)
+    net: Network, batch: np.ndarray, rng: Rng | None = None
+) -> tuple[np.ndarray, ForwardCache]:
+    """The training pass: class probabilities of a batch (read-only, as the
+    cache holds them too) and the cache ``backward`` needs, tied to the
+    parameter values used here. Dropout is active exactly when ``rng`` is
+    given. The batch is never written to."""
+    x = _checked_batch(net, np.asarray(batch, dtype=np.float64))
     caches = []
     for layer in net.layers:
-        x, cache = layer.forward(x, mode, rng)
+        x, cache = layer.forward(x, rng)
         caches.append(cache)
     logits = caches.pop()  # the softmax's cache
-    return (
-        Tensor._wrap(x),
-        ForwardCache(
-            net=net,
-            param_version=net._param_version,
-            layer_caches=caches,
-            probs=x,
-            logits=logits,
-        ),
-    )
+    x.flags.writeable = False  # backward reads the returned probabilities
+    return x, ForwardCache(net, net._param_version, caches, x, logits)
 
 
 def predict(net: Network, batch: np.ndarray) -> np.ndarray:
-    """Class probabilities of a batch with dropout disabled, keeping no caches.
-
-    Bit-identical to ``forward(net, Tensor(batch), mode="eval")[0]``. The
-    batch is never written to.
-    """
+    """The inference pass: class probabilities of a batch with dropout
+    disabled, keeping no caches. The batch is never written to."""
     x = _checked_batch(net, np.asarray(batch, dtype=np.float64))
     for layer in net.layers:
         x = layer.infer(x)
@@ -579,11 +542,10 @@ def backward(
     return grads
 
 
-def cross_entropy(probs: Tensor, targets: Sequence[int]) -> float:
+def cross_entropy(probs: np.ndarray, targets: Sequence[int]) -> float:
     """Mean negative log-probability of the target classes."""
-    p = probs.ndarray
     t = np.asarray(targets, dtype=np.int64)
-    picked = p[np.arange(p.shape[0]), t]
+    picked = probs[np.arange(probs.shape[0]), t]
     with np.errstate(divide="ignore"):
         return float(-np.mean(np.log(picked)))
 
@@ -643,7 +605,12 @@ def _walk_shapes(spec: NetworkSpec) -> tuple[dict[str, tuple[tuple, tuple]], int
         elif ls.kind == "maxpool2":
             c, h, w = shape
             shape = (c, (h + 1) // 2, (w + 1) // 2)
-        elif ls.kind not in ("relu", "dropout", "softmax"):
+        elif ls.kind == "dropout":
+            rate = 0.0 if ls.rate is None else ls.rate
+            real = isinstance(rate, numbers.Real) and not isinstance(rate, bool)
+            if not (real and 0.0 <= rate < 1.0):
+                raise ConfigError(f"dropout rate must be in [0, 1), got {rate!r}")
+        elif ls.kind not in ("relu", "softmax"):
             raise ConfigError(f"unknown layer kind {ls.kind!r}")
         largest = max(largest, 8 * math.prod(shape))
     if shape != (spec.classes,):

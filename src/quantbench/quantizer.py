@@ -101,12 +101,10 @@ def codes(w: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
 def apply(w, spec: QuantizerSpec):
     """Quantize w onto the grid of ``spec``: codes(w) * delta.
 
-    Accepts a scalar, ndarray, or Tensor and returns the same kind. Total
-    function: saturates at +/- max_code * delta and is odd-symmetric as
-    numbers (apply(-w) == -apply(w)); zero is +0.0.
+    Returns a float for a scalar and an ndarray otherwise. Total function:
+    saturates at +/- max_code * delta and is odd-symmetric as numbers
+    (apply(-w) == -apply(w)); zero is +0.0.
     """
-    if isinstance(w, Tensor):
-        return Tensor._wrap(apply(w.ndarray, spec))
     arr = np.asarray(w, dtype=np.float64)
     if arr.ndim == 0:
         return float(apply(arr.reshape(1), spec)[0])
@@ -275,7 +273,7 @@ def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationRepor
     flagged in the report. A group with N * max_code * max|w|^2 above
     float max / 8, or a non-finite weight, raises ConfigError.
     """
-    arr = np.asarray(w if not isinstance(w, Tensor) else w.ndarray, dtype=np.float64)
+    arr = np.asarray(w, dtype=np.float64)
     flat = arr.reshape(-1)
     if flat.size == 0:
         raise ConfigError("cannot fit a step size to an empty weight group")
@@ -342,7 +340,7 @@ def direct_quantize(net, n_bits: int, groups="all"):
         delta, report = optimize_delta(group.weights.ndarray, M, group=name)
         spec = QuantizerSpec(M=M, delta=delta)
         group.shadow_weights = group.weights
-        group.weights = apply(group.weights, spec)
+        group.weights = Tensor._wrap(apply(group.weights.ndarray, spec))
         group.quantizer = spec
         reports.append(report)
     return out, reports

@@ -1,6 +1,10 @@
 """The data types: the immutable float64 ``Tensor``, the deterministic
 counter-based ``Rng``, and ``derive_seed`` for stable sub-seeds.
 
+``Tensor`` holds stored state only: the weights, bias and shadow weights of
+a ``WeightGroup`` and ``Dataset.features``. Everything a pass makes or takes
+(batches, activations, probabilities, gradients) is a plain ndarray.
+
 Layer math (the conv patch layout and the pool windows) lives in ``nn``.
 All arithmetic is carried out in 64-bit floats; reduced precision in this
 package only ever applies to stored weight values, never to arithmetic. The

@@ -158,12 +158,10 @@ class _Optimizer:
         return theta + v
 
 
-def _apply_updates(
-    net: Network, grads: dict, opt: _Optimizer, lr: float, retrain: bool
-) -> None:
+def _apply_updates(net: Network, grads: dict, opt: _Optimizer, lr: float) -> None:
     for name, (dw, db) in grads.items():
         group = net.groups[name]
-        if retrain and group.quantizer is not None:
+        if group.quantizer is not None:
             shadow = opt.step_array((name, "w"), group.shadow_weights.ndarray, dw, lr)
             group.shadow_weights = Tensor._wrap(shadow)
             group.weights = Tensor._wrap(apply(shadow, group.quantizer))
@@ -191,23 +189,24 @@ def _run_training(
     if data.train.size == 0:
         raise ConfigError("cannot train on an empty split")
     net = net.copy()
-    if retrain:
-        quantized = [g for g in net.groups.values() if g.quantizer is not None]
-        if not quantized:
-            raise UsageError(
-                "retraining requires a direct-quantized network "
-                "(no weight group carries a quantizer)"
-            )
-        for g in quantized:
-            if g.shadow_weights is None:
-                raise UsageError(
-                    f"quantized group {g.name!r} has no shadow float weights"
-                )
-        frozen_specs = {g.name: g.quantizer for g in quantized}
+    quantized = [g for g in net.groups.values() if g.quantizer is not None]
+    if quantized and not retrain:
+        raise UsageError(
+            f"float training requires an unquantized network; group "
+            f"{quantized[0].name!r} carries a quantizer (use retrain_quantized)"
+        )
+    if retrain and not quantized:
+        raise UsageError(
+            "retraining requires a direct-quantized network "
+            "(no weight group carries a quantizer)"
+        )
+    for g in quantized:
+        if g.shadow_weights is None:
+            raise UsageError(f"quantized group {g.name!r} has no shadow float weights")
+    frozen_specs = {g.name: g.quantizer for g in quantized}
     rng = Rng(cfg.seed)
     shuffle_rng = rng.spawn("shuffle")
     dropout_rng = rng.spawn("dropout") if cfg.dropout_active else None
-    train_mode = "train" if cfg.dropout_active else "eval"
     opt = _Optimizer(net, cfg)
     log = TrainLog(best_metric=evaluate(net, data.valid))
     best_net = net.copy()
@@ -220,7 +219,7 @@ def _run_training(
         for feats, labels in batches(
             data.train, cfg.batch_size, shuffle=True, rng=shuffle_rng
         ):
-            probs, cache = forward(net, feats, mode=train_mode, rng=dropout_rng)
+            probs, cache = forward(net, feats, dropout_rng)
             loss = cross_entropy(probs, labels)
             if not np.isfinite(loss):
                 # A saturated softmax underflows a picked probability to 0;
@@ -231,12 +230,11 @@ def _run_training(
             loss_sum += loss * feats.shape[0]
             seen += feats.shape[0]
             grads = backward(net, cache, labels)
-            _apply_updates(net, grads, opt, lr, retrain)
-        if retrain:
-            _assert_on_grid(net)
-            for name, spec in frozen_specs.items():
-                if net.groups[name].quantizer != spec:
-                    raise UsageError(f"quantizer of group {name!r} changed mid-run")
+            _apply_updates(net, grads, opt, lr)
+        _assert_on_grid(net)  # a float run has no quantized group to check
+        for name, spec in frozen_specs.items():
+            if net.groups[name].quantizer != spec:
+                raise UsageError(f"quantizer of group {name!r} changed mid-run")
         val_metric = evaluate(net, data.valid)
         log.records.append(
             EpochRecord(
@@ -265,8 +263,9 @@ def train_float(
 ) -> tuple[Network, TrainLog]:
     """Train all weight groups as ordinary float parameters.
 
-    The input network is not mutated. Returns the snapshot with the lowest
-    validation error seen during the run.
+    A network with a quantized group is rejected (UsageError): float updates
+    would move its weights off the grid. The input network is not mutated.
+    Returns the snapshot with the lowest validation error seen during the run.
     """
     return _run_training(net, data, cfg, retrain=False)
 

@@ -181,7 +181,7 @@ def test_criterion_02_rule_matches_transliteration_bit_exactly():
 
 def _loss_for_gradcheck(net, x, targets, mode, seed):
     rng = Rng(seed) if mode == "train" else None
-    probs, cache = forward(net, x, mode=mode, rng=rng)
+    probs, cache = forward(net, x, rng)
     return cross_entropy(probs, targets), cache
 
 
@@ -248,7 +248,7 @@ def test_criterion_03_gradients_match_finite_differences():
 
     for net, x_shape, classes, mode in cases:
         assert count_params(net) <= 10_000
-        x = Tensor(data_rng.normal(0.0, 1.0, x_shape))
+        x = data_rng.normal(0.0, 1.0, x_shape)
         targets = data_rng.integers(0, classes, x_shape[0])
         worst = _worst_gradient_error(net, x, targets, mode=mode, eps=1e-5)
         assert worst < 1e-6, f"{mode} net: worst relative error {worst:.3e}"

@@ -37,10 +37,10 @@ class TestFloatRoundTrip:
         p = tmp_path / "net.ckpt"
         save_checkpoint(net, p)
         loaded = load_checkpoint(p)
-        x = Tensor(Rng(7).uniform((3, 3, 12, 12)))
+        x = Rng(7).uniform((3, 3, 12, 12))
         a, _ = forward(net, x)
         b, _ = forward(loaded, x)
-        assert np.array_equal(a.ndarray, b.ndarray)
+        assert np.array_equal(a, b)
 
     def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
         net = build_ffdnn(10, 6, 1, 4, seed=9)
@@ -110,7 +110,7 @@ class TestQuantizedRoundTrip:
         group = net.groups["In-h1"]
         spec = QuantizerSpec(M=257, delta=0.01)
         group.shadow_weights = group.weights
-        group.weights = apply(group.weights, spec)
+        group.weights = Tensor(apply(group.weights.ndarray, spec))
         group.quantizer = spec
         net.mark_params_changed()
         with pytest.raises(DataFormatError, match="signed-byte code range"):
@@ -173,6 +173,16 @@ class TestCorruption:
         p.write_bytes(MAGIC + struct.pack("<II", 1, len(spec)) + spec
                       + struct.pack("<I", 0))
         with pytest.raises(DataFormatError, match="maxpool2 layer needs"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("rate", [b"1.5", b'"x"', b"[1]", b"NaN"])
+    def test_bad_dropout_rate_is_a_format_error(self, tmp_path, rate):
+        p, raw = self._saved(tmp_path)
+        assert raw.count(b'"rate":0.2') == 1
+        spec_len = struct.unpack_from("<I", raw, 12)[0] + len(rate) - 3
+        bad = raw.replace(b'"rate":0.2', b'"rate":' + rate)
+        p.write_bytes(bad[:12] + struct.pack("<I", spec_len) + bad[16:])
+        with pytest.raises(DataFormatError, match="dropout rate"):
             load_checkpoint(p)
 
     def test_missing_file(self, tmp_path):

@@ -306,6 +306,24 @@ class TestExitCodes:
         assert _run("quantize", "--config", config) == 3
         assert "softmax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", [b"1.5", b'"x"', b"[1]", b"NaN"])
+    def test_quantize_on_checkpoint_with_bad_dropout_rate(self, tmp_path, capsys, rate):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["quant"] = {"n_bits": 2}
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 0
+        ckpt = out / "float.ckpt"
+        raw = ckpt.read_bytes()
+        assert raw.count(b'"rate":0.0') == 1
+        # same length, so the spec blob still parses
+        ckpt.write_bytes(raw.replace(b'"rate":0.0', b'"rate":' + rate))
+        capsys.readouterr()
+        assert _run("quantize", "--config", config) == 3
+        err = capsys.readouterr().err
+        assert "dropout rate" in err
+        assert "Traceback" not in err
+
     def test_quantize_weight_too_large_to_fit(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = _base_config(out_dir=str(out))

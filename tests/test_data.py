@@ -72,8 +72,8 @@ class TestSynthetic:
 
         ds = make_synthetic("teacher_net", 64, 5, seed=9, dim=12)
         assert ds.teacher is not None
-        probs, _ = forward(ds.teacher, ds.features)
-        assert np.array_equal(np.argmax(probs.ndarray, axis=1), ds.labels)
+        probs, _ = forward(ds.teacher, ds.features.ndarray)
+        assert np.array_equal(np.argmax(probs, axis=1), ds.labels)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -257,7 +257,7 @@ class TestBatches:
         got = list(batches(self._ds(), 4))
         sizes = [feats.shape[0] for feats, _ in got]
         assert sizes == [4, 4, 2]
-        stacked = np.vstack([feats.ndarray for feats, _ in got])
+        stacked = np.vstack([feats for feats, _ in got])
         assert np.array_equal(stacked, self._ds().features.ndarray)
 
     def test_shuffle_needs_rng(self):
@@ -266,7 +266,7 @@ class TestBatches:
 
     def test_shuffle_is_permutation(self):
         got = list(batches(self._ds(), 3, shuffle=True, rng=Rng(5)))
-        stacked = np.vstack([feats.ndarray for feats, _ in got])
+        stacked = np.vstack([feats for feats, _ in got])
         assert not np.array_equal(stacked, self._ds().features.ndarray)
         assert np.array_equal(
             np.sort(stacked, axis=0), np.sort(self._ds().features.ndarray, axis=0)
@@ -274,10 +274,10 @@ class TestBatches:
 
     def test_shuffle_deterministic_per_seed(self):
         a = np.vstack(
-            [f.ndarray for f, _ in batches(self._ds(), 3, shuffle=True, rng=Rng(7))]
+            [f for f, _ in batches(self._ds(), 3, shuffle=True, rng=Rng(7))]
         )
         b = np.vstack(
-            [f.ndarray for f, _ in batches(self._ds(), 3, shuffle=True, rng=Rng(7))]
+            [f for f, _ in batches(self._ds(), 3, shuffle=True, rng=Rng(7))]
         )
         assert np.array_equal(a, b)
 
@@ -285,7 +285,7 @@ class TestBatches:
         ds = self._ds()
         lookup = {tuple(f): l for f, l in zip(ds.features.ndarray, ds.labels)}
         for feats, labels in batches(ds, 4, shuffle=True, rng=Rng(3)):
-            for f, l in zip(feats.ndarray, labels):
+            for f, l in zip(feats, labels):
                 assert lookup[tuple(f)] == l
 
     def test_bad_batch_size(self):

@@ -133,6 +133,25 @@ class TestSpecRoundTrip:
         with pytest.raises(ConfigError, match="input shape"):
             group_shapes(spec)
 
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan"), "x", [1], True])
+    def test_bad_dropout_rate_rejected(self, rate):
+        net = build_ffdnn(4, 3, 1, 2, dropout_rate=0.0)
+        layers = tuple(LayerSpec("dropout", rate=rate) if ls.kind == "dropout" else ls
+                       for ls in net.spec.layers)
+        spec = NetworkSpec(net.spec.input_shape, net.spec.classes, layers)
+        with pytest.raises(ConfigError, match="dropout rate"):
+            group_shapes(spec)
+        with pytest.raises(ConfigError, match="dropout rate"):
+            nn.Network(spec, net.groups)
+
+    def test_missing_dropout_rate_is_zero(self):
+        spec = NetworkSpec((4,), 2, (LayerSpec("dropout"),
+                                     LayerSpec("dense", units=2, group="In-out"),
+                                     LayerSpec("softmax")))
+        net = build_from_spec(spec)
+        x = Rng(1).uniform((3, 4))
+        assert forward(net, x, Rng(2))[0].tobytes() == predict(net, x).tobytes()
+
     def test_pool_over_flat_shape_rejected(self):
         layers = (LayerSpec("dense", units=4, group="In-h1"), LayerSpec("maxpool2"),
                   LayerSpec("dense", units=3, group="h1-out"), LayerSpec("softmax"))
@@ -156,52 +175,54 @@ class TestSpecRoundTrip:
 class TestForward:
     def test_softmax_rows_sum_to_one(self):
         net = build_ffdnn(12, 10, 2, 6, seed=1)
-        probs, _ = forward(net, Tensor(Rng(2).uniform((40, 12), -1, 1)))
-        p = probs.ndarray
+        p, _ = forward(net, Rng(2).uniform((40, 12), -1, 1))
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert (p > 0).all() and (p < 1).all()
 
     def test_eval_mode_deterministic(self):
         net = build_ffdnn(12, 10, 1, 4, seed=1)
-        x = Tensor(Rng(3).uniform((8, 12)))
-        a, _ = forward(net, x, mode="eval")
-        b, _ = forward(net, x, mode="eval")
-        assert np.array_equal(a.ndarray, b.ndarray)
+        x = Rng(3).uniform((8, 12))
+        a, _ = forward(net, x)
+        b, _ = forward(net, x)
+        assert np.array_equal(a, b)
 
-    def test_train_mode_needs_rng_when_dropout_active(self):
-        net = build_ffdnn(12, 10, 1, 4, dropout_rate=0.5, seed=1)
-        with pytest.raises(UsageError):
-            forward(net, Tensor(Rng(3).uniform((8, 12))), mode="train")
+    def test_without_rng_dropout_is_off_and_forward_is_predict(self):
+        net = build_ffdnn(12, 32, 2, 4, dropout_rate=0.5, seed=1)
+        x = Rng(3).uniform((8, 12), -1, 1)
+        probs, _ = forward(net, x)
+        assert probs.tobytes() == predict(net, x).tobytes()
+        assert not probs.flags.writeable  # the cache holds the same array
+
+    def test_with_rng_dropout_is_on(self):
+        net = build_ffdnn(12, 32, 2, 4, dropout_rate=0.5, seed=1)
+        x = Rng(3).uniform((8, 12), -1, 1)
+        probs, _ = forward(net, x, Rng(9))
+        assert probs.tobytes() != predict(net, x).tobytes()
 
     def test_dropout_changes_with_stream(self):
         net = build_ffdnn(12, 32, 1, 4, dropout_rate=0.5, seed=1)
-        x = Tensor(Rng(3).uniform((8, 12)))
+        x = Rng(3).uniform((8, 12))
         rng = Rng(9)
-        a, _ = forward(net, x, mode="train", rng=rng)
-        b, _ = forward(net, x, mode="train", rng=rng)
-        assert not np.array_equal(a.ndarray, b.ndarray)
+        a, _ = forward(net, x, rng)
+        b, _ = forward(net, x, rng)
+        assert not np.array_equal(a, b)
 
     def test_input_shape_validated(self):
         net = build_ffdnn(12, 10, 1, 4, seed=1)
         with pytest.raises(DimensionError):
-            forward(net, Tensor(Rng(3).uniform((8, 13))))
-
-    def test_unknown_mode_rejected(self):
-        net = build_ffdnn(4, 3, 1, 2, seed=1)
-        with pytest.raises(ConfigError):
-            forward(net, Tensor.zeros((2, 4)), mode="test")
+            forward(net, Rng(3).uniform((8, 13)))
 
     def test_cnn_forward_shape(self):
         net = build_cnn([4, 6], input_shape=(3, 11, 11), fc_units=8, classes=5, seed=2)
-        probs, _ = forward(net, Tensor(Rng(5).uniform((3, 3, 11, 11))))
+        probs, _ = forward(net, Rng(5).uniform((3, 3, 11, 11)))
         assert probs.shape == (3, 5)
-        assert np.allclose(probs.ndarray.sum(axis=1), 1.0)
+        assert np.allclose(probs.sum(axis=1), 1.0)
 
 
 class TestBackward:
     def test_stale_cache_rejected(self):
         net = build_ffdnn(6, 4, 1, 3, seed=1)
-        x = Tensor(Rng(1).uniform((4, 6)))
+        x = Rng(1).uniform((4, 6))
         _, cache = forward(net, x)
         net.groups["In-h1"].weights = Tensor(
             net.groups["In-h1"].weights.ndarray * 2.0
@@ -213,14 +234,14 @@ class TestBackward:
     def test_cache_bound_to_network(self):
         net_a = build_ffdnn(6, 4, 1, 3, seed=1)
         net_b = build_ffdnn(6, 4, 1, 3, seed=1)
-        x = Tensor(Rng(1).uniform((4, 6)))
+        x = Rng(1).uniform((4, 6))
         _, cache = forward(net_a, x)
         with pytest.raises(UsageError):
             backward(net_b, cache, [0, 1, 2, 0])
 
     def test_target_length_checked(self):
         net = build_ffdnn(6, 4, 1, 3, seed=1)
-        _, cache = forward(net, Tensor(Rng(1).uniform((4, 6))))
+        _, cache = forward(net, Rng(1).uniform((4, 6)))
         with pytest.raises(
             DimensionError, match=r"targets shape \(2,\) does not match batch size 4"
         ):
@@ -228,7 +249,7 @@ class TestBackward:
 
     def test_second_backward_on_one_cache_rejected(self):
         net = build_cnn([3], input_shape=(2, 8, 8), fc_units=6, classes=4, seed=3)
-        _, cache = forward(net, Tensor(Rng(2).uniform((4, 2, 8, 8))))
+        _, cache = forward(net, Rng(2).uniform((4, 2, 8, 8)))
         backward(net, cache, [0, 1, 2, 3])
         assert cache.layer_caches is None  # every layer cache was released
         with pytest.raises(UsageError, match="already consumed"):
@@ -236,7 +257,7 @@ class TestBackward:
 
     def test_logit_cross_entropy_before_and_after_backward(self):
         net = build_ffdnn(6, 4, 1, 3, seed=1)
-        probs, cache = forward(net, Tensor(Rng(1).uniform((4, 6))))
+        probs, cache = forward(net, Rng(1).uniform((4, 6)))
         targets = [0, 1, 2, 0]
         before = logit_cross_entropy(cache, targets)
         assert before == pytest.approx(cross_entropy(probs, targets), rel=1e-12)
@@ -250,7 +271,7 @@ class TestBackward:
         monkeypatch.setattr(
             nn, "_input_grad", lambda *a: dx_shapes.append(a[2]) or input_grad(*a)
         )
-        _, cache = forward(net, Tensor(Rng(2).uniform((3, 1, 8, 8))))
+        _, cache = forward(net, Rng(2).uniform((3, 1, 8, 8)))
         grads = backward(net, cache, [0, 1, 1])
         assert dx_shapes == [(3, 2, 4, 4)]  # C2's input gradient only, none for C1
         assert list(grads) == ["Out", "FC", "C2", "C1"]
@@ -268,10 +289,10 @@ class TestBackward:
             net = build_from_spec(NetworkSpec((5,), 3, layers), seed=4)
         x = Rng(5).uniform((6, *net.spec.input_shape), -1, 1)
         targets = np.array([0, 1, 2, 2, 1, 0])
-        probs, cache = forward(net, Tensor(x), mode="train", rng=Rng(6))
+        probs, cache = forward(net, x, Rng(6))
         layer_caches = list(cache.layer_caches)
         grads = backward(net, cache, targets)
-        dy = probs.ndarray.copy()
+        dy = probs.copy()
         dy[np.arange(6), targets] -= 1.0
         dy /= 6
         expected = {}
@@ -286,7 +307,7 @@ class TestBackward:
 
     def test_gradient_shapes_match_parameters(self):
         net = build_cnn([3], input_shape=(2, 8, 8), fc_units=6, classes=4, seed=3)
-        x = Tensor(Rng(2).uniform((5, 2, 8, 8)))
+        x = Rng(2).uniform((5, 2, 8, 8))
         _, cache = forward(net, x)
         grads = backward(net, cache, [0, 1, 2, 3, 0])
         assert set(grads) == set(net.groups)
@@ -302,14 +323,14 @@ class TestMatmul:
         net = build_ffdnn(5, 1, 0, 9, seed=2)
         net.groups["In-out"].bias = Tensor(Rng(3).uniform((9,), -1, 1))
         a = Rng(2).uniform((7, 5), -1, 1)
-        out, _ = net.layers[0].forward(a, "eval", None)
+        out, _ = net.layers[0].forward(a, None)
         g = net.groups["In-out"]
         assert np.allclose(out, a @ g.weights.ndarray + g.bias.ndarray)
 
     def test_shape_mismatch_names_both_shapes(self):
         net = build_ffdnn(5, 1, 0, 2, seed=2)
         with pytest.raises(DimensionError, match=r"3, 4.*5,"):
-            forward(net, Tensor.zeros((3, 4)))
+            forward(net, np.zeros((3, 4)))
 
 
 class TestPredict:
@@ -326,7 +347,7 @@ class TestPredict:
     def test_relu_maps_nan_and_signed_zeros_as_forward_does(self):
         relu = build_ffdnn(2, 3, 1, 2).layers[1]
         x = np.array([[np.nan, -0.0, 0.0, -1.0, 1.0, np.inf, -np.inf]])
-        assert relu.infer(x).tobytes() == relu.forward(x, "eval", None)[0].tobytes()
+        assert relu.infer(x).tobytes() == relu.forward(x, None)[0].tobytes()
         assert relu.infer(x).tobytes() == np.array([[0, 0, 0, 0, 1, np.inf, 0.0]]).tobytes()
 
     def test_pool_input_rank_checked(self):
@@ -336,7 +357,7 @@ class TestPredict:
     def test_cnn_probabilities_match_eval_forward(self):
         net = build_cnn([3, 4], input_shape=(2, 10, 10), fc_units=6, classes=3, seed=7)
         x = Rng(4).uniform((3, 2, 10, 10), -1, 1)
-        assert predict(net, x).tobytes() == forward(net, Tensor(x))[0].ndarray.tobytes()
+        assert predict(net, x).tobytes() == forward(net, x)[0].tobytes()
 
 
 def _conv_naive(x, k, pad):
@@ -414,7 +435,7 @@ class TestConv2d:
         x = rng.uniform((2, c_in, h, w), -1, 1)
         net = _conv_net(c_in, c_out, h, w, seed=c_in + c_out)
         k, b = net.groups["C1"].weights.ndarray, net.groups["C1"].bias.ndarray
-        got, _ = net.layers[0].forward(x, "eval", None)
+        got, _ = net.layers[0].forward(x, None)
         assert got.shape == (2, c_out, h, w)
         for i in range(2):
             want = _conv_naive(x[i], k, 2) + b[:, None, None]
@@ -427,7 +448,7 @@ class TestConv2d:
         x = Rng(h * 10 + w).uniform((2, c_in, h, w), -1, 1)
         dy = Rng(h * 10 + w + 1).uniform((2, c_out, h, w), -1, 1)
         conv = _conv_net(c_in, c_out, h, w, seed=c_in + c_out).layers[0]
-        _, cache = conv.forward(x, "train", None)
+        _, cache = conv.forward(x, None)
         dx, (dw, db) = conv.backward(dy, cache)
         want_dw, want_dx = _conv_adjoint_naive(x, conv.group.weights.ndarray, dy, 2)
         assert np.allclose(dw, want_dw, rtol=0, atol=1e-12)
@@ -437,7 +458,7 @@ class TestConv2d:
     def test_channel_mismatch_raises(self):
         conv = _conv_net(2, 4, 6, 6).layers[0]
         with pytest.raises(DimensionError, match="channel mismatch"):
-            conv.forward(np.zeros((1, 3, 6, 6)), "eval", None)
+            conv.forward(np.zeros((1, 3, 6, 6)), None)
 
     def test_kernel_must_be_5x5(self, tmp_path):
         net = build_cnn([4, 3], input_shape=(2, 12, 12), fc_units=2, classes=2)
@@ -454,7 +475,7 @@ def _grad_bytes(grads):
 
 
 def _one_step(net, x, targets):
-    _, cache = forward(net, Tensor(x), mode="train")
+    _, cache = forward(net, x)
     return _grad_bytes(backward(net, cache, targets))
 
 
@@ -470,15 +491,15 @@ class TestConvWorkspace:
     def test_two_forwards_then_two_backwards(self):
         net, xa, xb, ta, tb = self._case()
         want_a, want_b = _one_step(net, xa, ta), _one_step(net, xb, tb)
-        _, cache_a = forward(net, Tensor(xa), mode="train")
-        _, cache_b = forward(net, Tensor(xb), mode="train")
+        _, cache_a = forward(net, xa)
+        _, cache_b = forward(net, xb)
         assert _grad_bytes(backward(net, cache_a, ta)) == want_a
         assert _grad_bytes(backward(net, cache_b, tb)) == want_b
 
     def test_predict_between_forward_and_backward(self):
         net, xa, xb, ta, _ = self._case()
         want = _one_step(net, xa, ta)
-        _, cache = forward(net, Tensor(xa), mode="train")
+        _, cache = forward(net, xa)
         predict(net, xb)
         assert _grad_bytes(backward(net, cache, ta)) == want
 
@@ -489,7 +510,7 @@ class TestConvWorkspace:
         monkeypatch.setattr(nn, "_workspace", np.empty(0))  # count its growth
         tracemalloc.start()
         try:
-            _, cache = forward(net, Tensor(x), mode="train")
+            _, cache = forward(net, x)
             backward(net, cache, targets)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -504,7 +525,7 @@ def _assert_pool_pass_is_naive(x):
     """Training forward gives the naive pool's values, and backward puts each
     window's gradient on the naive argmax and zeros elsewhere; returns dx."""
     pool = _pool_layer()
-    out, cache = pool.forward(x, "train", None)
+    out, cache = pool.forward(x, None)
     dy = Rng(9).uniform(out.shape, 1, 2)
     dx = pool.backward(dy, cache)[0]
     for i in range(x.shape[0]):
@@ -532,7 +553,7 @@ class TestMaxpool2:
 
 def _loss_for_gradcheck(net, x, targets, mode, seed):
     rng = Rng(seed) if mode == "train" else None
-    probs, cache = forward(net, x, mode=mode, rng=rng)
+    probs, cache = forward(net, x, rng)
     return cross_entropy(probs, targets), cache
 
 
@@ -587,33 +608,33 @@ def _central_difference_check(net, x, targets, mode="eval", seed=101, eps=1e-5,
 class TestGradients:
     def test_ffdnn_eval_mode(self):
         net = build_ffdnn(10, 8, 2, 4, seed=3)
-        x = Tensor(Rng(1).uniform((6, 10), -1, 1))
+        x = Rng(1).uniform((6, 10), -1, 1)
         assert _central_difference_check(net, x, [0, 1, 2, 3, 0, 1]) < 1e-6
 
     def test_ffdnn_train_mode_with_dropout(self):
         net = build_ffdnn(10, 8, 2, 4, dropout_rate=0.3, seed=3)
-        x = Tensor(Rng(1).uniform((6, 10), -1, 1))
+        x = Rng(1).uniform((6, 10), -1, 1)
         err = _central_difference_check(net, x, [0, 1, 2, 3, 0, 1], mode="train")
         assert err < 1e-6
 
     def test_cnn_all_layer_types(self):
         net = build_cnn([3, 4], input_shape=(2, 10, 10), fc_units=6, classes=3, seed=7)
-        x = Tensor(Rng(4).uniform((3, 2, 10, 10), -1, 1))
+        x = Rng(4).uniform((3, 2, 10, 10), -1, 1)
         assert _central_difference_check(net, x, [0, 1, 2], picks_per_array=8) < 1e-6
 
     def test_cnn_odd_spatial_size(self):
         net = build_cnn([3], input_shape=(2, 9, 9), fc_units=5, classes=3, seed=9)
-        x = Tensor(Rng(6).uniform((2, 2, 9, 9), -1, 1))
+        x = Rng(6).uniform((2, 2, 9, 9), -1, 1)
         assert _central_difference_check(net, x, [1, 2], picks_per_array=8) < 1e-6
 
 
 class TestCrossEntropy:
     def test_perfect_prediction_near_zero(self):
-        probs = Tensor(np.array([[1e-9, 1.0 - 1e-9], [1.0 - 1e-9, 1e-9]]))
+        probs = np.array([[1e-9, 1.0 - 1e-9], [1.0 - 1e-9, 1e-9]])
         assert cross_entropy(probs, [1, 0]) < 1e-8
 
     def test_uniform_prediction(self):
-        probs = Tensor(np.full((4, 8), 1.0 / 8))
+        probs = np.full((4, 8), 1.0 / 8)
         assert cross_entropy(probs, [0, 1, 2, 3]) == pytest.approx(np.log(8))
 
 

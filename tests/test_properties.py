@@ -77,7 +77,7 @@ def test_quantized_group_round_trips_weight_bytes(w, M, delta):
     group = net.groups["In-out"]
     group.quantizer = QuantizerSpec(M=M, delta=delta)
     group.shadow_weights = Tensor(w)
-    group.weights = apply(group.shadow_weights, group.quantizer)
+    group.weights = Tensor(apply(w, group.quantizer))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "q.ckpt")
         save_checkpoint(net, path)
@@ -154,8 +154,8 @@ def _batch(net, n, seed):
 @given(net=any_net, n=st.integers(1, 5), seed=st.integers(0, 99))
 def test_predict_is_eval_forward_bit_for_bit(net, n, seed):
     x = _batch(net, n, seed)
-    probs, _ = forward(net, Tensor(x), mode="eval")
-    assert predict(net, x).tobytes() == probs.ndarray.tobytes()
+    probs, _ = forward(net, x)
+    assert predict(net, x).tobytes() == probs.tobytes()
 
 
 @INFER_SETTINGS
@@ -216,7 +216,7 @@ def test_pool_inference_matches_argmax_rule_bit_for_bit(x):
 )
 def test_pool_training_pass_matches_argmax_scatter_bit_for_bit(x, data):
     pool = build_cnn([1], input_shape=(1, 4, 4), fc_units=2, classes=2).layers[2]
-    out, cache = pool.forward(x, "train", None)
+    out, cache = pool.forward(x, None)
     expected_out, idx = _maxpool2_batch(x)
     assert out.tobytes() == expected_out.tobytes()
     dy = data.draw(arrays(np.float64, out.shape, elements=special))
@@ -240,6 +240,16 @@ def _fold(dcols, x_shape):
 
 def _reference_input_grad(k, dyf, x_shape):
     return _fold(k.reshape(k.shape[0], -1).T @ dyf.T, x_shape)
+
+
+def _reference_conv(conv, x):
+    """The conv layer's output by one whole-batch GEMM over the patch matrix."""
+    k, b = conv.group.weights.ndarray, conv.group.bias.ndarray
+    n, c, h, w = x.shape
+    cols = nn._im2col(x, np.empty((c * 25, n * h * w)))
+    g = k.reshape(k.shape[0], -1) @ cols
+    g += b[:, None]
+    return np.ascontiguousarray(g.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
 
 
 @SETTINGS
@@ -305,7 +315,7 @@ def _conv_layer(c_in, c_out, h, w, seed):
 @example(case=(16, 21, 23, 64, 21, 1))  # odd maps: runs of 8 and 13 samples
 def test_sliced_conv_inference_matches_one_conv_bit_for_bit(case):
     conv, x = _sliced_case(*case)
-    assert conv.infer(x).tobytes() == conv._conv(x).tobytes()
+    assert conv.infer(x).tobytes() == _reference_conv(conv, x).tobytes()
 
 
 @SLICE_SETTINGS
@@ -347,15 +357,15 @@ def test_one_map_conv_is_never_sliced(monkeypatch):
     conv = _conv_layer(8, 1, 17, 18, seed=3)
     x = Rng(4).uniform((9, 8, 17, 18), -1.0, 1.0)
     assert nn._sample_runs(x.shape) == [(0, 4), (4, 9)]
-    assert conv.infer(x).tobytes() == conv._conv(x).tobytes()
+    assert conv.infer(x).tobytes() == _reference_conv(conv, x).tobytes()
 
 
 def test_predict_is_eval_forward_across_conv_slices():
     net = build_cnn([8, 4], input_shape=(16, 32, 32), fc_units=8, classes=3, seed=5)
     x = Rng(6).uniform((11, 16, 32, 32), -1.0, 1.0)
     assert nn._sample_runs(x.shape) == [(0, 5), (5, 11)]  # C1's runs
-    probs, _ = forward(net, Tensor(x), mode="eval")
-    assert predict(net, x).tobytes() == probs.ndarray.tobytes()
+    probs, _ = forward(net, x)
+    assert predict(net, x).tobytes() == probs.tobytes()
 
 
 relu_inputs = arrays(
@@ -377,7 +387,7 @@ def test_relu_matches_where_reference_bit_for_bit(x):
     before = x.tobytes()
     expected = np.where(x > 0, x, 0.0)
     assert relu.infer(x).tobytes() == expected.tobytes()
-    out, mask = relu.forward(x, "train", None)
+    out, mask = relu.forward(x, None)
     assert out.tobytes() == expected.tobytes()
     assert np.array_equal(mask, x > 0)
     assert x.tobytes() == before

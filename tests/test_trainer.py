@@ -146,9 +146,9 @@ class TestEvaluate:
     def test_matches_direct_argmax(self):
         split = _easy_split()
         net = build_ffdnn(8, 16, 1, 3, seed=2)
-        probs, _ = forward(net, split.valid.features, mode="eval")
+        probs, _ = forward(net, split.valid.features.ndarray)
         expected = 100.0 * np.mean(
-            probs.ndarray.argmax(axis=1) != split.valid.labels
+            probs.argmax(axis=1) != split.valid.labels
         )
         assert evaluate(net, split.valid) == pytest.approx(expected)
 
@@ -157,9 +157,9 @@ class TestEvaluate:
             "blobs", EVAL_BATCH + 88, 10, 10, classes=3, seed=1, dim=6
         )
         net = build_ffdnn(6, 8, 1, 3, seed=4)
-        probs, _ = forward(net, split.train.features, mode="eval")
+        probs, _ = forward(net, split.train.features.ndarray)
         expected = 100.0 * np.mean(
-            probs.ndarray.argmax(axis=1) != split.train.labels
+            probs.argmax(axis=1) != split.train.labels
         )
         assert evaluate(net, split.train) == pytest.approx(expected)
 
@@ -213,6 +213,12 @@ class TestTrainFloat:
         net = build_ffdnn(8, 4, 1, 3, seed=2)
         with pytest.raises(ConfigError, match="empty"):
             train_float(net, DatasetSplit(empty, split.valid, split.test), _fast_cfg())
+
+    def test_quantized_network_rejected(self):
+        split = _easy_split()
+        quantized, _ = direct_quantize(build_ffdnn(8, 4, 1, 3, seed=2), 2)
+        with pytest.raises(UsageError, match="float training requires"):
+            train_float(quantized, split, _fast_cfg(max_epochs=1))
 
     def test_learns_easy_task(self):
         split = _easy_split()
