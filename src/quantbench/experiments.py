@@ -249,10 +249,14 @@ def _run_point(args) -> list[SweepRecord]:
         records.append(record("float", FLOAT_BITS, trained, log.best_metric))
     for bits in bit_list:
         qnet, _ = direct_quantize(trained, bits)
-        if "direct" in modes:
-            records.append(record("direct", bits, qnet, evaluate(qnet, data.valid)))
         if "retrained" in modes:
             rnet, rlog = retrain_quantized(qnet, data, retrain_config(point_cfg))
+        if "direct" in modes:
+            # Retraining starts by validating these very weights.
+            val = (rlog.start_metric if "retrained" in modes
+                   else evaluate(qnet, data.valid))
+            records.append(record("direct", bits, qnet, val))
+        if "retrained" in modes:
             records.append(record("retrained", bits, rnet, rlog.best_metric))
     return records
 

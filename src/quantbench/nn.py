@@ -7,13 +7,15 @@ conv call reuses and grows on demand. Both passes compute a conv's output
 with ``infer``: a batch whose patch matrix would pass SLICE_BYTES is unfolded
 in sample runs (``_sample_runs``), each run's output written straight into
 one preallocated output. The training forward caches its input, not a patch
-matrix: backward unfolds that input again, whole-batch, for the dW GEMM. So
-no cache holds a view of the workspace, and any number of forwards or
+matrix: backward unfolds that input again for the dW GEMM, in blocks of
+input channels (``_channel_blocks``) when the whole batch's patch matrix
+would pass SLICE_BYTES, each block filling whole patch rows of dW. So no
+cache holds a view of the workspace, and any number of forwards or
 inference passes may run before a backward. dX (``_input_grad``) is the
 adjoint of the unfold, built in the workspace one sample run at a time and
-added tap by tap onto the padded input gradient. The runs are aligned and
-large, so each gives every bit of one whole-batch GEMM. SLICE_BYTES also
-bounds the largest activation of an evaluation chunk.
+added tap by tap onto the padded input gradient. The runs and blocks are
+aligned and large, so each gives every bit of one whole-batch GEMM.
+SLICE_BYTES also bounds the largest activation of an evaluation chunk.
 
 A 2x2 max-pool is the maximum of four strided views (``_maxpool2_even``),
 with an odd trailing row or column padded by -inf; ties resolve to the
@@ -62,7 +64,7 @@ from .tensor import Rng, Tensor
 KERNEL_SIZE = 5
 CONV_PAD = 2
 BIAS_BITS = 32  # biases always stay full width
-# Bytes of one conv sample run's patch matrix and of an eval chunk's activation.
+# Bytes of a conv run's or block's patch matrix and of an eval chunk's activation.
 SLICE_BYTES = 16 << 20
 EVAL_BATCH = 512  # samples per evaluation chunk at most
 
@@ -216,6 +218,23 @@ def _sample_runs(x_shape: tuple) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
+def _channel_blocks(x_shape: tuple) -> list[tuple[int, int]]:
+    """[c0, c1) input-channel blocks of a conv's dW GEMM, each unfolded alone
+    into whole patch rows of dW: one block when the batch's patch matrix fits
+    in SLICE_BYTES or C is not a multiple of 8. Each block spans a multiple of
+    8 channels (200 patch rows, so it starts on an 8-column tile of dW), as
+    many as fit in SLICE_BYTES or else 8; the remainder joins the last block.
+    N*H*W, which orders the sums, is never split, so every block gives the
+    bits of one whole-batch GEMM (measured with OpenBLAS 0.3.31)."""
+    n, c, h, w = x_shape
+    per_channel = 8 * KERNEL_SIZE**2 * n * h * w  # patch bytes of one channel
+    if c % 8 or c * per_channel <= SLICE_BYTES:
+        return [(0, c)]
+    step = 8 * max(1, SLICE_BYTES // (8 * per_channel))
+    starts = list(range(0, c - step + 1, step))
+    return list(zip(starts, starts[1:] + [c]))
+
+
 def _input_grad(k: np.ndarray, dyf: np.ndarray, x_shape: tuple) -> np.ndarray:
     """dX of a same-size 5x5 conv with kernels ``k`` from the [N*H*W, C_out]
     output gradient ``dyf``: the adjoint of _im2col applied to K^T dY.
@@ -283,8 +302,8 @@ class _ConvLayer:
         self.group = group
 
     def forward(self, x, rng):
-        # The cache is the input: backward unfolds it again, whole-batch, since
-        # the dW GEMM needs the patch matrix in one piece to keep its bits.
+        # The cache is the input, not its patch matrix: backward unfolds it
+        # again, a block of channels at a time, for the dW GEMM.
         return self.infer(x), x
 
     def infer(self, x):
@@ -311,7 +330,11 @@ class _ConvLayer:
     def backward(self, dy, x, need_dx=True):
         c_out = dy.shape[1]
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)  # [N*H*W, C_out]
-        dw = (dyf.T @ _unfold(x).T).reshape(self.group.weights.shape)
+        rows = KERNEL_SIZE**2  # patch rows of one channel
+        dw = np.empty((c_out, x.shape[1] * rows))
+        for c0, c1 in _channel_blocks(x.shape):
+            np.matmul(dyf.T, _unfold(x[:, c0:c1]).T, out=dw[:, c0 * rows : c1 * rows])
+        dw = dw.reshape(self.group.weights.shape)
         # Summed down the columns of this copy: a row sum of dyf.T would add
         # pairwise and change db's last bits.
         db = dyf.sum(axis=0)

@@ -111,10 +111,11 @@ class EpochRecord:
 
 @dataclass
 class TrainLog:
-    """Per-epoch records of one run. ``best_metric`` is the validation metric
-    of the network the run returns; ``best_epoch`` is the epoch it comes from,
-    or -1 when no epoch beat the starting network."""
+    """Per-epoch records of one run: the validation metrics of the network it
+    starts from (``start_metric``) and returns (``best_metric``), and the
+    epoch of the latter (``best_epoch``, -1 when no epoch beat the start)."""
 
+    start_metric: float
     best_metric: float
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
@@ -208,7 +209,8 @@ def _run_training(
     shuffle_rng = rng.spawn("shuffle")
     dropout_rng = rng.spawn("dropout") if cfg.dropout_active else None
     opt = _Optimizer(net, cfg)
-    log = TrainLog(best_metric=evaluate(net, data.valid))
+    start = evaluate(net, data.valid)
+    log = TrainLog(start_metric=start, best_metric=start)
     best_net = net.copy()
     lr = cfg.lr_init
     bad_epochs = 0

@@ -233,6 +233,21 @@ class TestWidthSweep:
         assert by_mode["float"].total_weight_bits == 32 * (n_weights + n_biases)
         assert by_mode["direct"].total_weight_bits == 2 * n_weights + 32 * n_biases
 
+    def test_direct_validation_comes_from_retraining(self, monkeypatch):
+        split = _tiny_split()
+        kw = dict(family="ffdnn", sizes=[4], bit_list=[2, 3], data=split,
+                  cfg=_tiny_cfg(), seed_reps=1)
+        direct_only = run_width_sweep(modes=("float", "direct"), **kw)
+        real = experiments.evaluate
+
+        def test_split_only(net, ds):
+            assert ds is split.test, "a sweep point validated a quantized net twice"
+            return real(net, ds)
+
+        monkeypatch.setattr(experiments, "evaluate", test_split_only)
+        records = run_width_sweep(modes=MODES, **kw)
+        assert [r for r in records if r.mode != "retrained"] == direct_only
+
     def test_deterministic(self):
         kw = dict(
             family="ffdnn", sizes=[4], bit_list=[2],

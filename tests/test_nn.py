@@ -1,6 +1,9 @@
 """Network assembly, the dense/conv/pool layer math against naive references,
 forward/backward passes, and parameter accounting."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -515,10 +518,37 @@ class TestConvWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The workspace grows to C2's whole-batch patch matrix; no step holds
-        # a second one, nor C1's or C3's, beside it.
-        c2_patch = 8 * 25 * 32 * 16 * 16 * 64
-        assert peak < c2_patch + 3 * nn.SLICE_BYTES
+        # The workspace grows to C1's whole-batch patch matrix, which its 3
+        # channels keep in one piece; C2's and C3's dW GEMMs unfold channel
+        # blocks into it, so C2's 100 MiB patch matrix is never built.
+        c1_patch = 8 * 25 * 3 * 32 * 32 * 64
+        assert peak < c1_patch + 3 * nn.SLICE_BYTES
+
+
+# Two real-size dW cases split into channel blocks, checked at one BLAS thread:
+# the thread split is one of the things that fix a GEMM's bits.
+_ONE_THREAD_DW = """
+import numpy as np
+from quantbench import nn
+from quantbench.tensor import Rng
+for c, h, w, c_out, n in ((32, 16, 16, 64, 64), (48, 27, 13, 3, 12)):
+    net = nn.build_cnn([c_out], input_shape=(c, h, w), fc_units=2, classes=2)
+    x = Rng(1).uniform((n, c, h, w), -1.0, 1.0)
+    dy = Rng(2).uniform((n, c_out, h, w), -1.0, 1.0)
+    assert len(nn._channel_blocks(x.shape)) > 1
+    dw = net.layers[0].backward(dy, x, need_dx=False)[1][0]
+    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
+    want = dyf.T @ nn._im2col(x, np.empty((c * 25, n * h * w))).T
+    assert dw.tobytes() == want.tobytes(), (c, h, w, c_out, n)
+"""
+
+
+def test_blocked_weight_grad_is_one_gemm_at_one_blas_thread():
+    src = os.path.dirname(os.path.dirname(nn.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _ONE_THREAD_DW], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _assert_pool_pass_is_naive(x):

@@ -1,7 +1,8 @@
 """Property tests for the grid rule, the step-size fit, the cache-free
-inference pass, the conv input gradient and sample runs, the training pool
-and ReLU, and a check that a failing property reports under the repo's
-warning filters; skipped when hypothesis is not installed."""
+inference pass, the conv input gradient and sample runs, the conv weight
+gradient and channel blocks, the training pool and ReLU, and a check that a
+failing property reports under the repo's warning filters; skipped when
+hypothesis is not installed."""
 
 import os
 import tempfile
@@ -228,14 +229,18 @@ def test_pool_training_pass_matches_argmax_scatter_bit_for_bit(x, data):
 
 def _fold(dcols, x_shape):
     """Reference adjoint of nn._im2col: add the whole-batch [C*25, N*H*W]
-    patch gradient back onto the input, tap by tap in kernel order."""
+    patch gradient back onto the input, tap by tap in kernel order.
+
+    It adds into a channel-major [C, N, H+4, W+4] gradient, as _input_grad
+    does: numpy's add loop takes another path for a sample-major one, and
+    with inf - inf in a sum another NaN then wins."""
     n, c, h, w = x_shape
     taps = dcols.reshape(c, 5, 5, n, h, w)
-    dxp = np.zeros((n, c, h + 4, w + 4), dtype=np.float64)
+    dxp = np.zeros((c, n, h + 4, w + 4), dtype=np.float64)
     for dy in range(5):
         for dx in range(5):
-            dxp[:, :, dy : dy + h, dx : dx + w] += taps[:, dy, dx].transpose(1, 0, 2, 3)
-    return dxp[:, :, 2 : 2 + h, 2 : 2 + w]
+            dxp[:, :, dy : dy + h, dx : dx + w] += taps[:, dy, dx]
+    return dxp[:, :, 2 : 2 + h, 2 : 2 + w].transpose(1, 0, 2, 3)
 
 
 def _reference_input_grad(k, dyf, x_shape):
@@ -270,6 +275,22 @@ def test_input_grad_matches_whole_batch_fold_bit_for_bit(shape, c_out, seed, dat
         got = nn._input_grad(k, dyf, shape)
         want = _reference_input_grad(k, dyf, shape)
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nan_at", range(20))
+def test_input_grad_matches_fold_with_inf_and_one_nan(nan_at):
+    # dY all +inf but one NaN: inf - inf gives -NaN and the input NaN is +NaN,
+    # so which one a sum keeps depends on how the fold walks its buffer. A
+    # sample-major fold differed here at 8 of the 20 positions.
+    shape, c_out = (5, 2, 1, 2), 2
+    k = Rng(0).uniform((c_out, 2, 5, 5), -1.0, 1.0)
+    dy = np.full((5, c_out, 1, 2), np.inf)
+    dy.flat[nan_at] = np.nan
+    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
+    with np.errstate(all="ignore"):
+        got = nn._input_grad(k, dyf, shape)
+        want = _reference_input_grad(k, dyf, shape)
+    assert got.tobytes() == want.tobytes()
 
 
 # Batches that split into sample runs under the real SLICE_BYTES, 2 to 3
@@ -348,6 +369,64 @@ def test_sample_runs_are_aligned_and_never_small(shape):
         assert (e - s) * h * w % 8 == 0
     if len(runs) > 1:  # so every run's patch holds at least 2^20 entries
         assert min(e - s for s, e in runs) * per_sample >= nn.SLICE_BYTES // 2
+
+
+# Batches of 2 to 3 bounds of patch matrix whose C_in is a multiple of 8, so
+# the dW GEMM runs in channel blocks: 8-channel ones when 8 channels alone
+# pass the bound. The rule never makes a small block
+# (test_channel_blocks_are_whole_octets_and_never_small), as it makes no small
+# run: a small GEMM may take another OpenBLAS kernel and change last bits.
+def _batch_size(c, h, w, bounds):
+    return max(1, int(bounds * nn.SLICE_BYTES / _patch_bytes(c, h, w)))
+
+
+blocked_cases = st.tuples(
+    st.sampled_from([8, 16, 24, 32, 48, 64]), st.integers(9, 40), st.integers(9, 40),
+    st.sampled_from([1, 2, 3, 48, 64, 96]), st.floats(2.0, 3.0), st.integers(0, 99),
+).map(lambda t: (*t[:4], _batch_size(*t[:3], t[4]), t[5]))
+
+
+@SLICE_SETTINGS
+@given(case=blocked_cases)
+@example(case=(32, 16, 16, 64, 64, 0))  # cnn-train's C2: four 25 MiB blocks
+@example(case=(48, 27, 13, 1, 12, 1))  # one map, blocks of 16 channels
+@example(case=(12, 29, 33, 1, 17, 4))  # C_in 12 is one block; 8 + 4 changes bits
+def test_blocked_weight_grad_matches_one_gemm_bit_for_bit(case):
+    c, h, w, c_out, n, seed = case
+    conv = _conv_layer(c, c_out, h, w, seed)
+    x = Rng(seed + 1).uniform((n, c, h, w), -1.0, 1.0)
+    x[np.abs(x) < 0.2] = -0.0
+    dy = Rng(seed + 2).uniform((n, c_out, h, w), -1.0, 1.0)
+    dw = conv.backward(dy, x, need_dx=False)[1][0]
+    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
+    want = dyf.T @ nn._im2col(x, np.empty((c * 25, n * h * w))).T
+    assert dw.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(
+    shape=st.tuples(
+        st.integers(1, 3000),
+        st.one_of(st.integers(1, 128), st.integers(1, 16).map(lambda k: 8 * k)),
+        st.integers(1, 64), st.integers(1, 64),
+    ),
+)
+@example(shape=(64, 12, 32, 32))  # C_in not a multiple of 8: never split
+def test_channel_blocks_are_whole_octets_and_never_small(shape):
+    n, c, h, w = shape
+    blocks = nn._channel_blocks(shape)
+    per_channel = n * _patch_bytes(1, h, w)
+    assert [s for s, _ in blocks] == [0] + [e for _, e in blocks[:-1]]
+    assert blocks[-1][1] == c
+    if c % 8 or c * per_channel <= nn.SLICE_BYTES:
+        assert blocks == [(0, c)]
+    else:
+        assert all((e - s) % 8 == 0 for s, e in blocks)
+    if len(blocks) > 1:
+        assert min(e - s for s, e in blocks) * per_channel >= nn.SLICE_BYTES // 2
+        # A block passes the bound only when 8 channels alone do.
+        for s, e in blocks[:-1]:
+            assert (e - s) * per_channel <= nn.SLICE_BYTES or e - s == 8
 
 
 def test_one_map_conv_is_never_sliced(monkeypatch):

@@ -250,6 +250,7 @@ class TestTrainFloat:
         assert all(r.val_metric >= start for r in log.records)
         assert log.best_epoch == -1
         assert log.best_metric == evaluate(trained, split.valid) == start
+        assert log.start_metric == start
 
     def test_input_network_not_mutated(self):
         split = _easy_split()
