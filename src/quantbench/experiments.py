@@ -247,7 +247,7 @@ def _run_point(args) -> list[SweepRecord]:
 
     if "float" in modes:
         records.append(record("float", FLOAT_BITS, trained, log.best_metric))
-    for bits in bit_list:
+    for bits in bit_list if set(modes) != {"float"} else ():
         qnet, _ = direct_quantize(trained, bits)
         if "retrained" in modes:
             rnet, rlog = retrain_quantized(qnet, data, retrain_config(point_cfg))

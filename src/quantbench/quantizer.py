@@ -30,6 +30,9 @@ _DELTA_REL_TOL = 1e-8
 _MAX_FIT_ITERATIONS = 100
 # Events (a weight crossing a code threshold) per chunk of the step axis.
 _EVENTS_PER_CHUNK = 16384
+# A chunk is searched while its bound is within this share of sum(w^2) of the
+# best distortion: rounding in sums of N + _EVENTS_PER_CHUNK terms, N <= 2**20.
+_BOUND_SLACK = 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -164,16 +167,21 @@ def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
     No event list is built. Over |w| sorted once, with suffix sums, s1 and s2
     at any step are max_code lookups. The step axis above the smallest event
     is cut into geometric chunks, about one per _EVENTS_PER_CHUNK events, and
-    each chunk gets a lower bound on its distortion: the exact parabola of the
-    weights whose code is fixed on the chunk (the others count as zero), or,
-    when a weight can cross twice in the chunk, s1 at the chunk's low end
-    against s2 at its high end. Below the smallest event every code saturates,
-    one parabola. Chunks are taken in order of their bound until the bound
-    reaches the best distortion found: a chunk holding more than
-    _EVENTS_PER_CHUNK events is halved, any other has its events sorted and
-    each interval's clamped vertex evaluated. So the global minimum is kept,
-    and memory is O(N + one chunk): the lookups at the chunk edges hold
-    n_chunks * max_code indices, fewer than N + max_code as max_code <= 127.
+    each chunk gets a lower bound on its distortion. The weights whose code
+    changes on the chunk are the disjoint pieces [max(lo_i[k], hi_i[k-1]),
+    hi_i[k]) of the level slices; the rest keep their code, an exact parabola.
+    In piece k, |w| / step stays within (k - 1/2) * [lo/hi, hi/lo] on the
+    chunk, so at least the floor max(0, 1/2 - (k - 1/2) * (hi/lo - 1)) steps
+    from any code; each floor, squared, joins s2. Below the smallest event
+    every code saturates, one parabola. Chunks are taken in order of their
+    bound while it is below the best distortion found plus a slack of
+    _BOUND_SLACK * sum(w^2): a tight bound may round a few ulps past its
+    chunk's minimum, and a chunk that ties the best must still be searched. A
+    chunk holding more than _EVENTS_PER_CHUNK events is halved, any other has
+    its events sorted and each interval's clamped vertex evaluated. So the
+    global minimum is kept, and memory is O(N + one chunk): the lookups at the
+    chunk edges hold n_chunks * max_code indices, fewer than N + max_code as
+    max_code <= 127.
     """
     absw = np.abs(flat)
     absw = absw[absw > 0.0]
@@ -194,19 +202,19 @@ def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
         idx = _first_at_or_above(absw, divisors, deltas)
         return idx, tail1[idx].sum(axis=-1), ((n - idx) * steps_sq).sum(axis=-1)
 
-    def bound(lo, hi, lo_i, hi_i, s1_lo, s1_hi, s2_hi):
+    def bound(lo, hi, lo_i, hi_i, s1_hi, s2_hi):
         """Lower bound on the distortion over each chunk [lo, hi]."""
-        moved = hi_i - lo_i
-        s1_fixed = s1_hi - (below * (tail1[lo_i] - tail1[hi_i])).sum(axis=-1)
-        s2_fixed = s2_hi - (below * below * moved).sum(axis=-1)
-        w_sq_fixed = w_sq - (tail2[lo_i] - tail2[hi_i]).sum(axis=-1)
-        # A weight crosses twice when the slices of levels k and k + 1 overlap;
-        # the fixed sums then mean nothing, and the loose bound is taken.
-        twice = np.any(hi_i[..., :-1] > lo_i[..., 1:], axis=-1)
-        return _parabola_min(
-            np.where(twice, w_sq, w_sq_fixed), np.where(twice, s1_lo, s1_fixed),
-            np.where(twice, s2_hi, s2_fixed), lo, hi,
-        )[1]
+        start = lo_i.copy()  # piece k starts at max(lo_i[k], hi_i[k-1])
+        np.maximum(start[..., 1:], hi_i[..., :-1], out=start[..., 1:])
+        s1_fixed = s1_hi - (tail1[start] - tail1[hi_i]) @ below
+        w_sq_fixed = w_sq - (tail2[start] - tail2[hi_i]).sum(axis=-1)
+        moved = np.subtract(hi_i, start, out=start)
+        # The floor is 0 once hi passes 2 * lo, where hi / lo may overflow.
+        spread = (np.minimum(hi, 2.0 * lo) / lo - 1.0)[..., None]
+        floor = np.maximum(0.5 - spread * divisors, 0.0)
+        floor_sq = np.einsum("...k,...k,...k->...", moved, floor, floor)
+        s2_fixed = s2_hi - moved @ (below * below) + floor_sq
+        return _parabola_min(w_sq_fixed, s1_fixed, s2_fixed, lo, hi)[1]
 
     n_chunks = max(1, -(-n * max_code // _EVENTS_PER_CHUNK))
     # Steps stay positive, though a subnormal |w| / c may round to 0.
@@ -219,22 +227,23 @@ def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
     idx, s1, s2 = sums_at(edges)
 
     best_delta, best_err = _parabola_min(w_sq, s1[0], s2[0], tiny, t_min)
-    bounds = bound(edges[:-1], edges[1:], idx[:-1], idx[1:], s1[:-1], s1[1:], s2[1:])
+    bounds = bound(edges[:-1], edges[1:], idx[:-1], idx[1:], s1[1:], s2[1:])
     heap = [
-        (bounds[c], c, (edges[c], edges[c + 1], idx[c], idx[c + 1], s1[c], s1[c + 1], s2[c + 1]))
+        (bounds[c], c, (edges[c], edges[c + 1], idx[c], idx[c + 1], s1[c + 1], s2[c + 1]))
         for c in range(n_chunks)
     ]
     heapq.heapify(heap)
     tiebreak = itertools.count(n_chunks)
-    while heap and heap[0][0] < best_err:
-        lo, hi, lo_i, hi_i, s1_lo, s1_hi, s2_hi = heapq.heappop(heap)[2]
+    slack = max(_BOUND_SLACK * w_sq, np.finfo(np.float64).tiny)  # subnormals round absolutely
+    while heap and heap[0][0] < best_err + slack:
+        lo, hi, lo_i, hi_i, s1_hi, s2_hi = heapq.heappop(heap)[2]
         moved = hi_i - lo_i
         m = int(moved.sum())
         mid = np.sqrt(lo) * np.sqrt(hi)
         if m > _EVENTS_PER_CHUNK and lo < mid < hi:
             (mid_i,), (s1_mid,), (s2_mid,) = sums_at(np.array([mid]))
-            for half in ((lo, mid, lo_i, mid_i, s1_lo, s1_mid, s2_mid),
-                         (mid, hi, mid_i, hi_i, s1_mid, s1_hi, s2_hi)):
+            for half in ((lo, mid, lo_i, mid_i, s1_mid, s2_mid),
+                         (mid, hi, mid_i, hi_i, s1_hi, s2_hi)):
                 heapq.heappush(heap, (bound(*half), next(tiebreak), half))
             continue
         # Events in [lo, hi): per level k, a slice of the sorted |w|.

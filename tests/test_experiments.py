@@ -248,6 +248,20 @@ class TestWidthSweep:
         records = run_width_sweep(modes=MODES, **kw)
         assert [r for r in records if r.mode != "retrained"] == direct_only
 
+    def test_float_only_sweep_fits_no_step_size(self, monkeypatch):
+        kw = dict(family="ffdnn", sizes=[4], modes=("float",), data=_tiny_split(),
+                  cfg=_tiny_cfg(), seed_reps=1)
+        expected = run_width_sweep(bit_list=[], **kw)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a float-only sweep fitted a step size")
+
+        monkeypatch.setattr(experiments, "direct_quantize", no_fit)
+        # A bit list is still accepted with float-only modes; it is not used.
+        records = run_width_sweep(bit_list=[2, 4], **kw)
+        assert records == expected
+        assert [r.mode for r in records] == ["float"]
+
     def test_deterministic(self):
         kw = dict(
             family="ffdnn", sizes=[4], bit_list=[2],

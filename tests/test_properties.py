@@ -6,6 +6,7 @@ hypothesis is not installed."""
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from quantbench import nn  # noqa: E402
+from quantbench import nn, quantizer  # noqa: E402
 from quantbench.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from quantbench.nn import (  # noqa: E402
     LayerSpec,
@@ -107,6 +108,39 @@ def test_fit_no_worse_than_dense_step_grid(w, M):
     # Relative slack, plus rounding on a group the grid holds exactly (error 0).
     w_sq = float(np.dot(w, w))
     assert report.l2_error <= grid.min() * (1.0 + 1e-12) + 1e-24 * w_sq
+
+
+def _single_nonzero(n, at, value):
+    w = np.zeros(n)
+    w[at % n] = value
+    return w
+
+
+small_groups = st.one_of(
+    arrays(np.float64, st.integers(1, 200),
+           elements=st.floats(min_value=-10.0, max_value=10.0, allow_subnormal=False)),
+    st.builds(_single_nonzero, st.integers(1, 200), st.integers(0, 199),
+              st.floats(min_value=1e-3, max_value=10.0)),
+    st.builds(lambda signs, m: np.where(signs, m, -m),
+              arrays(np.bool_, st.integers(1, 200)), st.floats(min_value=1e-3, max_value=10.0)),
+)
+
+
+@SETTINGS
+@given(w=small_groups, M=st.sampled_from([3, 7, 255]))
+@example(w=_single_nonzero(200, 66, -0.7), M=255)
+@example(w=np.tile([0.3, -0.3], 100), M=255)
+def test_pruning_the_fit_moves_no_result(w, M):
+    # At M = 255 the level slices of every chunk overlap, and a single weight
+    # or equal magnitudes fit exactly at many steps: the bound is tight there,
+    # and a chunk holding an exact tie must still be searched. An infinite
+    # slack searches every chunk, in the same order.
+    assume(float(np.dot(w, w)) > 0.0)
+    delta, report = optimize_delta(w, M)
+    with mock.patch.object(quantizer, "_BOUND_SLACK", np.inf):
+        ref_delta, ref_report = optimize_delta(w, M)
+    assert repr(delta) == repr(ref_delta)
+    assert repr(report.l2_error) == repr(ref_report.l2_error)
 
 
 ffdnn_nets = st.builds(

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -218,6 +220,32 @@ def _draw(kind, n, seed):
 DRAWS = ["normal", "laplace", "uniform", "ties", "half_zero", "single_nonzero"]
 
 
+# Fit results from before the chunk bound was made tight, at one BLAS thread:
+# the fit's dot products take their last bits from the thread split. A tighter
+# bound only skips more of the step axis, so it must move none of them.
+PINNED_FITS = [
+    # draw, N, M, seed, delta, l2_error, iterations
+    ("normal", 262144, 3, 1, "0x1.38f58dff6a19ep+0", "0x1.8621c227e26d1p+14", 1),
+    ("normal", 262144, 15, 1, "0x1.6a8ee4dc031efp-2", "0x1.aa5af7869bf48p+10", 1),
+    ("normal", 262144, 255, 1, "0x1.f466c5e3d4ea1p-6", "0x1.55161a3bc0a69p+3", 1),
+    ("normal", 10240, 255, 2, "0x1.e4987b4b16247p-6", "0x1.7d979ccb00770p-2", 1),
+    ("normal", 5120, 255, 3, "0x1.e1b6fec6ef8f4p-6", "0x1.8c4bea7833367p-3", 1),
+    ("ties", 20000, 255, 4, "0x1.eb7d3324e0203p-6", "0x1.70e6c0220cfb0p-1", 1),
+    ("half_zero", 20000, 15, 5, "0x1.6a32acaaf3971p-2", "0x1.f960ac20ee735p+5", 1),
+    ("laplace", 30000, 63, 6, "0x1.081c6c1b0b809p-2", "0x1.a1b637d607adfp+6", 1),
+]
+
+_PINNED_FIT_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from quantbench.quantizer import optimize_delta
+from test_quantizer import PINNED_FITS, _draw
+for kind, n, M, seed, *_ in PINNED_FITS:
+    delta, report = optimize_delta(_draw(kind, n, seed), M)
+    print(kind, n, M, seed, delta.hex(), report.l2_error.hex(), report.iterations)
+"""
+
+
 class TestExactFit:
     """The chunked fit against the whole-array event scan it replaces."""
 
@@ -233,6 +261,17 @@ class TestExactFit:
         assert repr(delta) == repr(ref_delta)
         assert repr(report.l2_error) == repr(ref_report.l2_error)
         assert report.iterations == ref_report.iterations
+
+    def test_fits_match_pinned_results_at_one_blas_thread(self):
+        src = os.path.dirname(os.path.dirname(quantizer.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _PINNED_FIT_SCRIPT, os.path.dirname(__file__)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        want = [" ".join(map(str, case)) for case in PINNED_FITS]
+        assert done.stdout.splitlines() == want
 
     def test_all_equal_magnitudes(self):
         # Every step 0.3 / k (k <= 127) fits exactly: the tie may go to any.
