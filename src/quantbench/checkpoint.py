@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -57,20 +58,29 @@ def _write_array(out: io.BufferedIOBase, arr: np.ndarray) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes, path: str):
-        self.data = memoryview(data)  # so that take slices without copying
+    """Reads a checkpoint from its file, each array straight into its own buffer."""
+
+    def __init__(self, fh: io.BufferedReader, path: str):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+    def read(self, shape: tuple, dtype) -> np.ndarray:
+        n = np.dtype(dtype).itemsize * math.prod(shape)
+        # Checked before allocating, since a corrupt header may claim any
+        # size; a short read means the file shrank after it was opened.
+        out = np.empty(shape, dtype=dtype) if self.pos + n <= self.size else None
+        if out is None or self.fh.readinto(memoryview(out).cast("B")) != n:
             raise DataFormatError(
                 f"{self.path}: checkpoint truncated at byte {self.pos} "
                 f"(wanted {n} more bytes)"
             )
-        chunk = self.data[self.pos : self.pos + n]
         self.pos += n
-        return chunk
+        return out
+
+    def take(self, n: int) -> bytes:
+        return self.read((n,), np.uint8).tobytes()
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -82,16 +92,19 @@ class _Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def blob(self) -> bytes:
-        return bytes(self.take(self.u32()))
+        return self.take(self.u32())
 
-    def array(self) -> np.ndarray:
+    def array(self, what: str, spec_shape: tuple) -> np.ndarray:
         ndim = self.u32()
         if ndim > 8:
             raise DataFormatError(f"{self.path}: implausible array rank {ndim}")
         shape = tuple(self.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(count * 8)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if shape != spec_shape:
+            raise DataFormatError(
+                f"{self.path}: {what} shape {shape} does not match spec shape "
+                f"{spec_shape}"
+            )
+        return self.read(shape, "<f8").astype(np.float64, copy=False)
 
 
 def save_checkpoint(net: Network, path: str) -> None:
@@ -130,11 +143,14 @@ def save_checkpoint(net: Network, path: str) -> None:
 def load_checkpoint(path: str) -> Network:
     """Read a checkpoint written by ``save_checkpoint``; bit-exact round-trip."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataFormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    r = _Reader(data, path)
+    with fh:
+        return _load(_Reader(fh, path), path)
+
+
+def _load(r: _Reader, path: str) -> Network:
     if r.take(len(MAGIC)) != MAGIC:
         raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
     version = r.u32()
@@ -164,18 +180,8 @@ def load_checkpoint(path: str) -> Network:
         if name not in shapes or name in groups:
             raise DataFormatError(f"{path}: unknown or repeated weight group {name!r}")
         w_shape, b_shape = shapes[name]
-        floats = r.array()
-        if floats.shape != w_shape:
-            raise DataFormatError(
-                f"{path}: group {name!r} weight shape {floats.shape} does not "
-                f"match spec shape {w_shape}"
-            )
-        bias = r.array()
-        if bias.shape != b_shape:
-            raise DataFormatError(
-                f"{path}: group {name!r} bias shape {bias.shape} does not "
-                f"match spec shape {b_shape}"
-            )
+        floats = r.array(f"group {name!r} weight", w_shape)
+        bias = r.array(f"group {name!r} bias", b_shape)
         if not (np.isfinite(floats).all() and np.isfinite(bias).all()):
             raise DataFormatError(f"{path}: group {name!r} has non-finite values")
         group = WeightGroup(name=name, weights=Tensor._wrap(floats),
@@ -190,7 +196,7 @@ def load_checkpoint(path: str) -> Network:
                     f"{path}: group {name!r} carries an invalid quantizer "
                     f"(M={m}, delta={delta}): {exc}"
                 ) from exc
-            q = np.frombuffer(r.take(floats.size), dtype=np.int8).astype(np.float64)
+            q = r.read((floats.size,), np.int8).astype(np.float64)
             top = float(np.abs(q).max(initial=0.0))
             if top > quantizer.max_code:
                 raise DataFormatError(
@@ -205,11 +211,12 @@ def load_checkpoint(path: str) -> Network:
                     f"(code {top:g} x delta {delta!r})"
                 )
             group.shadow_weights = group.weights
-            group.weights = Tensor._wrap((q * delta).reshape(w_shape))
+            q *= delta
+            group.weights = Tensor._wrap(q.reshape(w_shape))
             group.quantizer = quantizer
         groups[name] = group
-    if r.pos != len(data):
+    if r.pos != r.size:
         raise DataFormatError(
-            f"{path}: {len(data) - r.pos} trailing bytes after last group"
+            f"{path}: {r.size - r.pos} trailing bytes after last group"
         )
     return Network(spec, {name: groups[name] for name in shapes})

@@ -34,7 +34,6 @@ class Dataset:
     features: Tensor
     labels: np.ndarray  # int64 class indices
     class_count: int
-    teacher: Network | None = None  # set by make_synthetic("teacher_net")
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -60,7 +59,6 @@ class Dataset:
             features=Tensor._wrap(self.features.ndarray[index].copy()),
             labels=self.labels[index].copy(),
             class_count=self.class_count,
-            teacher=self.teacher,
         )
 
 
@@ -248,8 +246,7 @@ def make_synthetic(
     (e.g. (3, 8, 8)) stores the features image-shaped for convolutional nets.
     spirals: interleaved 2-D spiral arms (dim forced to 2).
     teacher_net: random inputs labeled by a frozen random network's argmax,
-    so the task is exactly realizable by a network of that capacity. The
-    teacher rides along on the Dataset for inspection.
+    so the task is exactly realizable by a network of that capacity.
     """
     if n < classes:
         raise ConfigError(f"need at least one sample per class ({n} < {classes})")
@@ -275,7 +272,7 @@ def make_synthetic(
         features = centers[labels] + noise
         if shape is not None:
             features = features.reshape(n, *shape)
-        return Dataset(Tensor._wrap(features), labels, classes, teacher=None)
+        return Dataset(Tensor._wrap(features), labels, classes)
     if kind == "spirals":
         labels = np.arange(n, dtype=np.int64) % classes
         t = rng.uniform((n,), 0.25, 1.0)
@@ -283,12 +280,12 @@ def make_synthetic(
         angle = t * 3.0 * np.pi + labels * (2.0 * np.pi / classes)
         angle = angle + rng.normal((n,)) * spread * 0.25
         features = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-        return Dataset(Tensor._wrap(features), labels, classes, teacher=None)
+        return Dataset(Tensor._wrap(features), labels, classes)
     if kind == "teacher_net":
         teacher = _teacher_for(seed, dim, classes)
         features = rng.uniform((n, dim), -1.0, 1.0)
         labels = predict(teacher, features).argmax(axis=1).astype(np.int64)
-        return Dataset(Tensor._wrap(features), labels, classes, teacher=teacher)
+        return Dataset(Tensor._wrap(features), labels, classes)
     raise ConfigError(
         f"unknown synthetic kind {kind!r} (expected blobs, spirals, or teacher_net)"
     )

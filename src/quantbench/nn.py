@@ -3,18 +3,19 @@
 All layer math lives here. A conv layer unfolds its input into a contiguous
 tap-major [C*25, N*H*W] patch matrix (``_im2col``), each row a run of whole
 image rows, written into one module-level workspace (``_scratch``) that every
-conv call reuses and grows on demand. Both passes compute a conv's output
-with ``infer``: a batch whose patch matrix would pass SLICE_BYTES is unfolded
-in sample runs (``_sample_runs``), each run's output written straight into
-one preallocated output. The training forward caches its input, not a patch
-matrix: backward unfolds that input again for the dW GEMM, in blocks of
+conv call reuses and grows on demand. A conv has one computation, ``_conv``:
+a batch whose patch matrix would pass SLICE_BYTES is unfolded in sample runs
+(``_sample_runs``), each run's output written straight into one preallocated
+output. Inference and the training forward call it with the layer's kernels,
+and backward computes dX with it too: the input gradient of a same-size conv
+is the same-size conv of dY with the kernels flipped in both spatial axes and
+their channel axes swapped. The training forward caches its input, not a
+patch matrix: backward unfolds that input again for the dW GEMM, in blocks of
 input channels (``_channel_blocks``) when the whole batch's patch matrix
 would pass SLICE_BYTES, each block filling whole patch rows of dW. So no
 cache holds a view of the workspace, and any number of forwards or
-inference passes may run before a backward. dX (``_input_grad``) is the
-adjoint of the unfold, built in the workspace one sample run at a time and
-added tap by tap onto the padded input gradient. The runs and blocks are
-aligned and large, so each gives every bit of one whole-batch GEMM.
+inference passes may run before a backward. The runs and blocks are aligned
+and large, so each gives every bit of one whole-batch GEMM.
 SLICE_BYTES also bounds the largest activation of an evaluation chunk.
 
 A 2x2 max-pool is the maximum of four strided views (``_maxpool2_even``),
@@ -200,9 +201,9 @@ def _unfold(x: np.ndarray) -> np.ndarray:
 
 
 def _sample_runs(x_shape: tuple) -> list[tuple[int, int]]:
-    """[start, stop) sample runs of a conv batch, each one column block of the
-    inference GEMM or the dX GEMM: one run when the batch's patch matrix fits
-    in SLICE_BYTES, more only when it would pass that bound.
+    """[start, stop) sample runs of a conv batch, each one column block of its
+    GEMM in ``_conv``: one run when the batch's patch matrix fits in
+    SLICE_BYTES, more only when it would pass that bound.
 
     Every run computes each output bit for bit as one whole-batch GEMM does
     (measured with OpenBLAS 0.3.31). Each run but the last spans a multiple of
@@ -235,25 +236,22 @@ def _channel_blocks(x_shape: tuple) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [c]))
 
 
-def _input_grad(k: np.ndarray, dyf: np.ndarray, x_shape: tuple) -> np.ndarray:
-    """dX of a same-size 5x5 conv with kernels ``k`` from the [N*H*W, C_out]
-    output gradient ``dyf``: the adjoint of _im2col applied to K^T dY.
-
-    Each sample run's [C*25, run*H*W] tap gradients come from one GEMM into
-    the workspace and are added tap by tap, in kernel order, onto a zeroed
-    channel-major padded gradient, so no whole-batch patch gradient is built."""
-    n, c, h, w = x_shape
-    kt = k.reshape(k.shape[0], -1).T
-    hw, p = h * w, CONV_PAD
-    dxp = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=np.float64)
-    for s, e in _sample_runs(x_shape):
-        taps = _scratch(c * KERNEL_SIZE**2, (e - s) * hw)
-        np.matmul(kt, dyf[s * hw : e * hw].T, out=taps)  # [C*25, run*H*W]
-        taps = taps.reshape(c, KERNEL_SIZE, KERNEL_SIZE, e - s, h, w)
-        for dy in range(KERNEL_SIZE):
-            for dx in range(KERNEL_SIZE):
-                dxp[:, s:e, dy : dy + h, dx : dx + w] += taps[:, dy, dx]
-    return dxp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
+def _conv(x: np.ndarray, k: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """Same-size 5x5 conv of a [N, C, H, W] batch with [C_out, C, 5, 5]
+    kernels ``k``, plus ``bias`` per output map unless it is None."""
+    (n, _, h, w), c_out = x.shape, k.shape[0]
+    kmat = k.reshape(c_out, -1)
+    y = np.empty((n, c_out, h, w), dtype=np.float64)
+    # numpy runs a one-map conv's GEMM as a matrix-vector product, whose
+    # bits depend on the column count, so that conv is never split.
+    for s, e in _sample_runs(x.shape) if c_out > 1 else [(0, n)]:
+        # K @ cols, not cols.T @ K.T: the same products, but BLAS runs this
+        # orientation about 3x faster on a CIFAR-sized batch.
+        g = kmat @ _unfold(x[s:e])
+        if bias is not None:
+            g += bias[:, None]
+        y[s:e] = g.reshape(c_out, e - s, h, w).transpose(1, 0, 2, 3)
+    return y
 
 
 def _maxpool2_even(x: np.ndarray) -> np.ndarray:
@@ -314,18 +312,7 @@ class _ConvLayer:
             raise DimensionError(
                 f"conv channel mismatch: input {x.shape} vs kernels {k.shape}"
             )
-        (n, _, h, w), c_out = x.shape, k.shape[0]
-        kmat, bias = k.reshape(c_out, -1), self.group.bias.ndarray[:, None]
-        y = np.empty((n, c_out, h, w), dtype=np.float64)
-        # numpy runs a one-map conv's GEMM as a matrix-vector product, whose
-        # bits depend on the column count, so that conv is never split.
-        for s, e in _sample_runs(x.shape) if c_out > 1 else [(0, n)]:
-            # K @ cols, not cols.T @ K.T: the same products, but BLAS runs this
-            # orientation about 3x faster on a CIFAR-sized batch.
-            g = kmat @ _unfold(x[s:e])
-            g += bias
-            y[s:e] = g.reshape(c_out, e - s, h, w).transpose(1, 0, 2, 3)
-        return y
+        return _conv(x, k, self.group.bias.ndarray)
 
     def backward(self, dy, x, need_dx=True):
         c_out = dy.shape[1]
@@ -340,7 +327,10 @@ class _ConvLayer:
         db = dyf.sum(axis=0)
         if not need_dx:
             return None, (dw, db)
-        return _input_grad(self.group.weights.ndarray, dyf, x.shape), (dw, db)
+        # dX is the same-size conv of dY with each kernel flipped in both
+        # spatial axes and the channel axes swapped.
+        k = self.group.weights.ndarray[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return _conv(dy, k, None), (dw, db)
 
 
 def _pool_input(x: np.ndarray) -> np.ndarray:

@@ -286,8 +286,7 @@ def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationRepor
     flat = arr.reshape(-1)
     if flat.size == 0:
         raise ConfigError("cannot fit a step size to an empty weight group")
-    if M < 3 or M % 2 == 0:
-        raise ConfigError(f"level count must be odd and >= 3, got {M}")
+    max_code = QuantizerSpec(M=M, delta=1.0).max_code  # checks the level count
 
     w_max = float(np.max(np.abs(flat)))
     if w_max == 0.0:
@@ -296,7 +295,6 @@ def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationRepor
             iterations=0, saturated_fraction=0.0, degenerate=True,
         )
         return 1.0, report
-    max_code = (M - 1) // 2
     # Steps reach 2 * max|w| and the search sums up to max_code slices of |w|
     # and w^2, so no term it forms exceeds 4 * N * max_code * max|w|^2: at
     # most float max / 2 each, no sum overflows. Compared without squaring,

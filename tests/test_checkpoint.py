@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -184,6 +185,29 @@ class TestCorruption:
         p.write_bytes(bad[:12] + struct.pack("<I", spec_len) + bad[16:])
         with pytest.raises(DataFormatError, match="dropout rate"):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("units,dims,match", [
+        (2**31, (4, 2**31), r"truncated at byte \d+ \(wanted 68719476736 more"),
+        (3, (2**32 - 1, 2**32 - 1), r"weight shape \(4294967295, 4294967295\) does not"),
+    ])
+    def test_huge_array_header_over_a_tiny_file(self, tmp_path, units, dims, match):
+        # The header claims a 64 GiB weight array (in the spec or not): the
+        # load must fail on it before it allocates anything for the array.
+        layers = [{"kind": "dense", "units": units, "group": "In-h1"},
+                  {"kind": "dense", "units": 2, "group": "h1-out"}, {"kind": "softmax"}]
+        spec = json.dumps({"input_shape": [4], "classes": 2, "layers": layers}).encode()
+        p = tmp_path / "huge.ckpt"
+        p.write_bytes(MAGIC + struct.pack("<II", 1, len(spec)) + spec
+                      + struct.pack("<II", 2, 5) + b"In-h1"
+                      + struct.pack("<III", 2, *dims) + bytes(16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=match):
+                load_checkpoint(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):

@@ -7,6 +7,7 @@ import quantbench.data as data
 from quantbench.data import (
     CIFAR_RECORD_BYTES,
     Dataset,
+    _teacher_for,
     batches,
     load_cifar10,
     load_csv,
@@ -14,6 +15,7 @@ from quantbench.data import (
     synthetic_split,
 )
 from quantbench.errors import ConfigError, DataFormatError
+from quantbench.nn import predict
 from quantbench.tensor import Rng, Tensor
 
 
@@ -68,11 +70,8 @@ class TestSynthetic:
         assert set(np.unique(ds.labels)) == {0, 1, 2}
 
     def test_teacher_net_labels_match_teacher(self):
-        from quantbench.nn import forward
-
         ds = make_synthetic("teacher_net", 64, 5, seed=9, dim=12)
-        assert ds.teacher is not None
-        probs, _ = forward(ds.teacher, ds.features.ndarray)
+        probs = predict(_teacher_for(9, 12, 5), ds.features.ndarray)
         assert np.array_equal(np.argmax(probs, axis=1), ds.labels)
 
     def test_unknown_kind(self):
@@ -111,7 +110,10 @@ class TestSynthetic:
 
     def test_split_shares_teacher(self):
         split = synthetic_split("teacher_net", 30, 10, 10, classes=3, seed=2, dim=6)
-        assert split.train.teacher is split.valid.teacher is split.test.teacher
+        teacher = _teacher_for(2, 6, 3)
+        for part in (split.train, split.valid, split.test):
+            probs = predict(teacher, part.features.ndarray)
+            assert np.array_equal(np.argmax(probs, axis=1), part.labels)
 
 
 class TestCsv:

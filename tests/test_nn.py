@@ -269,14 +269,14 @@ class TestBackward:
 
     def test_pass_stops_at_the_lowest_weight_layer(self, monkeypatch):
         net = build_cnn([2, 3], input_shape=(1, 8, 8), fc_units=4, classes=2, seed=1)
-        dx_shapes = []
-        input_grad = nn._input_grad
-        monkeypatch.setattr(
-            nn, "_input_grad", lambda *a: dx_shapes.append(a[2]) or input_grad(*a)
-        )
         _, cache = forward(net, Rng(2).uniform((3, 1, 8, 8)))
+        dy_shapes = []  # every conv of the backward pass computes a dX
+        conv = nn._conv
+        monkeypatch.setattr(
+            nn, "_conv", lambda *a: dy_shapes.append(a[0].shape) or conv(*a)
+        )
         grads = backward(net, cache, [0, 1, 1])
-        assert dx_shapes == [(3, 2, 4, 4)]  # C2's input gradient only, none for C1
+        assert dy_shapes == [(3, 3, 4, 4)]  # C2's input gradient only, none for C1
         assert list(grads) == ["Out", "FC", "C2", "C1"]
 
     @pytest.mark.parametrize("which", ["cnn", "relu-first", "ffdnn"])
@@ -549,6 +549,32 @@ def test_blocked_weight_grad_is_one_gemm_at_one_blas_thread():
     done = subprocess.run([sys.executable, "-c", _ONE_THREAD_DW], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# cnn-train's C2 and C3 input gradients, whose digests must not depend on the
+# BLAS thread count: no conv GEMM may add a thread dependence to the outputs.
+_DX_DIGESTS = """
+import hashlib
+from quantbench import nn
+from quantbench.tensor import Rng
+for c, h, c_out in ((32, 16, 32), (32, 8, 64)):
+    net = nn.build_cnn([c_out], input_shape=(c, h, h), fc_units=2, classes=2, seed=1)
+    x = Rng(1).uniform((64, c, h, h), -1.0, 1.0)
+    dy = Rng(2).uniform((64, c_out, h, h), -1.0, 1.0)
+    print(hashlib.sha256(net.layers[0].backward(dy, x)[0].tobytes()).hexdigest())
+"""
+
+
+def test_input_grad_bits_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(nn.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _DX_DIGESTS], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 def _assert_pool_pass_is_naive(x):

@@ -263,11 +263,7 @@ def test_pool_training_pass_matches_argmax_scatter_bit_for_bit(x, data):
 
 def _fold(dcols, x_shape):
     """Reference adjoint of nn._im2col: add the whole-batch [C*25, N*H*W]
-    patch gradient back onto the input, tap by tap in kernel order.
-
-    It adds into a channel-major [C, N, H+4, W+4] gradient, as _input_grad
-    does: numpy's add loop takes another path for a sample-major one, and
-    with inf - inf in a sum another NaN then wins."""
+    patch gradient back onto the input, tap by tap in kernel order."""
     n, c, h, w = x_shape
     taps = dcols.reshape(c, 5, 5, n, h, w)
     dxp = np.zeros((c, n, h + 4, w + 4), dtype=np.float64)
@@ -281,14 +277,36 @@ def _reference_input_grad(k, dyf, x_shape):
     return _fold(k.reshape(k.shape[0], -1).T @ dyf.T, x_shape)
 
 
-def _reference_conv(conv, x):
-    """The conv layer's output by one whole-batch GEMM over the patch matrix."""
-    k, b = conv.group.weights.ndarray, conv.group.bias.ndarray
+def _reference_conv(k, x, bias=None):
+    """A same-size conv by one whole-batch GEMM over x's patch matrix."""
     n, c, h, w = x.shape
     cols = nn._im2col(x, np.empty((c * 25, n * h * w)))
     g = k.reshape(k.shape[0], -1) @ cols
-    g += b[:, None]
+    if bias is not None:
+        g += bias[:, None]
     return np.ascontiguousarray(g.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
+
+
+def _input_grad(conv, dy):
+    """dX of the conv layer's backward pass for output gradient dy."""
+    x = np.zeros((dy.shape[0], conv.group.weights.shape[1], *dy.shape[2:]))
+    return conv.backward(dy, x)[0]
+
+
+def _assert_matches_fold(conv, dy):
+    """dX has the reference fold's NaNs and signed infs, and its finite
+    values within the rounding bound of a sum of 25 * C_out products."""
+    k = conv.group.weights.ndarray
+    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, k.shape[0])
+    x_shape = (dy.shape[0], k.shape[1], *dy.shape[2:])
+    with np.errstate(all="ignore"):  # inf - inf and 0 * inf are part of the check
+        got = _input_grad(conv, dy)
+        want = _reference_input_grad(k, dyf, x_shape)
+        scale = _reference_input_grad(np.abs(k), np.abs(dyf), x_shape)
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(np.where(finite, 0.0, got), np.where(finite, 0.0, want))
+    bound = 25 * k.shape[0] * np.finfo(np.float64).eps * scale[finite]
+    assert np.all(np.abs(got[finite] - want[finite]) <= bound)
 
 
 @SETTINGS
@@ -299,32 +317,20 @@ def _reference_conv(conv, x):
     seed=st.integers(0, 99),
     data=st.data(),
 )
-def test_input_grad_matches_whole_batch_fold_bit_for_bit(shape, c_out, seed, data):
+def test_input_grad_matches_whole_batch_fold(shape, c_out, seed, data):
     n, c, h, w = shape
-    k = Rng(seed).uniform((c_out, c, 5, 5), -1.0, 1.0)
     dy = data.draw(arrays(np.float64, (n, c_out, h, w),
                           elements=st.one_of(special, st.floats(-4.0, 4.0))))
-    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
-    with np.errstate(all="ignore"):  # inf - inf and 0 * inf are part of the check
-        got = nn._input_grad(k, dyf, shape)
-        want = _reference_input_grad(k, dyf, shape)
-    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    _assert_matches_fold(_conv_layer(c, c_out, h, w, seed), dy)
 
 
 @pytest.mark.parametrize("nan_at", range(20))
 def test_input_grad_matches_fold_with_inf_and_one_nan(nan_at):
-    # dY all +inf but one NaN: inf - inf gives -NaN and the input NaN is +NaN,
-    # so which one a sum keeps depends on how the fold walks its buffer. A
-    # sample-major fold differed here at 8 of the 20 positions.
-    shape, c_out = (5, 2, 1, 2), 2
-    k = Rng(0).uniform((c_out, 2, 5, 5), -1.0, 1.0)
-    dy = np.full((5, c_out, 1, 2), np.inf)
+    # dY all +inf but one NaN: almost every dX sum holds inf - inf. Which NaN
+    # a sum keeps is not pinned, only where the NaNs and infs are.
+    dy = np.full((5, 2, 1, 2), np.inf)
     dy.flat[nan_at] = np.nan
-    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
-    with np.errstate(all="ignore"):
-        got = nn._input_grad(k, dyf, shape)
-        want = _reference_input_grad(k, dyf, shape)
-    assert got.tobytes() == want.tobytes()
+    _assert_matches_fold(_conv_layer(2, 2, 1, 2, seed=0), dy)
 
 
 # Batches that split into sample runs under the real SLICE_BYTES, 2 to 3
@@ -370,20 +376,23 @@ def _conv_layer(c_in, c_out, h, w, seed):
 @example(case=(16, 21, 23, 64, 21, 1))  # odd maps: runs of 8 and 13 samples
 def test_sliced_conv_inference_matches_one_conv_bit_for_bit(case):
     conv, x = _sliced_case(*case)
-    assert conv.infer(x).tobytes() == _reference_conv(conv, x).tobytes()
+    k, b = conv.group.weights.ndarray, conv.group.bias.ndarray
+    assert conv.infer(x).tobytes() == _reference_conv(k, x, b).tobytes()
 
 
 @SLICE_SETTINGS
 @given(case=sliced_cases)
 @example(case=(16, 52, 52, 48, 3, 0))
 @example(case=(16, 21, 23, 64, 21, 1))
-def test_sliced_input_grad_matches_whole_batch_fold_bit_for_bit(case):
-    conv, x = _sliced_case(*case)
-    k = conv.group.weights.ndarray
-    dy = Rng(case[-1] + 2).uniform((x.shape[0], k.shape[0], *x.shape[2:]), -1, 1)
-    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, k.shape[0])
-    got = np.ascontiguousarray(nn._input_grad(k, dyf, x.shape))
-    assert got.tobytes() == _reference_input_grad(k, dyf, x.shape).tobytes()
+def test_sliced_input_grad_matches_one_conv_bit_for_bit(case):
+    # The layer maps the case's C_out channels to its C, so dY has the
+    # channels of the case's input and its dX conv splits into sample runs.
+    c, h, w, c_out, n, seed = case
+    conv = _conv_layer(c_out, c, h, w, seed)
+    dy = Rng(seed + 2).uniform((n, c, h, w), -1.0, 1.0)
+    assert len(nn._sample_runs(dy.shape)) >= 2
+    flipped = conv.group.weights.ndarray[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    assert _input_grad(conv, dy).tobytes() == _reference_conv(flipped, dy).tobytes()
 
 
 @SETTINGS
@@ -470,7 +479,8 @@ def test_one_map_conv_is_never_sliced(monkeypatch):
     conv = _conv_layer(8, 1, 17, 18, seed=3)
     x = Rng(4).uniform((9, 8, 17, 18), -1.0, 1.0)
     assert nn._sample_runs(x.shape) == [(0, 4), (4, 9)]
-    assert conv.infer(x).tobytes() == _reference_conv(conv, x).tobytes()
+    k, b = conv.group.weights.ndarray, conv.group.bias.ndarray
+    assert conv.infer(x).tobytes() == _reference_conv(k, x, b).tobytes()
 
 
 def test_predict_is_eval_forward_across_conv_slices():

@@ -117,6 +117,11 @@ class TestOptimizeDelta:
         with pytest.raises(ConfigError):
             optimize_delta(np.array([]), 3)
 
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    def test_bad_level_count_rejected_before_the_degenerate_case(self, M):
+        with pytest.raises(ConfigError, match=f"odd and >= 3, got {M}"):
+            optimize_delta(np.zeros(7), M)
+
     @pytest.mark.parametrize("big", [1e308, math.inf, math.nan])
     def test_weights_beyond_the_threshold_range_rejected(self, big):
         with pytest.raises(ConfigError, match="finite and below"):
