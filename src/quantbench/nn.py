@@ -153,12 +153,15 @@ class _DenseLayer:
 
     def infer(self, x):
         flat = x.reshape(x.shape[0], -1)  # channel-major flatten
-        return flat @ self.group.weights.ndarray + self.group.bias.ndarray
+        y = flat @ self.group.weights.ndarray
+        y += self.group.bias.ndarray
+        return y
 
-    def backward(self, dy, cache, need_dx=True):
+    def backward(self, dy, cache, need_dx=True, out=None):
         x, orig_shape = cache
-        dw = x.T @ dy
-        db = dy.sum(axis=0)
+        dw, db = (None, None) if out is None else out
+        dw = np.matmul(x.T, dy, out=dw)
+        db = dy.sum(axis=0, out=db)
         if not need_dx:
             return None, (dw, db)
         dx = (dy @ self.group.weights.ndarray.T).reshape(orig_shape)
@@ -314,17 +317,17 @@ class _ConvLayer:
             )
         return _conv(x, k, self.group.bias.ndarray)
 
-    def backward(self, dy, x, need_dx=True):
+    def backward(self, dy, x, need_dx=True, out=None):
         c_out = dy.shape[1]
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)  # [N*H*W, C_out]
         rows = KERNEL_SIZE**2  # patch rows of one channel
-        dw = np.empty((c_out, x.shape[1] * rows))
-        for c0, c1 in _channel_blocks(x.shape):
-            np.matmul(dyf.T, _unfold(x[:, c0:c1]).T, out=dw[:, c0 * rows : c1 * rows])
-        dw = dw.reshape(self.group.weights.shape)
+        dw, db = (np.empty(self.group.weights.shape), None) if out is None else out
+        for c0, c1 in _channel_blocks(x.shape):  # into whole patch rows of dw
+            cols = dw.reshape(c_out, -1)[:, c0 * rows : c1 * rows]
+            np.matmul(dyf.T, _unfold(x[:, c0:c1]).T, out=cols)
         # Summed down the columns of this copy: a row sum of dyf.T would add
         # pairwise and change db's last bits.
-        db = dyf.sum(axis=0)
+        db = dyf.sum(axis=0, out=db)
         if not need_dx:
             return None, (dw, db)
         # dX is the same-size conv of dY with each kernel flipped in both
@@ -467,6 +470,8 @@ class Network:
         self.spec = spec
         self.groups = groups
         self.layers = [_make_layer(ls, groups) for ls in spec.layers]
+        weighted = [i for i, layer in enumerate(self.layers) if layer.group is not None]
+        self._lowest_weight_layer = weighted[0] if weighted else None
         self._param_version = 0
 
     def mark_params_changed(self) -> None:
@@ -514,13 +519,15 @@ def _checked_batch(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    net: Network, cache: ForwardCache, targets: Sequence[int]
+    net: Network, cache: ForwardCache, targets: Sequence[int], out: dict | None = None
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Gradients of mean cross-entropy w.r.t. every weight group.
 
-    Returns {group name: (dW, db)}. The cache must come from the most recent
-    forward call on this network; a cache that predates a weight update is
-    rejected as stale, and one that a backward already consumed is rejected.
+    Returns {group name: (dW, db)}, written into the contiguous arrays of
+    ``out`` (of the same form) when it is given. The cache must come from the
+    most recent forward call on this network; a cache that predates a weight
+    update is rejected as stale, and one that a backward already consumed is
+    rejected.
     """
     if cache.layer_caches is None:
         raise UsageError("forward cache already consumed by an earlier backward")
@@ -541,17 +548,17 @@ def backward(
     caches, cache.layer_caches = cache.layer_caches, None
     # No layer below the lowest weight layer owns a weight, so the pass stops
     # there and that layer computes no input gradient.
-    lowest = next(
-        (i for i, layer in enumerate(net.layers) if layer.group is not None), None
-    )
+    lowest = net._lowest_weight_layer
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for layer in net.layers[-2:lowest:-1]:
-        dy, wgrad = layer.backward(dy, caches.pop())
-        if wgrad is not None:
-            grads[layer.group.name] = wgrad
-    if lowest is not None:
-        layer = net.layers[lowest]
-        grads[layer.group.name] = layer.backward(dy, caches.pop(), need_dx=False)[1]
+    for i in range(len(net.layers) - 2, -1 if lowest is None else lowest - 1, -1):
+        layer = net.layers[i]
+        if layer.group is None:
+            dy = layer.backward(dy, caches.pop())[0]
+        else:
+            name = layer.group.name
+            dy, grads[name] = layer.backward(
+                dy, caches.pop(), need_dx=i != lowest, out=out and out[name]
+            )
     return grads
 
 
@@ -559,8 +566,8 @@ def cross_entropy(probs: np.ndarray, targets: Sequence[int]) -> float:
     """Mean negative log-probability of the target classes."""
     t = np.asarray(targets, dtype=np.int64)
     picked = probs[np.arange(probs.shape[0]), t]
-    with np.errstate(divide="ignore"):
-        return float(-np.mean(np.log(picked)))
+    with np.errstate(divide="ignore"):  # np.mean's bits, without its overhead
+        return float(-(np.log(picked).sum() / picked.size))
 
 
 def logit_cross_entropy(cache: ForwardCache, targets: Sequence[int]) -> float:

@@ -78,13 +78,14 @@ def bits_to_levels(n_bits: int) -> int:
     return 2**n_bits - 1
 
 
-def _grid_codes(w: np.ndarray, delta: float, max_code: float) -> np.ndarray:
+def _grid_codes(w: np.ndarray, delta: float, max_code: float, out=None) -> np.ndarray:
     """sgn(w) * min(floor(|w|/delta + 0.5), max_code) as float64; the grid rule.
 
     This is the only place the rounding is written. A zero code is +0.0, so
-    the grid has a single zero whatever the sign of the weight.
+    the grid has a single zero whatever the sign of the weight. With ``out``
+    (not overlapping w) the codes are written there.
     """
-    q = np.abs(w)
+    q = np.abs(w, out=out)
     q /= delta
     q += 0.5
     np.floor(q, out=q)

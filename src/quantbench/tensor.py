@@ -39,7 +39,8 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, array: np.ndarray) -> "Tensor":
-        # No-copy constructor for arrays we exclusively own.
+        # No-copy constructor for arrays we exclusively own; a training run's
+        # working net wraps views of the trainer's vectors, snapshots of copies.
         t = object.__new__(cls)
         a = np.ascontiguousarray(array, dtype=np.float64)
         a.flags.writeable = False

@@ -18,6 +18,10 @@ Per-parameter update rule, the single source of truth:
     r <- rho * r + (1 - rho) * g^2
     v <- momentum * v - lr * g / sqrt(r + eps)
     theta <- theta + v
+
+A run copies its trained arrays into flat vectors (``_FlatState``) that only
+it writes: the working network's Tensors are read-only views of them, backward
+fills one flat gradient and a step is one in-place pass. Snapshots copy them.
 """
 
 from __future__ import annotations
@@ -40,8 +44,10 @@ from .nn import (
     logit_cross_entropy,
     predict,
 )
-from .quantizer import apply
+from .quantizer import _grid_codes, apply
 from .tensor import Rng, Tensor
+
+_BLOCK = 32768  # elements per optimizer block: six 256 KiB arrays fill a 2 MiB L2
 
 
 @dataclass(frozen=True)
@@ -134,46 +140,68 @@ def evaluate(net: Network, ds: Dataset) -> float:
     return 100.0 * wrong / ds.size
 
 
-class _Optimizer:
-    """RMSProp-with-momentum state over every parameter array of a network."""
+class _FlatState:
+    """One run's trained arrays as flat vectors: ``theta`` (each group's float
+    or shadow weights, then its bias), ``grad``, ``r`` and ``v`` laid out alike,
+    and ``q`` (the exposed quantized weights); ``grads`` has each (dW, db) view."""
 
     def __init__(self, net: Network, cfg: TrainConfig):
         self.cfg = cfg
-        self.r: dict[tuple[str, str], np.ndarray] = {}
-        self.v: dict[tuple[str, str], np.ndarray] = {}
+        groups = net.groups.values()
+        n = sum(g.weights.size + g.bias.size for g in groups)
+        self.theta, self.grad, self.r, self.v = (np.zeros(n) for _ in range(4))
+        self.q = np.empty(sum(g.weights.size for g in groups if g.quantizer is not None))
+        self.layout = []  # (name, weight slice, bias slice, exposed slice or None)
+        self.grads, self._grids = {}, []  # _grids: (shadow, exposed, frozen spec)
+        i = j = 0
         for name, g in net.groups.items():
-            self.r[(name, "w")] = np.zeros(g.weights.shape)
-            self.v[(name, "w")] = np.zeros(g.weights.shape)
-            self.r[(name, "b")] = np.zeros(g.bias.shape)
-            self.v[(name, "b")] = np.zeros(g.bias.shape)
+            nw, trained = g.weights.size, g.weights
+            w, b, e = slice(i, i + nw), slice(i + nw, i + nw + g.bias.size), None
+            i = b.stop
+            if g.quantizer is not None:
+                e, j, trained = slice(j, j + nw), j + nw, g.shadow_weights
+                self.q[e] = g.weights.ndarray.reshape(-1)
+                self._grids.append((self.theta[w], self.q[e], g.quantizer))
+            self.theta[w], self.theta[b] = trained.ndarray.reshape(-1), g.bias.ndarray
+            self.layout.append((name, w, b, e))
+            self.grads[name] = (self.grad[w].reshape(g.weights.shape), self.grad[b])
+        self.bind(net, self.theta, self.q)  # net becomes the run's working network
+        t, s = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+        self._blocks = [
+            (*(a[k : k + _BLOCK] for a in (self.grad, self.r, self.v, self.theta)),
+             t[: min(_BLOCK, n - k)], s[: min(_BLOCK, n - k)])
+            for k in range(0, n, _BLOCK)
+        ]
 
-    def step_array(self, key: tuple[str, str], theta: np.ndarray, g: np.ndarray,
-                   lr: float) -> np.ndarray:
-        cfg = self.cfg
-        r = self.r[key]
-        r *= cfg.rmsprop_rho
-        r += (1.0 - cfg.rmsprop_rho) * g * g
-        v = self.v[key]
-        v *= cfg.momentum
-        v -= lr * g / np.sqrt(r + cfg.rmsprop_eps)
-        return theta + v
+    def bind(self, net: Network, theta: np.ndarray, q: np.ndarray) -> None:
+        """Point every group of ``net`` at read-only views of ``theta`` and ``q``."""
+        for name, w, b, e in self.layout:
+            g = net.groups[name]
+            view = theta[w].reshape(g.weights.shape)
+            if e is not None:
+                g.shadow_weights, view = Tensor._wrap(view), q[e].reshape(view.shape)
+            g.weights, g.bias = Tensor._wrap(view), Tensor._wrap(theta[b])
 
-
-def _apply_updates(net: Network, grads: dict, opt: _Optimizer, lr: float) -> None:
-    for name, (dw, db) in grads.items():
-        group = net.groups[name]
-        if group.quantizer is not None:
-            shadow = opt.step_array((name, "w"), group.shadow_weights.ndarray, dw, lr)
-            group.shadow_weights = Tensor._wrap(shadow)
-            group.weights = Tensor._wrap(apply(shadow, group.quantizer))
-        else:
-            group.weights = Tensor._wrap(
-                opt.step_array((name, "w"), group.weights.ndarray, dw, lr)
-            )
-        group.bias = Tensor._wrap(
-            opt.step_array((name, "b"), group.bias.ndarray, db, lr)
-        )
-    net.mark_params_changed()
+    def step(self, lr: float) -> None:
+        """The update rule in place, block by block, each block's six arrays
+        held in a per-core L2 cache; then the exposed weights re-projected.
+        The operations and their order are the rule's, so are the bits."""
+        rho, mu, eps = self.cfg.rmsprop_rho, self.cfg.momentum, self.cfg.rmsprop_eps
+        for g, r, v, theta, t, s in self._blocks:
+            r *= rho
+            np.multiply(g, 1.0 - rho, out=t)
+            t *= g
+            r += t
+            v *= mu
+            np.multiply(g, lr, out=t)
+            np.add(r, eps, out=s)
+            np.sqrt(s, out=s)
+            t /= s
+            v -= t
+            theta += v
+        for shadow, exposed, spec in self._grids:
+            _grid_codes(shadow, spec.delta, spec.max_code, out=exposed)
+            exposed *= spec.delta
 
 
 def _assert_on_grid(net: Network) -> None:
@@ -208,10 +236,10 @@ def _run_training(
     rng = Rng(cfg.seed)
     shuffle_rng = rng.spawn("shuffle")
     dropout_rng = rng.spawn("dropout") if cfg.dropout_active else None
-    opt = _Optimizer(net, cfg)
+    best_net = net.copy()  # shares the input's arrays until an epoch improves
+    state = _FlatState(net, cfg)
     start = evaluate(net, data.valid)
     log = TrainLog(start_metric=start, best_metric=start)
-    best_net = net.copy()
     lr = cfg.lr_init
     bad_epochs = 0
     for epoch in range(cfg.max_epochs):
@@ -231,8 +259,9 @@ def _run_training(
                     raise DivergenceError(epoch=epoch, lr=lr)
             loss_sum += loss * feats.shape[0]
             seen += feats.shape[0]
-            grads = backward(net, cache, labels)
-            _apply_updates(net, grads, opt, lr)
+            backward(net, cache, labels, out=state.grads)
+            state.step(lr)
+            net.mark_params_changed()
         _assert_on_grid(net)  # a float run has no quantized group to check
         for name, spec in frozen_specs.items():
             if net.groups[name].quantizer != spec:
@@ -250,6 +279,7 @@ def _run_training(
         if val_metric < log.best_metric:
             log.best_metric = val_metric
             best_net = net.copy()
+            state.bind(best_net, state.theta.copy(), state.q.copy())
             log.best_epoch = epoch
             bad_epochs = 0
         else:

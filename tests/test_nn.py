@@ -308,6 +308,32 @@ class TestBackward:
             assert grads[name][0].tobytes() == dw.tobytes()
             assert grads[name][1].tobytes() == db.tobytes()
 
+    @pytest.mark.parametrize("which", ["cnn", "ffdnn"])
+    def test_out_views_of_one_vector_get_the_same_bits(self, which):
+        if which == "cnn":
+            net = build_cnn([2, 8], input_shape=(3, 8, 6), fc_units=5, classes=3, seed=4)
+        else:
+            net = build_ffdnn(7, 33, 2, 3, dropout_rate=0.5, seed=4)
+        x = Rng(5).uniform((9, *net.spec.input_shape), -1, 1)
+        targets = np.array([0, 1, 2, 2, 1, 0, 1, 2, 0])
+        _, cache = forward(net, x, Rng(6))
+        want = backward(net, cache, targets)
+        _, cache = forward(net, x, Rng(6))
+        # Views at odd element offsets of one flat vector, as a trainer lays
+        # out its gradient.
+        flat = np.full(1 + count_params(net), np.nan)
+        out, i = {}, 1
+        for name, g in net.groups.items():
+            dw = flat[i : i + g.weights.size].reshape(g.weights.shape)
+            db = flat[i + g.weights.size : i + g.weights.size + g.bias.size]
+            out[name], i = (dw, db), i + g.weights.size + g.bias.size
+        got = backward(net, cache, targets, out=out)
+        assert not np.isnan(flat[1:]).any()
+        for name, (dw, db) in want.items():
+            assert got[name][0] is out[name][0] and got[name][1] is out[name][1]
+            assert out[name][0].tobytes() == dw.tobytes()
+            assert out[name][1].tobytes() == db.tobytes()
+
     def test_gradient_shapes_match_parameters(self):
         net = build_cnn([3], input_shape=(2, 8, 8), fc_units=6, classes=4, seed=3)
         x = Rng(2).uniform((5, 2, 8, 8))
@@ -692,6 +718,19 @@ class TestCrossEntropy:
     def test_uniform_prediction(self):
         probs = np.full((4, 8), 1.0 / 8)
         assert cross_entropy(probs, [0, 1, 2, 3]) == pytest.approx(np.log(8))
+
+    @pytest.mark.parametrize("n", [1, 7, 128, 1000])
+    def test_bits_equal_the_mean_of_the_logs(self, n):
+        probs = Rng(n).uniform((n, 5), 1e-300, 1.0)
+        targets = np.arange(n) % 5
+        for zero in (False, True):
+            if zero:
+                probs[n // 2, targets[n // 2]] = 0.0  # a saturated softmax
+            with np.errstate(divide="ignore"):
+                want = float(-np.mean(np.log(probs[np.arange(n), targets])))
+            got = cross_entropy(probs, targets)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert (got == np.inf) == zero
 
 
 class TestAccounting:

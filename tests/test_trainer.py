@@ -6,23 +6,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quantbench.data import Dataset, DatasetSplit, synthetic_split
+from quantbench.data import Dataset, DatasetSplit, batches, synthetic_split
 from quantbench.errors import ConfigError, DivergenceError, UsageError
 from quantbench.experiments import LOG_FIELDS, write_train_log
 from quantbench import nn, trainer
 from quantbench.nn import (
     EVAL_BATCH,
+    backward,
     build_cnn,
     build_ffdnn,
+    count_params,
     eval_chunk,
     forward,
     predict,
 )
-from quantbench.quantizer import direct_quantize
+from quantbench.quantizer import apply, direct_quantize
 from quantbench.tensor import Rng, Tensor
 from quantbench.trainer import (
     TrainConfig,
-    _Optimizer,
+    TrainLog,
+    _BLOCK,
+    _FlatState,
     evaluate,
     retrain_config,
     retrain_quantized,
@@ -102,44 +106,220 @@ class TestTrainConfig:
         assert r.max_epochs == 1
 
 
+def _reference_step(r, v, theta, g, lr, cfg):
+    """RMSProp with momentum on one array, as the trainer ran it before its
+    parameters became one flat vector: new state in r and v, new theta out."""
+    r *= cfg.rmsprop_rho
+    r += (1.0 - cfg.rmsprop_rho) * g * g
+    v *= cfg.momentum
+    v -= lr * g / np.sqrt(r + cfg.rmsprop_eps)
+    return theta + v
+
+
+def _reference_run(net, data, cfg):
+    """The training loop with per-array state and per-array updates, written
+    out plainly: the flat trainer must reproduce it bit for bit."""
+    net = net.copy()
+    rng = Rng(cfg.seed)
+    shuffle_rng = rng.spawn("shuffle")
+    dropout_rng = rng.spawn("dropout") if cfg.dropout_active else None
+    state = {
+        (name, part): (np.zeros(a.shape), np.zeros(a.shape))
+        for name, g in net.groups.items()
+        for part, a in (("w", g.weights), ("b", g.bias))
+    }
+    start = evaluate(net, data.valid)
+    log = TrainLog(start_metric=start, best_metric=start)
+    best, lr, bad_epochs = net.copy(), cfg.lr_init, 0
+    for epoch in range(cfg.max_epochs):
+        loss_sum, seen = 0.0, 0
+        for feats, labels in batches(data.train, cfg.batch_size, shuffle=True,
+                                     rng=shuffle_rng):
+            probs, cache = forward(net, feats, dropout_rng)
+            picked = probs[np.arange(len(labels)), labels]
+            loss_sum += float(-np.mean(np.log(picked))) * len(labels)
+            seen += len(labels)
+            for name, (dw, db) in backward(net, cache, labels).items():
+                g = net.groups[name]
+                if g.quantizer is not None:
+                    shadow = _reference_step(*state[(name, "w")],
+                                             g.shadow_weights.ndarray, dw, lr, cfg)
+                    g.shadow_weights = Tensor(shadow)
+                    g.weights = Tensor(apply(shadow, g.quantizer))
+                else:
+                    g.weights = Tensor(_reference_step(*state[(name, "w")],
+                                                       g.weights.ndarray, dw, lr, cfg))
+                g.bias = Tensor(_reference_step(*state[(name, "b")],
+                                                g.bias.ndarray, db, lr, cfg))
+            net.mark_params_changed()
+        val = evaluate(net, data.valid)
+        log.records.append(trainer.EpochRecord(epoch, loss_sum / seen, val, lr, 0.0))
+        if val < log.best_metric:
+            log.best_metric, log.best_epoch, best, bad_epochs = val, epoch, net.copy(), 0
+        else:
+            bad_epochs += 1
+            lr *= cfg.lr_decay
+            if lr < cfg.lr_final or bad_epochs >= cfg.patience:
+                break
+    return best, log
+
+
+def _arrays(net):
+    """(label, array) of every weight, bias and shadow array of a network."""
+    out = []
+    for name, g in net.groups.items():
+        for part in ("weights", "bias", "shadow_weights"):
+            t = getattr(g, part)
+            if t is not None:
+                out.append((f"{name}.{part}", t.ndarray))
+    return out
+
+
+def _assert_same_run(got, want):
+    (net_a, log_a), (net_b, log_b) = got, want
+    assert log_a.best_epoch >= 0  # the snapshot comes from training
+    bytes_a = [(k, a.shape, a.tobytes()) for k, a in _arrays(net_a)]
+    assert bytes_a == [(k, a.shape, a.tobytes()) for k, a in _arrays(net_b)]
+    assert (log_a.start_metric, log_a.best_metric, log_a.best_epoch) == (
+        log_b.start_metric, log_b.best_metric, log_b.best_epoch)
+    assert [(r.epoch, r.train_loss, r.val_metric, r.lr) for r in log_a.records] == [
+        (r.epoch, r.train_loss, r.val_metric, r.lr) for r in log_b.records]
+
+
 class TestOptimizer:
     def test_single_step_matches_update_rule(self):
         net = build_ffdnn(4, 3, 1, 2, seed=1)
         cfg = TrainConfig(momentum=0.9, rmsprop_rho=0.9, rmsprop_eps=1e-8)
-        opt = _Optimizer(net, cfg)
-        theta = net.groups["In-h1"].weights.ndarray
+        state = _FlatState(net, cfg)
+        theta = state.theta.copy()
         g = Rng(2).normal(theta.shape)
+        state.grad[:] = g
         lr = 0.01
-        out = opt.step_array(("In-h1", "w"), theta, g, lr)
+        state.step(lr)
         r = (1.0 - 0.9) * g * g
         v = -lr * g / np.sqrt(r + 1e-8)
-        assert np.array_equal(out, theta + v)
+        assert np.array_equal(state.theta, theta + v)
 
     def test_two_steps_accumulate_state(self):
         net = build_ffdnn(4, 3, 1, 2, seed=1)
         cfg = TrainConfig(momentum=0.9, rmsprop_rho=0.9, rmsprop_eps=1e-8)
-        opt = _Optimizer(net, cfg)
-        theta0 = net.groups["In-h1"].weights.ndarray
+        state = _FlatState(net, cfg)
+        theta0 = state.theta.copy()
         g1 = Rng(2).normal(theta0.shape)
         g2 = Rng(3).normal(theta0.shape)
         lr = 0.01
-        theta1 = opt.step_array(("In-h1", "w"), theta0, g1, lr)
-        theta2 = opt.step_array(("In-h1", "w"), theta1, g2, lr)
+        state.grad[:] = g1
+        state.step(lr)
+        state.grad[:] = g2
+        state.step(lr)
         r1 = (1.0 - 0.9) * g1 * g1
         v1 = -lr * g1 / np.sqrt(r1 + 1e-8)
         r2 = 0.9 * r1 + (1.0 - 0.9) * g2 * g2
         v2 = 0.9 * v1 - lr * g2 / np.sqrt(r2 + 1e-8)
-        assert np.array_equal(theta2, (theta0 + v1) + v2)
+        assert np.array_equal(state.theta, (theta0 + v1) + v2)
 
-    def test_state_is_per_parameter_array(self):
+    def test_state_is_flat_over_every_parameter_array(self):
         net = build_ffdnn(4, 3, 1, 2, seed=1)
-        opt = _Optimizer(net, TrainConfig())
-        assert set(opt.r) == {
-            ("In-h1", "w"),
-            ("In-h1", "b"),
-            ("h1-out", "w"),
-            ("h1-out", "b"),
-        }
+        work = net.copy()
+        state = _FlatState(work, TrainConfig())  # binds work to its vectors
+        assert state.theta.shape == state.r.shape == state.v.shape == (count_params(net),)
+        assert set(state.grads) == {"In-h1", "h1-out"}
+        for name, (dw, db) in state.grads.items():
+            g = net.groups[name]
+            assert (dw.shape, db.shape) == (g.weights.shape, g.bias.shape)
+            assert np.shares_memory(dw, state.grad) and np.shares_memory(db, state.grad)
+        for (label, a), (_, b) in zip(_arrays(work), _arrays(net)):
+            assert not np.shares_memory(b, state.theta)
+            assert np.array_equal(a, b), label
+            assert np.shares_memory(a, state.theta) and not a.flags.writeable
+
+    def test_float_ffdnn_with_dropout_matches_reference(self):
+        split = _easy_split()
+        net = build_ffdnn(8, 16, 1, 3, dropout_rate=0.2, seed=2)
+        cfg = _fast_cfg(max_epochs=4)
+        _assert_same_run(train_float(net, split, cfg), _reference_run(net, split, cfg))
+
+    def test_partial_retrain_matches_reference(self):
+        split = synthetic_split("teacher_net", 600, 200, 200, classes=4, seed=11, dim=12)
+        net = build_ffdnn(12, 24, 1, 4, dropout_rate=0.0, seed=2)
+        trained, _ = train_float(net, split, _fast_cfg(max_epochs=8))
+        quantized, _ = direct_quantize(trained, 2, groups=["In-h1"])
+        cfg = _fast_cfg(lr_init=0.01, lr_final=1e-5, max_epochs=6, patience=6)
+        got = retrain_quantized(quantized, split, cfg)
+        assert got[0].groups["h1-out"].quantizer is None
+        _assert_same_run(got, _reference_run(quantized, split, cfg))
+
+    def test_tiny_cnn_matches_reference(self):
+        split = synthetic_split("blobs", 60, 30, 10, classes=3, seed=2, shape=(2, 8, 8))
+        net = build_cnn([3, 2], input_shape=(2, 8, 8), fc_units=4, classes=3, seed=1)
+        cfg = _fast_cfg(lr_init=0.01, batch_size=8, max_epochs=3)
+        _assert_same_run(train_float(net, split, cfg), _reference_run(net, split, cfg))
+
+    def test_several_blocks_match_reference(self):
+        split = synthetic_split("teacher_net", 200, 100, 10, classes=3, seed=4, dim=20)
+        net = build_ffdnn(20, 200, 2, 3, dropout_rate=0.1, seed=3)
+        assert count_params(net) > _BLOCK and count_params(net) % _BLOCK
+        cfg = _fast_cfg(lr_init=0.01, max_epochs=2)
+        _assert_same_run(train_float(net, split, cfg), _reference_run(net, split, cfg))
+
+
+class TestAliasing:
+    def test_input_network_keeps_its_bytes(self):
+        split = _easy_split()
+        net = build_ffdnn(8, 16, 1, 3, seed=2)
+        before = [a.tobytes() for _, a in _arrays(net)]
+        trained, _ = train_float(net, split, _fast_cfg(max_epochs=2))
+        assert [a.tobytes() for _, a in _arrays(net)] == before
+        quantized, _ = direct_quantize(trained, 2)
+        before = [a.tobytes() for _, a in _arrays(quantized)]
+        retrain_quantized(quantized, split, _fast_cfg(max_epochs=2))
+        assert [a.tobytes() for _, a in _arrays(quantized)] == before
+
+    def test_returned_net_is_read_only_and_kept(self):
+        split = _easy_split()
+        trained, log = train_float(build_ffdnn(8, 16, 1, 3, seed=2), split, _fast_cfg())
+        assert log.best_epoch >= 0
+        assert not any(a.flags.writeable for _, a in _arrays(trained))
+        before = [a.tobytes() for _, a in _arrays(trained)]
+        quantized, _ = direct_quantize(trained, 2)
+        retrained, _ = retrain_quantized(quantized, split, _fast_cfg(max_epochs=2))
+        train_float(trained, split, _fast_cfg(max_epochs=2))
+        assert not any(a.flags.writeable for _, a in _arrays(retrained))
+        assert [a.tobytes() for _, a in _arrays(trained)] == before
+
+    def test_cache_from_before_a_step_is_stale(self, monkeypatch):
+        kept = []
+
+        def spy(net, feats, rng=None):
+            if not kept:  # an extra pass without dropout draws no random numbers
+                kept.append((net, forward(net, feats)[1], len(feats)))
+            return forward(net, feats, rng)
+
+        monkeypatch.setattr(trainer, "forward", spy)
+        train_float(build_ffdnn(8, 16, 1, 3, seed=2), _easy_split(), _fast_cfg(max_epochs=1))
+        net, cache, n = kept[0]
+        with pytest.raises(UsageError, match="stale"):
+            backward(net, cache, np.zeros(n, dtype=np.int64))
+
+    def test_working_vectors_leak_into_no_returned_net(self, monkeypatch):
+        working = []
+
+        def spy(net, feats, rng=None):
+            if not working or working[-1] is not net:
+                working.append(net)
+            return forward(net, feats, rng)
+
+        monkeypatch.setattr(trainer, "forward", spy)
+        split = _easy_split()
+        net = build_ffdnn(8, 16, 1, 3, seed=2)
+        runs = [train_float(net, split, _fast_cfg(max_epochs=3)) for _ in range(2)]
+        assert all(log.best_epoch >= 0 for _, log in runs)
+        assert len(working) == 2
+        nets = [net, *working, *(out for out, _ in runs)]
+        for i, a in enumerate(nets):
+            for b in nets[i + 1:]:
+                for (label, x), (_, y) in zip(_arrays(a), _arrays(b)):
+                    assert not np.shares_memory(x, y), label
 
 
 class TestEvaluate:
