@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from typing import get_type_hints
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetSplit, load_cifar10, load_csv, synthetic_split
@@ -32,6 +33,7 @@ from .experiments import (
     SweepRecord,
     baseline_curves,
     build_network,
+    check_modes,
     emit_report,
     network_block,
     parse_records_csv,
@@ -156,18 +158,10 @@ _SCHEMA = {
         "fc_units": _as_int,
         "dropout_rate": _as_float,
     },
+    # Exactly TrainConfig's fields; a field of another type fails at import.
     "train": {
-        "batch_size": _as_int,
-        "lr_init": _as_float,
-        "lr_final": _as_float,
-        "lr_decay": _as_float,
-        "momentum": _as_float,
-        "rmsprop_rho": _as_float,
-        "rmsprop_eps": _as_float,
-        "max_epochs": _as_int,
-        "patience": _as_int,
-        "seed": _as_int,
-        "dropout_active": _as_bool,
+        name: {int: _as_int, float: _as_float, bool: _as_bool}[kind]
+        for name, kind in get_type_hints(TrainConfig).items()
     },
     "quant": {
         "checkpoint": _as_str,
@@ -242,11 +236,8 @@ def _validate_references(cfg: dict) -> None:
                 f"quant.groups: unknown group(s) {unknown} for the declared "
                 f"network (expected among {known})"
             )
-    sweep = cfg.get("sweep", {})
-    if "modes" in sweep:
-        bad = [m for m in sweep["modes"] if m not in MODES]
-        if bad:
-            raise ConfigError(f"sweep.modes: unknown mode(s) {bad}")
+    if "modes" in cfg.get("sweep", {}):
+        check_modes(cfg["sweep"]["modes"])
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,8 @@ class Dataset:
 
     def subset(self, index: np.ndarray) -> "Dataset":
         return Dataset(
-            features=Tensor._wrap(self.features.ndarray[index].copy()),
-            labels=self.labels[index].copy(),
+            features=Tensor._wrap(self.features.ndarray[index]),
+            labels=self.labels[index],
             class_count=self.class_count,
         )
 

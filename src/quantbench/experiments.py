@@ -26,12 +26,12 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
 from .data import DatasetSplit
-from .errors import ConfigError, reject_repeats
+from .errors import ConfigError, DataFormatError, reject_repeats
 from .nn import Network, build_cnn, build_ffdnn, count_params, count_weight_bits
 from .quantizer import QuantizationReport, bits_to_levels, direct_quantize
 from .tensor import derive_seed
@@ -49,21 +49,6 @@ DEFAULT_SEED_REPS = 3
 # Defaults of a `network` block; dropout_rate and fc_units default in nn.
 NETWORK_DEFAULTS = {"family": "ffdnn", "hidden_units": 64, "hidden_layers": 1}
 SCALES = ("linear", "log2")  # interpolation axes of a baseline curve
-
-RECORD_FIELDS = [
-    "family",
-    "width_or_maps",
-    "depth",
-    "mode",
-    "n_bits",
-    "seed",
-    "param_count",
-    "total_weight_bits",
-    "val_metric",
-    "test_metric",
-]
-_RECORD_CASTS = (str, str, int, str, int, int, int, int, float, float)
-ECR_FIELDS = RECORD_FIELDS + ["effective_params", "effective_bits", "ecr", "clamped"]
 
 MODES = ("float", "direct", "retrained")
 
@@ -101,6 +86,12 @@ class SweepRecord:
             self.n_bits,
             self.seed,
         )
+
+
+# Records CSV columns are SweepRecord's fields, each parsed by its annotation.
+_RECORD_CASTS = get_type_hints(SweepRecord)
+RECORD_FIELDS = list(_RECORD_CASTS)
+ECR_FIELDS = RECORD_FIELDS + ["effective_params", "effective_bits", "ecr", "clamped"]
 
 
 @dataclass(frozen=True)
@@ -261,13 +252,16 @@ def _run_point(args) -> list[SweepRecord]:
     return records
 
 
-def _check_modes(modes: Iterable[str]) -> tuple[str, ...]:
+def check_modes(modes: Iterable[str]) -> tuple[str, ...]:
+    """The sweep modes as a tuple; unknown or no modes are a ConfigError."""
     modes = tuple(modes)
     unknown = [m for m in modes if m not in MODES]
     if unknown:
-        raise ConfigError(f"unknown modes {unknown}; valid modes are {list(MODES)}")
+        raise ConfigError(
+            f"sweep.modes: unknown mode(s) {unknown}; valid modes are {list(MODES)}"
+        )
     if not modes:
-        raise ConfigError("at least one mode is required")
+        raise ConfigError("sweep.modes: at least one mode is required")
     return modes
 
 
@@ -292,7 +286,7 @@ def _sweep(
 ) -> list[SweepRecord]:
     """Run every network cell ``seed_reps`` times, each point with a seed
     derived from the base seed and the cell, on ``jobs`` processes."""
-    modes = _check_modes(modes)
+    modes = check_modes(modes)
     bits = _check_bits(bit_list, modes)
     if not cells:
         raise ConfigError("sweep sizes and depths must be non-empty")
@@ -482,8 +476,6 @@ def write_records_csv(records: Sequence[SweepRecord], path: str) -> None:
 
 def parse_records_csv(path: str) -> list[SweepRecord]:
     """Inverse of write_records_csv; round-trips exactly."""
-    from .errors import DataFormatError
-
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -502,9 +494,9 @@ def parse_records_csv(path: str) -> list[SweepRecord]:
                     f"found {len(row)}"
                 )
             try:
-                records.append(
-                    SweepRecord(*(cast(v) for cast, v in zip(_RECORD_CASTS, row)))
-                )
+                records.append(SweepRecord(
+                    *(cast(v) for cast, v in zip(_RECORD_CASTS.values(), row))
+                ))
             except (ValueError, ConfigError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
     return records

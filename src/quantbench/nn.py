@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -97,22 +97,11 @@ class LayerSpec:
     group: str | None = None  # weight-group name for dense/conv5x5
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for key in ("units", "maps", "rate", "group"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = v
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerSpec":
-        return cls(
-            kind=d["kind"],
-            units=d.get("units"),
-            maps=d.get("maps"),
-            rate=d.get("rate"),
-            group=d.get("group"),
-        )
+        return cls(**{f.name: d.get(f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)

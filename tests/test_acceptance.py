@@ -29,18 +29,8 @@ from quantbench.experiments import (
     run_depth_sweep,
     run_width_sweep,
 )
-from quantbench.nn import (
-    Network,
-    Tensor,
-    backward,
-    build_cnn,
-    build_ffdnn,
-    count_params,
-    cross_entropy,
-    forward,
-)
+from quantbench.nn import Network, Tensor, build_cnn, build_ffdnn, count_params
 from quantbench.quantizer import QuantizerSpec, apply, bits_to_levels, direct_quantize, optimize_delta
-from quantbench.tensor import Rng
 from quantbench.trainer import (
     TrainConfig,
     evaluate,
@@ -48,6 +38,8 @@ from quantbench.trainer import (
     retrain_quantized,
     train_float,
 )
+
+from gradcheck import worst_gradient_error
 
 CIFAR_ENV = "QUANTBENCH_CIFAR_DIR"
 
@@ -179,59 +171,6 @@ def test_criterion_02_rule_matches_transliteration_bit_exactly():
 # ---------------------------------------------------------------------------
 
 
-def _loss_for_gradcheck(net, x, targets, mode, seed):
-    rng = Rng(seed) if mode == "train" else None
-    probs, cache = forward(net, x, rng)
-    return cross_entropy(probs, targets), cache
-
-
-def _nudge_biases(net):
-    """Move biases off zero so no relu input sits exactly on its kink.
-
-    Freshly built networks have all-zero biases; if dropout or relu zeroes an
-    entire row of some layer's input, the next pre-activation row equals the
-    bias exactly and finite differences straddle the kink.
-    """
-    for group in net.groups.values():
-        b = group.bias.ndarray
-        group.bias = Tensor(0.05 + 0.01 * np.arange(b.size, dtype=np.float64))
-    net.mark_params_changed()
-
-
-def _worst_gradient_error(net, x, targets, mode="eval", seed=101, eps=1e-5,
-                          picks_per_array=12):
-    _nudge_biases(net)
-    _, cache = _loss_for_gradcheck(net, x, targets, mode, seed)
-    grads = backward(net, cache, targets)
-    worst = 0.0
-    chooser = np.random.RandomState(0)
-    for name, (dw, db) in grads.items():
-        group = net.groups[name]
-        for analytic, tensor, setter in (
-            (dw, group.weights, "weights"),
-            (db, group.bias, "bias"),
-        ):
-            arr = tensor.ndarray
-            flat_ids = chooser.choice(
-                arr.size, size=min(picks_per_array, arr.size), replace=False
-            )
-            for i in flat_ids:
-                probes = []
-                for sign in (+1, -1):
-                    flat = arr.copy().reshape(-1)
-                    flat[i] += sign * eps
-                    setattr(group, setter, Tensor(flat.reshape(arr.shape)))
-                    net.mark_params_changed()
-                    loss, _ = _loss_for_gradcheck(net, x, targets, mode, seed)
-                    probes.append(loss)
-                setattr(group, setter, tensor)
-                net.mark_params_changed()
-                numeric = (probes[0] - probes[1]) / (2 * eps)
-                a = analytic.reshape(-1)[i]
-                worst = max(worst, abs(a - numeric) / max(1.0, abs(a), abs(numeric)))
-    return worst
-
-
 def test_criterion_03_gradients_match_finite_differences():
     t0 = time.monotonic()
     data_rng = np.random.default_rng(555)
@@ -250,7 +189,7 @@ def test_criterion_03_gradients_match_finite_differences():
         assert count_params(net) <= 10_000
         x = data_rng.normal(0.0, 1.0, x_shape)
         targets = data_rng.integers(0, classes, x_shape[0])
-        worst = _worst_gradient_error(net, x, targets, mode=mode, eps=1e-5)
+        worst = worst_gradient_error(net, x, targets, mode=mode, eps=1e-5)
         assert worst < 1e-6, f"{mode} net: worst relative error {worst:.3e}"
 
     elapsed = time.monotonic() - t0

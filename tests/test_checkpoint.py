@@ -166,6 +166,16 @@ class TestCorruption:
         with pytest.raises(DataFormatError, match="invalid network spec"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("layer", [{"units": 4, "group": "In-out"}, "dense", [1]])
+    def test_malformed_layer_entry_is_a_format_error(self, tmp_path, layer):
+        layers = [layer, {"kind": "softmax"}]
+        spec = json.dumps({"input_shape": [4], "classes": 2, "layers": layers}).encode()
+        p = tmp_path / "layer.ckpt"
+        p.write_bytes(MAGIC + struct.pack("<II", 1, len(spec)) + spec
+                      + struct.pack("<I", 0))
+        with pytest.raises(DataFormatError, match="invalid network spec"):
+            load_checkpoint(p)
+
     def test_pool_over_flat_shape_is_a_format_error(self, tmp_path):
         layers = [{"kind": "dense", "units": 4, "group": "In-h1"}, {"kind": "maxpool2"},
                   {"kind": "dense", "units": 3, "group": "h1-out"}, {"kind": "softmax"}]

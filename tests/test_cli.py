@@ -1,9 +1,11 @@
 """Command-line behavior: pipelines, exit codes, seeds, reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 import struct
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from quantbench.checkpoint import load_checkpoint, save_checkpoint
 from quantbench.cli import SEED_ENV, load_config, main
 from quantbench.data import make_synthetic
 from quantbench.tensor import Tensor
+from quantbench.trainer import TrainConfig
 
 
 @pytest.fixture(autouse=True)
@@ -233,6 +236,20 @@ class TestExitCodes:
         assert _run("train", "--config", config) == 2
         assert "expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(TrainConfig), ids=lambda f: f.name
+    )
+    def test_every_train_field_is_typed(self, tmp_path, capsys, field):
+        cfg = _base_config()
+        cfg["train"] = {field.name: field.default}
+        got = load_config(_write_config(tmp_path, cfg))["train"][field.name]
+        assert got == field.default and type(got) is type(field.default)
+        wrong = {int: [True, 1.5], float: ["x"], bool: [1]}
+        for value in wrong[get_type_hints(TrainConfig)[field.name]]:
+            cfg["train"] = {field.name: value}
+            assert _run("train", "--config", _write_config(tmp_path, cfg)) == 2
+            assert f"train.{field.name}: expected" in capsys.readouterr().err
+
     def test_bits_out_of_range(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = _base_config(out_dir=str(out))
@@ -381,6 +398,13 @@ class TestExitCodes:
         config = _write_config(tmp_path, cfg)
         assert _run("sweep", "--config", config) == 2
         assert "sweep.modes" in capsys.readouterr().err
+
+    def test_empty_sweep_modes_fail_at_load(self, tmp_path, capsys):
+        cfg = _base_config(out_dir=str(tmp_path / "out"))
+        cfg["sweep"] = {"sizes": [4], "modes": []}
+        assert _run("train", "--config", _write_config(tmp_path, cfg)) == 2
+        assert "sweep.modes: at least one mode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_quant_group_for_network(self, tmp_path, capsys):
         cfg = _base_config()

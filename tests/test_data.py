@@ -41,6 +41,15 @@ class TestDataset:
         assert sub.class_count == 3
         assert sub.size == 3
 
+    def test_subset_owns_read_only_features(self):
+        ds = Dataset(
+            Tensor(np.arange(12.0).reshape(6, 2)), np.arange(6) % 3, class_count=3
+        )
+        sub = ds.subset(np.arange(1, 4))
+        assert not np.shares_memory(sub.features.ndarray, ds.features.ndarray)
+        assert not np.shares_memory(sub.labels, ds.labels)
+        assert not sub.features.ndarray.flags.writeable
+
 
 class TestSynthetic:
     def test_blobs_shapes_and_determinism(self):

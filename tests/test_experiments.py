@@ -1,6 +1,8 @@
 """Sweeps, the float baseline curve, effective parameters, and ECR."""
 
 import csv
+import dataclasses
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -458,6 +460,29 @@ class TestRecordsCsv:
         lines[2] = lines[2].replace("direct", "mystery")
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=":3"):
+            parse_records_csv(p)
+
+    def test_header_is_record_field_order(self, tmp_path):
+        p = tmp_path / "records.csv"
+        write_records_csv(self._records(), p)
+        header = p.read_text().splitlines()[0].split(",")
+        assert header == [f.name for f in dataclasses.fields(SweepRecord)]
+
+    @pytest.mark.parametrize(
+        "column, bad",
+        [(name, "fancy" if name == "mode" else "x")
+         for name, kind in get_type_hints(SweepRecord).items()
+         if kind is not str or name == "mode"],
+    )
+    def test_bad_cell_carries_line_number(self, tmp_path, column, bad):
+        p = tmp_path / "records.csv"
+        write_records_csv(self._records(), p)
+        lines = p.read_text().splitlines()
+        cells = lines[2].split(",")  # a direct record
+        cells[lines[0].split(",").index(column)] = bad
+        lines[2] = ",".join(cells)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=":3: bad record"):
             parse_records_csv(p)
 
     def test_empty_file(self, tmp_path):

@@ -31,6 +31,8 @@ from quantbench.nn import (
 )
 from quantbench.tensor import Rng, Tensor
 
+from gradcheck import worst_gradient_error
+
 
 class TestBuilders:
     def test_ffdnn_group_names(self):
@@ -101,6 +103,24 @@ class TestSpecRoundTrip:
         net = build_cnn([4, 8], input_shape=(3, 12, 12), fc_units=16, classes=5)
         spec2 = NetworkSpec.from_dict(net.spec.to_dict())
         assert spec2 == net.spec
+
+    @pytest.mark.parametrize("spec, wanted", [
+        (LayerSpec("dense", units=4, group="In-h1"),
+         {"kind": "dense", "units": 4, "group": "In-h1"}),
+        (LayerSpec("conv5x5", maps=3, group="C1"),
+         {"kind": "conv5x5", "maps": 3, "group": "C1"}),
+        (LayerSpec("dropout", rate=0.25), {"kind": "dropout", "rate": 0.25}),
+        (LayerSpec("maxpool2"), {"kind": "maxpool2"}),
+        (LayerSpec("relu"), {"kind": "relu"}),
+        (LayerSpec("softmax"), {"kind": "softmax"}),
+    ])
+    def test_layer_dict_drops_none_and_round_trips(self, spec, wanted):
+        assert spec.to_dict() == wanted
+        assert LayerSpec.from_dict(wanted) == spec
+
+    def test_layer_dict_ignores_unknown_keys(self):
+        d = {"kind": "dense", "units": 4, "group": "In-h1", "stride": 2}
+        assert LayerSpec.from_dict(d) == LayerSpec("dense", units=4, group="In-h1")
 
     def test_rebuild_from_spec_matches_shapes(self):
         net = build_ffdnn(10, 8, 2, 4, seed=3)
@@ -633,81 +653,27 @@ class TestMaxpool2:
         assert np.flatnonzero(dx).tolist() == [0, 2, 8, 10]
 
 
-def _loss_for_gradcheck(net, x, targets, mode, seed):
-    rng = Rng(seed) if mode == "train" else None
-    probs, cache = forward(net, x, rng)
-    return cross_entropy(probs, targets), cache
-
-
-def _nudge_biases(net):
-    """Move biases off zero so no relu input sits exactly on its kink.
-
-    Freshly built networks have all-zero biases; if dropout zeroes an entire
-    row of some layer's input, the next pre-activation row equals the bias
-    exactly and finite differences straddle the relu kink.
-    """
-    for group in net.groups.values():
-        b = net.groups[group.name].bias.ndarray
-        group.bias = Tensor(0.05 + 0.01 * np.arange(b.size, dtype=np.float64))
-    net.mark_params_changed()
-
-
-def _central_difference_check(net, x, targets, mode="eval", seed=101, eps=1e-5,
-                              picks_per_array=12):
-    """Worst relative error between analytic and numeric gradients."""
-    _nudge_biases(net)
-    _, cache = _loss_for_gradcheck(net, x, targets, mode, seed)
-    grads = backward(net, cache, targets)
-    worst = 0.0
-    chooser = np.random.RandomState(0)
-    for name, (dw, db) in grads.items():
-        group = net.groups[name]
-        for analytic, tensor, setter in (
-            (dw, group.weights, "weights"),
-            (db, group.bias, "bias"),
-        ):
-            arr = tensor.ndarray
-            flat_ids = chooser.choice(
-                arr.size, size=min(picks_per_array, arr.size), replace=False
-            )
-            for i in flat_ids:
-                probes = []
-                for sign in (+1, -1):
-                    flat = arr.copy().reshape(-1)
-                    flat[i] += sign * eps
-                    setattr(group, setter, Tensor(flat.reshape(arr.shape)))
-                    net.mark_params_changed()
-                    loss, _ = _loss_for_gradcheck(net, x, targets, mode, seed)
-                    probes.append(loss)
-                setattr(group, setter, tensor)
-                net.mark_params_changed()
-                numeric = (probes[0] - probes[1]) / (2 * eps)
-                a = analytic.reshape(-1)[i]
-                worst = max(worst, abs(a - numeric) / max(1.0, abs(a), abs(numeric)))
-    return worst
-
-
 class TestGradients:
     def test_ffdnn_eval_mode(self):
         net = build_ffdnn(10, 8, 2, 4, seed=3)
         x = Rng(1).uniform((6, 10), -1, 1)
-        assert _central_difference_check(net, x, [0, 1, 2, 3, 0, 1]) < 1e-6
+        assert worst_gradient_error(net, x, [0, 1, 2, 3, 0, 1]) < 1e-6
 
     def test_ffdnn_train_mode_with_dropout(self):
         net = build_ffdnn(10, 8, 2, 4, dropout_rate=0.3, seed=3)
         x = Rng(1).uniform((6, 10), -1, 1)
-        err = _central_difference_check(net, x, [0, 1, 2, 3, 0, 1], mode="train")
+        err = worst_gradient_error(net, x, [0, 1, 2, 3, 0, 1], mode="train")
         assert err < 1e-6
 
     def test_cnn_all_layer_types(self):
         net = build_cnn([3, 4], input_shape=(2, 10, 10), fc_units=6, classes=3, seed=7)
         x = Rng(4).uniform((3, 2, 10, 10), -1, 1)
-        assert _central_difference_check(net, x, [0, 1, 2], picks_per_array=8) < 1e-6
+        assert worst_gradient_error(net, x, [0, 1, 2], picks_per_array=8) < 1e-6
 
     def test_cnn_odd_spatial_size(self):
         net = build_cnn([3], input_shape=(2, 9, 9), fc_units=5, classes=3, seed=9)
         x = Rng(6).uniform((2, 2, 9, 9), -1, 1)
-        assert _central_difference_check(net, x, [1, 2], picks_per_array=8) < 1e-6
+        assert worst_gradient_error(net, x, [1, 2], picks_per_array=8) < 1e-6
 
 
 class TestCrossEntropy:
