@@ -25,8 +25,8 @@ import sys
 from typing import get_type_hints
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import DatasetSplit, load_cifar10, load_csv, synthetic_split
-from .errors import ConfigError, DataFormatError, DivergenceError, QuantbenchError
+from .data import Dataset, DatasetSplit, load_cifar10, load_csv, synthetic_split
+from .errors import ConfigError, DataFormatError, DivergenceError, QuantbenchError, read_text
 from .experiments import (
     DEFAULT_SEED_REPS,
     MODES,
@@ -202,11 +202,9 @@ def _check_block(block, schema: dict, path: str) -> dict:
 
 def load_config(path: str) -> dict:
     """Read and validate an experiment config; returns the checked document."""
+    text = read_text(path, "config", unreadable=ConfigError)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -281,17 +279,13 @@ def _build_split(cfg: dict) -> DatasetSplit:
         return load_cifar10(_require(ds, "path", "dataset"))
     if kind == "csv":
         classes = ds.get("classes")
-        train = load_csv(
-            _require(ds, "path", "dataset"),
-            ds.get("labels_path"),
-            class_count=classes,
+        parts = (
+            load_csv(_require(ds, "path", "dataset"), ds.get("labels_path"), classes),
+            load_csv(_require(ds, "valid_path", "dataset"), class_count=classes),
+            load_csv(_require(ds, "test_path", "dataset"), class_count=classes),
         )
-        valid = load_csv(_require(ds, "valid_path", "dataset"), class_count=classes)
-        test = load_csv(_require(ds, "test_path", "dataset"), class_count=classes)
-        classes = max(train.class_count, valid.class_count, test.class_count)
-        for part in (train, valid, test):
-            part.class_count = classes
-        return DatasetSplit(train=train, valid=valid, test=test)
+        classes = max(part.class_count for part in parts)
+        return DatasetSplit(*(Dataset(p.features, p.labels, classes) for p in parts))
     if kind in ("blobs", "spirals", "teacher_net"):
         shape = ds.get("shape")
         kw = {k: ds[k] for k in ("dim", "spread") if k in ds}

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, read_text
 # ``forward`` stays a name of this module: perfbench's full trace wraps it here.
 from .nn import Network, build_ffdnn, forward, predict  # noqa: F401
 from .tensor import Rng, Tensor, derive_seed
@@ -36,7 +36,9 @@ class Dataset:
     class_count: int
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        # A read-only view: the caller's array keeps its own flags.
+        self.labels = np.asarray(self.labels, dtype=np.int64).view()
+        self.labels.flags.writeable = False
         if self.features.shape[0] != self.labels.shape[0]:
             raise DataFormatError(
                 f"feature count {self.features.shape[0]} does not match "
@@ -135,11 +137,7 @@ def _parse_csv_rows(path: str) -> list[list[float]]:
     """Parse a numeric CSV, skipping a header row. Errors carry line numbers."""
     rows: list[list[float]] = []
     width = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    lines = read_text(path, "CSV file").splitlines()
     body_start = 0
     first_data = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if first_data is None:

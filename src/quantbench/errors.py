@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and ``reject_repeats``.
+"""Exception types shared across the package, ``reject_repeats``, and
+``read_text``, the one way a text input is read.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 DataFormatError -> 3, DivergenceError -> 4.
@@ -46,3 +47,22 @@ def reject_repeats(values: list, key: str) -> None:
     for i, v in enumerate(values):
         if v in values[:i]:
             raise ConfigError(f"{key}: {v} is listed twice")
+
+
+def read_text(path: str, what: str, unreadable: type = DataFormatError) -> str:
+    """The UTF-8 text of the file at ``path``, a ``what`` (e.g. "config").
+
+    A file that cannot be opened raises ``unreadable``; bytes that are not
+    UTF-8 raise DataFormatError naming the path and the byte offset.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise unreadable(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})"
+        ) from None

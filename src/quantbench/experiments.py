@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +32,7 @@ from typing import Iterable, Mapping, Sequence, get_type_hints
 import numpy as np
 
 from .data import DatasetSplit
-from .errors import ConfigError, DataFormatError, reject_repeats
+from .errors import ConfigError, DataFormatError, read_text, reject_repeats
 from .nn import Network, build_cnn, build_ffdnn, count_params, count_weight_bits
 from .quantizer import QuantizationReport, bits_to_levels, direct_quantize
 from .tensor import derive_seed
@@ -476,29 +477,28 @@ def write_records_csv(records: Sequence[SweepRecord], path: str) -> None:
 
 def parse_records_csv(path: str) -> list[SweepRecord]:
     """Inverse of write_records_csv; round-trips exactly."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty records file") from None
-        if header != RECORD_FIELDS:
+    reader = csv.reader(io.StringIO(read_text(path, "records file"), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty records file") from None
+    if header != RECORD_FIELDS:
+        raise DataFormatError(
+            f"{path}: unexpected header {header}, wanted {RECORD_FIELDS}"
+        )
+    records = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(RECORD_FIELDS):
             raise DataFormatError(
-                f"{path}: unexpected header {header}, wanted {RECORD_FIELDS}"
+                f"{path}:{lineno}: expected {len(RECORD_FIELDS)} fields, "
+                f"found {len(row)}"
             )
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(RECORD_FIELDS):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(RECORD_FIELDS)} fields, "
-                    f"found {len(row)}"
-                )
-            try:
-                records.append(SweepRecord(
-                    *(cast(v) for cast, v in zip(_RECORD_CASTS.values(), row))
-                ))
-            except (ValueError, ConfigError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
+        try:
+            records.append(SweepRecord(
+                *(cast(v) for cast, v in zip(_RECORD_CASTS.values(), row))
+            ))
+        except (ValueError, ConfigError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
     return records
 
 

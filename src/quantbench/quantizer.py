@@ -37,7 +37,10 @@ _BOUND_SLACK = 2.0**-32
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Grid description for one weight group: M levels spaced delta apart."""
+    """Grid description for one weight group: M levels spaced delta apart.
+
+    M <= 255, so every code fits the signed byte a checkpoint stores it in.
+    """
 
     M: int
     delta: float
@@ -45,6 +48,8 @@ class QuantizerSpec:
     def __post_init__(self):
         if self.M < 3 or self.M % 2 == 0:
             raise ConfigError(f"level count must be odd and >= 3, got {self.M}")
+        if self.M > 255:
+            raise ConfigError(f"level count must be <= 255, got {self.M}")
         if not 0.0 < self.delta < float("inf"):
             raise ConfigError(f"step size must be positive and finite, got {self.delta}")
 
@@ -117,10 +122,16 @@ def apply(w, spec: QuantizerSpec):
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) by numpy's pairwise summation. Its order is numpy's, so the
+    bits do not depend on the BLAS thread count, as a long 1-D np.dot's do."""
+    return float(np.multiply(a, b).sum())
+
+
 def l2_error(w: np.ndarray, spec: QuantizerSpec) -> float:
     """Distortion 1/2 * sum((apply(w) - w)^2) at the given grid."""
     d = apply(np.asarray(w, dtype=np.float64), spec) - w
-    return 0.5 * float(np.dot(d.reshape(-1), d.reshape(-1)))
+    return 0.5 * _dot(d, d)
 
 
 def _first_at_or_above(absw: np.ndarray, divisors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -186,7 +197,7 @@ def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
     """
     absw = np.abs(flat)
     absw = absw[absw > 0.0]
-    w_sq = float(np.dot(absw, absw))
+    w_sq = _dot(absw, absw)
     absw.sort()
     n = absw.size
     levels = np.arange(1, max_code + 1)
@@ -311,10 +322,10 @@ def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationRepor
     for _ in range(_MAX_FIT_ITERATIONS):
         iterations += 1
         q = _grid_codes(flat, delta, max_code)
-        qq = float(np.dot(q, q))
+        qq = _dot(q, q)
         if qq == 0.0:
             break  # every weight rounds to zero; no least-squares update exists
-        new_delta = float(np.dot(q, flat)) / qq
+        new_delta = _dot(q, flat) / qq
         if abs(new_delta - delta) <= _DELTA_REL_TOL * delta:
             delta = new_delta
             break

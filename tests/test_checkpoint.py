@@ -8,11 +8,12 @@ import warnings
 
 import numpy as np
 import pytest
+from forge import reseal_replace, seal, sealed
 
 from quantbench.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from quantbench.errors import DataFormatError
 from quantbench.nn import build_cnn, build_ffdnn, count_params, forward
-from quantbench.quantizer import QuantizerSpec, apply, direct_quantize
+from quantbench.quantizer import direct_quantize
 from quantbench.tensor import Rng, Tensor
 
 
@@ -84,6 +85,8 @@ class TestQuantizedRoundTrip:
                 == lg.shadow_weights.ndarray.tobytes()
             )
             assert g.bias.ndarray.tobytes() == lg.bias.ndarray.tobytes()
+            for t in (lg.weights, lg.shadow_weights, lg.bias):
+                assert t.ndarray.flags.aligned
 
     def test_quantized_save_load_save_byte_identical(self, tmp_path):
         net = self._quantized_net(seed=11)
@@ -106,16 +109,14 @@ class TestQuantizedRoundTrip:
             loaded.groups["In-h1"].weights.ndarray,
         )
 
-    def test_too_many_levels_rejected_at_save(self, tmp_path):
-        net = build_ffdnn(6, 4, 1, 3, seed=1)
-        group = net.groups["In-h1"]
-        spec = QuantizerSpec(M=257, delta=0.01)
-        group.shadow_weights = group.weights
-        group.weights = Tensor(apply(group.weights.ndarray, spec))
-        group.quantizer = spec
-        net.mark_params_changed()
-        with pytest.raises(DataFormatError, match="signed-byte code range"):
-            save_checkpoint(net, tmp_path / "big.ckpt")
+    def test_file_sizes(self, tmp_path):
+        # Spec JSON, then the arrays, flags and quantizer fields, then the CRC:
+        # 16 + spec + 8 * (weights + biases) + groups + 4 bytes.
+        net = build_ffdnn(12, 8, 2, 5, seed=4)
+        p = tmp_path / "f.ckpt"
+        save_checkpoint(net, p)
+        spec = struct.unpack_from("<I", p.read_bytes(), 12)[0]
+        assert p.stat().st_size == 16 + spec + 8 * count_params(net) + 3 + 4
 
 
 class TestCorruption:
@@ -158,11 +159,27 @@ class TestCorruption:
         with pytest.raises(DataFormatError):
             load_checkpoint(p)
 
+    def test_version_1_file_rejected(self, tmp_path):
+        p, raw = self._saved(tmp_path)
+        p.write_bytes(raw[:8] + (1).to_bytes(4, "little") + raw[12:])
+        with pytest.raises(DataFormatError, match="version 1 "):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("at", ["spec", -60, -1])  # a weight, the CRC
+    def test_checksum_mismatch(self, tmp_path, at):
+        p, raw = self._saved(tmp_path)
+        if at == "spec":  # still a valid spec, of the same length
+            p.write_bytes(raw.replace(b'"rate":0.2', b'"rate":0.3'))
+        else:
+            body = bytearray(raw)
+            body[at] ^= 0x01
+            p.write_bytes(bytes(body))
+        with pytest.raises(DataFormatError, match="checksum mismatch"):
+            load_checkpoint(p)
+
     def test_spec_missing_keys(self, tmp_path):
-        spec = b'{"classes":2,"input_shape":[4]}'
         p = tmp_path / "spec.ckpt"
-        p.write_bytes(MAGIC + struct.pack("<II", 1, len(spec)) + spec
-                      + struct.pack("<I", 0))
+        p.write_bytes(sealed(b'{"classes":2,"input_shape":[4]}'))
         with pytest.raises(DataFormatError, match="invalid network spec"):
             load_checkpoint(p)
 
@@ -171,8 +188,7 @@ class TestCorruption:
         layers = [layer, {"kind": "softmax"}]
         spec = json.dumps({"input_shape": [4], "classes": 2, "layers": layers}).encode()
         p = tmp_path / "layer.ckpt"
-        p.write_bytes(MAGIC + struct.pack("<II", 1, len(spec)) + spec
-                      + struct.pack("<I", 0))
+        p.write_bytes(sealed(spec))
         with pytest.raises(DataFormatError, match="invalid network spec"):
             load_checkpoint(p)
 
@@ -181,8 +197,7 @@ class TestCorruption:
                   {"kind": "dense", "units": 3, "group": "h1-out"}, {"kind": "softmax"}]
         spec = json.dumps({"input_shape": [6], "classes": 3, "layers": layers}).encode()
         p = tmp_path / "pool.ckpt"
-        p.write_bytes(MAGIC + struct.pack("<II", 1, len(spec)) + spec
-                      + struct.pack("<I", 0))
+        p.write_bytes(sealed(spec))
         with pytest.raises(DataFormatError, match="maxpool2 layer needs"):
             load_checkpoint(p)
 
@@ -192,27 +207,22 @@ class TestCorruption:
         assert raw.count(b'"rate":0.2') == 1
         spec_len = struct.unpack_from("<I", raw, 12)[0] + len(rate) - 3
         bad = raw.replace(b'"rate":0.2', b'"rate":' + rate)
-        p.write_bytes(bad[:12] + struct.pack("<I", spec_len) + bad[16:])
+        p.write_bytes(seal(bad[:12] + struct.pack("<I", spec_len) + bad[16:]))
         with pytest.raises(DataFormatError, match="dropout rate"):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("units,dims,match", [
-        (2**31, (4, 2**31), r"truncated at byte \d+ \(wanted 68719476736 more"),
-        (3, (2**32 - 1, 2**32 - 1), r"weight shape \(4294967295, 4294967295\) does not"),
-    ])
-    def test_huge_array_header_over_a_tiny_file(self, tmp_path, units, dims, match):
-        # The header claims a 64 GiB weight array (in the spec or not): the
-        # load must fail on it before it allocates anything for the array.
-        layers = [{"kind": "dense", "units": units, "group": "In-h1"},
+    def test_huge_array_header_over_a_tiny_file(self, tmp_path):
+        # The spec claims a 64 GiB weight array: the load must fail on it
+        # before it allocates anything for the array.
+        layers = [{"kind": "dense", "units": 2**31, "group": "In-h1"},
                   {"kind": "dense", "units": 2, "group": "h1-out"}, {"kind": "softmax"}]
         spec = json.dumps({"input_shape": [4], "classes": 2, "layers": layers}).encode()
         p = tmp_path / "huge.ckpt"
-        p.write_bytes(MAGIC + struct.pack("<II", 1, len(spec)) + spec
-                      + struct.pack("<II", 2, 5) + b"In-h1"
-                      + struct.pack("<III", 2, *dims) + bytes(16))
+        p.write_bytes(sealed(spec, bytes(16)))
         tracemalloc.start()
         try:
-            with pytest.raises(DataFormatError, match=match):
+            with pytest.raises(DataFormatError,
+                               match=r"truncated at byte \d+ \(wanted 68719476736 more"):
                 load_checkpoint(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -223,14 +233,33 @@ class TestCorruption:
         with pytest.raises(DataFormatError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
-    def test_code_beyond_grid_rejected(self, tmp_path):
-        net, _ = direct_quantize(build_ffdnn(8, 6, 1, 4, seed=3), 2)
+    def _quantized(self, tmp_path, n_bits):
+        net, _ = direct_quantize(build_ffdnn(8, 6, 1, 4, seed=3), n_bits)
         p = tmp_path / "q.ckpt"
         save_checkpoint(net, p)
+        q = net.groups["In-h1"].quantizer
+        return p, struct.pack("<BId", 1, q.M, q.delta)
+
+    def test_code_beyond_grid_rejected(self, tmp_path):
+        p, _ = self._quantized(tmp_path, 2)
         raw = bytearray(p.read_bytes())
-        raw[-1] = 2  # last code of the last group; a 3-level grid allows +/-1
-        p.write_bytes(bytes(raw))
+        raw[-5] = 2  # last code of the last group; a 3-level grid allows +/-1
+        p.write_bytes(seal(bytes(raw)))
         with pytest.raises(DataFormatError, match="code beyond"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("M", [257, 65539])
+    def test_level_count_beyond_a_byte_rejected(self, tmp_path, M):
+        p, field = self._quantized(tmp_path, 2)
+        reseal_replace(p, field, struct.pack("<BId", 1, M, 0.5))
+        with pytest.raises(DataFormatError, match=f"M={M}.*<= 255"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_bad_quantizer_flag_rejected(self, tmp_path, flag):
+        p, field = self._quantized(tmp_path, 2)
+        reseal_replace(p, field, bytes([flag]) + field[1:])
+        with pytest.raises(DataFormatError, match=f"quantizer flag {flag}, not 0 or 1"):
             load_checkpoint(p)
 
     def test_non_finite_shadow_weight_rejected(self, tmp_path):
@@ -246,13 +275,8 @@ class TestCorruption:
 
     @pytest.mark.parametrize("delta", [1e307, np.finfo(np.float64).max])
     def test_overflowing_step_size_rejected(self, tmp_path, delta):
-        net, _ = direct_quantize(build_ffdnn(8, 6, 1, 4, seed=3), 8)
-        p = tmp_path / "q.ckpt"
-        save_checkpoint(net, p)
-        raw = p.read_bytes()
-        old = struct.pack("<d", net.groups["In-h1"].quantizer.delta)
-        assert raw.count(old) == 1
-        p.write_bytes(raw.replace(old, struct.pack("<d", delta)))
+        p, field = self._quantized(tmp_path, 8)
+        reseal_replace(p, field, field[:5] + struct.pack("<d", delta))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning on the way
             with pytest.raises(DataFormatError, match="'In-h1' has non-finite"):

@@ -3,15 +3,21 @@
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from forge import reseal_replace, seal
+
+import quantbench
 
 from quantbench.checkpoint import load_checkpoint, save_checkpoint
-from quantbench.cli import SEED_ENV, load_config, main
+from quantbench.cli import SEED_ENV, _build_split, load_config, main
 from quantbench.data import make_synthetic
 from quantbench.tensor import Tensor
 from quantbench.trainer import TrainConfig
@@ -196,6 +202,15 @@ class TestPipeline:
         assert _run("train", "--config", config) == 0
         assert (out / "float.ckpt").exists()
 
+    def test_csv_parts_share_the_joint_class_count(self, tmp_path):
+        paths = {}
+        for key, top in (("path", 2), ("valid_path", 1), ("test_path", 4)):
+            paths[key] = tmp_path / f"{key}.csv"
+            paths[key].write_text("".join(f"0.5,{k}\n" for k in range(top + 1)))
+        split = _build_split({"dataset": {"kind": "csv", **paths}})
+        assert [p.class_count for p in (split.train, split.valid, split.test)] == [5] * 3
+        assert not split.valid.labels.flags.writeable
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -286,8 +301,8 @@ class TestExitCodes:
         assert _run("quantize", "--config", config) == 0
         ckpt = out / "quantized_2bit.ckpt"
         raw = bytearray(ckpt.read_bytes())
-        raw[-1] = 0x7F  # a code far beyond the ternary grid
-        ckpt.write_bytes(bytes(raw))
+        raw[-5] = 0x7F  # a code far beyond the ternary grid, before the CRC
+        ckpt.write_bytes(seal(bytes(raw)))
         assert _run("retrain", "--config", config) == 3
         assert "code beyond" in capsys.readouterr().err
 
@@ -299,14 +314,30 @@ class TestExitCodes:
         assert _run("train", "--config", config) == 0
         assert _run("quantize", "--config", config) == 0
         ckpt = out / "quantized_8bit.ckpt"
-        raw = ckpt.read_bytes()
         old = struct.pack("<d", load_checkpoint(ckpt).groups["In-h1"].quantizer.delta)
-        assert raw.count(old) == 1
-        ckpt.write_bytes(raw.replace(old, struct.pack("<d", 1e307)))
+        reseal_replace(ckpt, old, struct.pack("<d", 1e307))
         capsys.readouterr()
         assert _run("retrain", "--config", config) == 3
         err = capsys.readouterr().err
         assert "'In-h1' has non-finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,M", [(1, 257), (1, 65539), (2, 3)])
+    def test_retrain_on_forged_quantizer_fields(self, tmp_path, capsys, flag, M):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["quant"] = {"n_bits": 2}
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 0
+        assert _run("quantize", "--config", config) == 0
+        ckpt = out / "quantized_2bit.ckpt"
+        delta = load_checkpoint(ckpt).groups["In-h1"].quantizer.delta
+        reseal_replace(ckpt, struct.pack("<BId", 1, 3, delta),
+                       struct.pack("<BId", flag, M, delta))
+        capsys.readouterr()
+        assert _run("retrain", "--config", config) == 3
+        err = capsys.readouterr().err
+        assert ("<= 255" if flag == 1 else "quantizer flag 2") in err
         assert "Traceback" not in err
 
     def test_quantize_on_checkpoint_without_softmax(self, tmp_path, capsys):
@@ -315,11 +346,8 @@ class TestExitCodes:
         cfg["quant"] = {"n_bits": 2}
         config = _write_config(tmp_path, cfg)
         assert _run("train", "--config", config) == 0
-        ckpt = out / "float.ckpt"
-        raw = ckpt.read_bytes()
-        assert raw.count(b'"kind":"softmax"') == 1
         # same length, so the spec blob still parses
-        ckpt.write_bytes(raw.replace(b'"kind":"softmax"', b'"kind":"dropout"'))
+        reseal_replace(out / "float.ckpt", b'"kind":"softmax"', b'"kind":"dropout"')
         assert _run("quantize", "--config", config) == 3
         assert "softmax" in capsys.readouterr().err
 
@@ -330,11 +358,8 @@ class TestExitCodes:
         cfg["quant"] = {"n_bits": 2}
         config = _write_config(tmp_path, cfg)
         assert _run("train", "--config", config) == 0
-        ckpt = out / "float.ckpt"
-        raw = ckpt.read_bytes()
-        assert raw.count(b'"rate":0.0') == 1
         # same length, so the spec blob still parses
-        ckpt.write_bytes(raw.replace(b'"rate":0.0', b'"rate":' + rate))
+        reseal_replace(out / "float.ckpt", b'"rate":0.0', b'"rate":' + rate)
         capsys.readouterr()
         assert _run("quantize", "--config", config) == 3
         err = capsys.readouterr().err
@@ -673,3 +698,62 @@ class TestQuantizedArtifacts:
 )
 def test_committed_config_loads(path):
     assert load_config(str(path))["network"]["family"] in ("ffdnn", "cnn")
+
+
+def _cli(tmp_path, *argv):
+    """Run the installed entry point in a fresh process; returns (code, stderr)."""
+    src = os.path.dirname(os.path.dirname(quantbench.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(SEED_ENV, None)
+    done = subprocess.run([sys.executable, "-m", "quantbench.cli", *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
+    return done.returncode, done.stderr
+
+
+class TestReadersInAProcess:
+    """Each reader ends a bad file in its exit code, never a traceback."""
+
+    def test_config_with_a_non_utf8_byte(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(json.dumps(_base_config()).encode()[:-1] + b'\xff}')
+        code, err = _cli(tmp_path, "train", "--config", str(config))
+        assert (code, "Traceback" in err) == (3, False)
+        assert f"{config}: byte " in err and "is not UTF-8" in err
+
+    def test_records_csv_with_a_non_utf8_byte(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "records.csv").write_bytes(b"family,size\n\xc3(\n")
+        config = _write_config(tmp_path, _base_config(out_dir=str(out)))
+        code, err = _cli(tmp_path, "ecr", "--config", config)
+        assert (code, "Traceback" in err) == (3, False)
+        assert "records.csv: byte 12 is not UTF-8" in err
+
+    def test_data_csv_with_a_non_utf8_byte(self, tmp_path):
+        data = tmp_path / "train.csv"
+        data.write_bytes(b"0.5,1\n0.25,\xff\n")
+        cfg = _base_config(out_dir=str(tmp_path / "out"))
+        cfg["dataset"] = {"kind": "csv", "path": str(data), "valid_path": str(data),
+                          "test_path": str(data)}
+        code, err = _cli(tmp_path, "train", "--config", _write_config(tmp_path, cfg))
+        assert (code, "Traceback" in err) == (3, False)
+        assert "train.csv: byte 11 is not UTF-8" in err
+
+    def test_corrupt_checkpoint(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        config = _write_config(tmp_path, cfg)
+        assert _run("train", "--config", config) == 0
+        raw = bytearray((out / "float.ckpt").read_bytes())
+        raw[-20] ^= 0x10
+        (out / "float.ckpt").write_bytes(bytes(raw))
+        cfg["quant"] = {"n_bits": 2}
+        code, err = _cli(tmp_path, "quantize", "--config",
+                         _write_config(tmp_path, cfg))
+        assert (code, "Traceback" in err) == (3, False)
+        assert "checksum mismatch" in err
+
+    def test_missing_config(self, tmp_path):
+        code, err = _cli(tmp_path, "train", "--config", str(tmp_path / "absent.json"))
+        assert (code, "Traceback" in err) == (2, False)
+        assert "cannot read config" in err

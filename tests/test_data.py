@@ -51,6 +51,20 @@ class TestDataset:
         assert not sub.features.ndarray.flags.writeable
 
 
+    def test_labels_are_read_only_from_every_constructor(self, tmp_path):
+        caller = np.arange(6) % 3
+        ds = Dataset(Tensor.zeros((6, 2)), caller, class_count=3)
+        (tmp_path / "d.csv").write_text("0.5,1\n0.25,0\n")
+        split = synthetic_split("blobs", 6, 3, 3, 3, seed=1)
+        parts = (ds, ds.subset(np.arange(2)), load_csv(tmp_path / "d.csv"),
+                 split.train, split.valid, split.test)
+        for part in parts:
+            assert not part.labels.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                part.labels[0] = 1
+        assert caller.flags.writeable  # the caller's array keeps its flags
+
+
 class TestSynthetic:
     def test_blobs_shapes_and_determinism(self):
         a = make_synthetic("blobs", 50, 4, seed=3, dim=8)

@@ -1,11 +1,14 @@
 """Property tests for the grid rule, the step-size fit, the cache-free
 inference pass, the conv input gradient and sample runs, the conv weight
-gradient and channel blocks, the training pool and ReLU, and a check that a
-failing property reports under the repo's warning filters; skipped when
-hypothesis is not installed."""
+gradient and channel blocks, the training pool and ReLU, every file reader
+under a single mutation of a valid file, and a check that a failing property
+reports under the repo's warning filters; skipped when hypothesis is not
+installed."""
 
+import functools
 import os
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +21,10 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from quantbench import nn, quantizer  # noqa: E402
 from quantbench.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
+from quantbench.cli import load_config  # noqa: E402
+from quantbench.data import load_csv  # noqa: E402
+from quantbench.errors import ConfigError, DataFormatError  # noqa: E402
+from quantbench.experiments import parse_records_csv  # noqa: E402
 from quantbench.nn import (  # noqa: E402
     LayerSpec,
     NetworkSpec,
@@ -27,7 +34,13 @@ from quantbench.nn import (  # noqa: E402
     forward,
     predict,
 )
-from quantbench.quantizer import QuantizerSpec, apply, codes, optimize_delta  # noqa: E402
+from quantbench.quantizer import (  # noqa: E402
+    QuantizerSpec,
+    apply,
+    codes,
+    direct_quantize,
+    optimize_delta,
+)
 from quantbench.tensor import Rng, Tensor  # noqa: E402
 
 pytest_plugins = ["pytester"]
@@ -514,6 +527,89 @@ def test_relu_matches_where_reference_bit_for_bit(x):
     assert out.tobytes() == expected.tobytes()
     assert np.array_equal(mask, x > 0)
     assert x.tobytes() == before
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@st.composite
+def mutated(draw, raw: bytes) -> bytes:
+    """``raw`` after one bit flip, byte set, truncation, or 1-15 duplicated
+    bytes."""
+    kind = draw(st.sampled_from(["flip", "set", "truncate", "duplicate"]))
+    i = draw(st.integers(0, len(raw) - 1))
+    if kind == "flip":
+        byte = raw[i] ^ (1 << draw(st.integers(0, 7)))
+    elif kind == "set":
+        byte = draw(st.integers(0, 255))
+    elif kind == "truncate":
+        return raw[:i]
+    else:
+        return raw[:i] + raw[i:i + draw(st.integers(1, 15))] + raw[i:]
+    return raw[:i] + bytes([byte]) + raw[i + 1:]
+
+
+def _read_mutated(raw: bytes, name: str, reader, errors):
+    """What ``reader`` returns for the file ``raw``, or None if it raised one
+    of ``errors``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            return reader(path)
+        except errors:
+            return None
+
+
+@functools.cache
+def _checkpoint_bytes(quantized: bool) -> bytes:
+    """A float FFDNN checkpoint, or a ternary one with three quantized groups."""
+    net = build_ffdnn(12, 8, 2, 5, seed=4)
+    if quantized:
+        net, _ = direct_quantize(net, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.ckpt")
+        save_checkpoint(net, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _resaved(path: str) -> bytes:
+    again = path + ".again"
+    save_checkpoint(load_checkpoint(path), again)
+    with open(again, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["float", "ternary"])
+@SETTINGS
+@given(data=st.data())
+def test_any_change_to_a_checkpoint_is_rejected(data, quantized):
+    raw = _checkpoint_bytes(quantized)
+    bad = data.draw(mutated(raw))
+    got = _read_mutated(bad, "net.ckpt", _resaved, DataFormatError)
+    assert got == (raw if bad == raw else None)
+
+
+_DATA_CSV = b"x1,x2,label\n0.5,-1.25,0\n2,3e-2,2\n-0.75,1,1\n"
+# The committed demo config and sweep records, and a small data CSV with a
+# header: each mutation either parses or raises the reader's documented error.
+TEXT_READERS = {
+    "config": (lambda: (ROOT / "configs" / "demo_blobs.json").read_bytes(),
+               load_config, (ConfigError, DataFormatError)),
+    "records": (lambda: (ROOT / "out" / "demo" / "records.csv").read_bytes(),
+                parse_records_csv, DataFormatError),
+    "data": (lambda: _DATA_CSV, load_csv, DataFormatError),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(TEXT_READERS))
+@SETTINGS
+@given(data=st.data())
+def test_a_mutated_text_file_parses_or_raises_its_error(data, reader):
+    raw, parse, errors = TEXT_READERS[reader]
+    _read_mutated(data.draw(mutated(raw())), reader, parse, errors)
 
 
 _FAIL_THEN_PASS = """

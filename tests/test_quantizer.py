@@ -35,6 +35,11 @@ class TestQuantizerSpec:
         with pytest.raises(ConfigError):
             QuantizerSpec(M=1, delta=0.1)
 
+    def test_rejects_more_levels_than_a_signed_byte_holds(self):
+        assert QuantizerSpec(M=255, delta=1.0).max_code == 127
+        with pytest.raises(ConfigError, match="<= 255, got 257"):
+            QuantizerSpec(M=257, delta=1.0)
+
     def test_rejects_nonpositive_delta(self):
         for delta in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ConfigError):
@@ -225,18 +230,18 @@ def _draw(kind, n, seed):
 DRAWS = ["normal", "laplace", "uniform", "ties", "half_zero", "single_nonzero"]
 
 
-# Fit results from before the chunk bound was made tight, at one BLAS thread:
-# the fit's dot products take their last bits from the thread split. A tighter
-# bound only skips more of the step axis, so it must move none of them.
+# Fit results pinned with the pairwise-sum reductions (``quantizer._dot``).
+# A tighter chunk bound only skips more of the step axis, so it must move
+# none of them.
 PINNED_FITS = [
     # draw, N, M, seed, delta, l2_error, iterations
-    ("normal", 262144, 3, 1, "0x1.38f58dff6a19ep+0", "0x1.8621c227e26d1p+14", 1),
-    ("normal", 262144, 15, 1, "0x1.6a8ee4dc031efp-2", "0x1.aa5af7869bf48p+10", 1),
-    ("normal", 262144, 255, 1, "0x1.f466c5e3d4ea1p-6", "0x1.55161a3bc0a69p+3", 1),
+    ("normal", 262144, 3, 1, "0x1.38f58dff6a1a1p+0", "0x1.8621c227e26d8p+14", 1),
+    ("normal", 262144, 15, 1, "0x1.6a8ee4dc031f1p-2", "0x1.aa5af7869bf46p+10", 1),
+    ("normal", 262144, 255, 1, "0x1.f466c5e3d4ea9p-6", "0x1.55161a3bc0a68p+3", 1),
     ("normal", 10240, 255, 2, "0x1.e4987b4b16247p-6", "0x1.7d979ccb00770p-2", 1),
-    ("normal", 5120, 255, 3, "0x1.e1b6fec6ef8f4p-6", "0x1.8c4bea7833367p-3", 1),
-    ("ties", 20000, 255, 4, "0x1.eb7d3324e0203p-6", "0x1.70e6c0220cfb0p-1", 1),
-    ("half_zero", 20000, 15, 5, "0x1.6a32acaaf3971p-2", "0x1.f960ac20ee735p+5", 1),
+    ("normal", 5120, 255, 3, "0x1.e1b6fec6ef8f4p-6", "0x1.8c4bea7833368p-3", 1),
+    ("ties", 20000, 255, 4, "0x1.eb7d3324e01f3p-6", "0x1.70e6c0220cfb0p-1", 1),
+    ("half_zero", 20000, 15, 5, "0x1.6a32acaaf3972p-2", "0x1.f960ac20ee736p+5", 1),
     ("laplace", 30000, 63, 6, "0x1.081c6c1b0b809p-2", "0x1.a1b637d607adfp+6", 1),
 ]
 
@@ -248,6 +253,28 @@ from test_quantizer import PINNED_FITS, _draw
 for kind, n, M, seed, *_ in PINNED_FITS:
     delta, report = optimize_delta(_draw(kind, n, seed), M)
     print(kind, n, M, seed, delta.hex(), report.l2_error.hex(), report.iterations)
+"""
+
+
+# A 262k-weight fit, where a 1-D np.dot splits its sum across BLAS threads,
+# and a small CNN trained, quantized and retrained: every output bit must be
+# the same at any BLAS thread count.
+_THREAD_DIGESTS = """
+import hashlib
+import numpy as np
+from quantbench import data, nn, quantizer, trainer
+w = np.random.default_rng(1).normal(size=262144)
+delta, report = quantizer.optimize_delta(w, 3)
+print(delta.hex(), report.l2_error.hex())
+split = data.synthetic_split("blobs", 48, 16, 16, 3, seed=1, shape=(2, 8, 8))
+net = nn.build_cnn([3], input_shape=(2, 8, 8), fc_units=6, classes=3, seed=1)
+cfg = trainer.TrainConfig(batch_size=16, lr_init=0.01, lr_final=0.001, max_epochs=2, seed=1)
+net, _ = trainer.train_float(net, split, cfg)
+net, reports = quantizer.direct_quantize(net, 2)
+net, _ = trainer.retrain_quantized(net, split, trainer.retrain_config(cfg))
+print([r.l2_error.hex() for r in reports])
+for g in net.groups.values():
+    print(g.name, hashlib.sha256(g.weights.ndarray.tobytes() + g.bias.ndarray.tobytes()).hexdigest())
 """
 
 
@@ -277,6 +304,17 @@ class TestExactFit:
         assert done.returncode == 0, done.stderr
         want = [" ".join(map(str, case)) for case in PINNED_FITS]
         assert done.stdout.splitlines() == want
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        src = os.path.dirname(os.path.dirname(quantizer.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", _THREAD_DIGESTS], env=env,
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert digests[0] == digests[1]
 
     def test_all_equal_magnitudes(self):
         # Every step 0.3 / k (k <= 127) fits exactly: the tie may go to any.
