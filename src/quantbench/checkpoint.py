@@ -78,7 +78,23 @@ class _Reader:
 
 
 def save_checkpoint(net: Network, path: str) -> None:
-    """Write the network (spec, weights, quantizer state) to ``path``."""
+    """Write the network (spec, weights, quantizer state) to ``path``. A
+    network that cannot be saved is refused before ``path`` is opened."""
+    groups = []
+    for name, (w_shape, b_shape) in group_shapes(net.spec).items():
+        group = net.groups[name]
+        if group.quantizer is not None and group.shadow_weights is None:
+            raise DataFormatError(
+                f"group {name!r} is quantized but has no shadow weights"
+            )
+        floats = group.weights if group.quantizer is None else group.shadow_weights
+        shapes = (floats.shape, group.weights.shape, group.bias.shape)
+        if shapes != (w_shape, w_shape, b_shape):
+            raise DataFormatError(
+                f"group {name!r} array shapes {shapes} do not match spec shape "
+                f"{(w_shape, w_shape, b_shape)}"
+            )
+        groups.append((group, floats))
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<I", FORMAT_VERSION))
         crc = 0
@@ -90,20 +106,8 @@ def save_checkpoint(net: Network, path: str) -> None:
 
         spec = _canonical_spec_json(net.spec)
         put(struct.pack("<I", len(spec)) + spec)
-        for name, (w_shape, b_shape) in group_shapes(net.spec).items():
-            group = net.groups[name]
+        for group, floats in groups:
             quantizer = group.quantizer
-            if quantizer is not None and group.shadow_weights is None:
-                raise DataFormatError(
-                    f"group {name!r} is quantized but has no shadow weights"
-                )
-            floats = group.weights if quantizer is None else group.shadow_weights
-            shapes = (floats.shape, group.weights.shape, group.bias.shape)
-            if shapes != (w_shape, w_shape, b_shape):
-                raise DataFormatError(
-                    f"group {name!r} array shapes {shapes} do not match spec shape "
-                    f"{(w_shape, w_shape, b_shape)}"
-                )
             # Each array's own buffer, not a copy.
             put(np.ascontiguousarray(floats.ndarray, dtype="<f8"))
             put(np.ascontiguousarray(group.bias.ndarray, dtype="<f8"))

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, read_text
 # ``forward`` stays a name of this module: perfbench's full trace wraps it here.
-from .nn import Network, build_ffdnn, forward, predict  # noqa: F401
+from .nn import Network, build_ffdnn, forward  # noqa: F401
+from .nn import classes as class_of
 from .tensor import Rng, Tensor, derive_seed
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
@@ -169,12 +170,15 @@ def _parse_csv_rows(path: str) -> list[list[float]]:
 
 def _labels_from_column(values: list[float], path: str) -> np.ndarray:
     labels = np.asarray(values)
-    rounded = np.rint(labels)
-    if not np.all(np.isfinite(labels)) or np.any(np.abs(labels - rounded) > 1e-9):
-        bad = int(np.argmax(np.abs(labels - rounded) > 1e-9))
+    # |label| < 2**63 first (NaN fails it): int64 holds no label past it.
+    ok = np.abs(labels) < 2.0**63
+    rounded = np.rint(np.where(ok, labels, 0.0))
+    ok &= np.abs(labels - rounded) <= 1e-9
+    if not ok.all():
+        bad = int(np.argmin(ok))
         raise DataFormatError(
-            f"{path}: label column must hold integers; row {bad + 1} "
-            f"has value {labels[bad]!r}"
+            f"{path}: label column must hold integers below 2**63; row {bad + 1} "
+            f"has value {float(labels[bad])!r}"
         )
     if rounded.min() < 0:
         raise DataFormatError(f"{path}: negative class index {int(rounded.min())}")
@@ -282,7 +286,7 @@ def make_synthetic(
     if kind == "teacher_net":
         teacher = _teacher_for(seed, dim, classes)
         features = rng.uniform((n, dim), -1.0, 1.0)
-        labels = predict(teacher, features).argmax(axis=1).astype(np.int64)
+        labels = class_of(teacher, features)
         return Dataset(Tensor._wrap(features), labels, classes)
     raise ConfigError(
         f"unknown synthetic kind {kind!r} (expected blobs, spirals, or teacher_net)"

@@ -28,12 +28,13 @@ returns what ``backward`` needs, ``infer`` returns only the output. A network
 has one pass per purpose, both on ndarrays: ``forward`` trains, with dropout
 only when given an ``Rng`` (without one its probabilities are ``predict``'s
 bit for bit), and ``predict`` infers through ``infer`` with no caches, so no
-ReLU mask or pool argmax outlives its layer. In training the pool caches the
-winning tap of each window as an int8 (``_maxpool2_taps``), which backward
-turns into argmax positions. ``backward`` pops each layer's cache as it
-consumes it, so a ``ForwardCache`` serves exactly one backward pass, and it
-stops at the lowest layer that owns a weight group: no layer below it has a
-weight, so that layer computes no input gradient.
+ReLU mask or pool argmax outlives its layer; it is the softmax of ``logits``,
+the pass stopped below it, whose largest entry ``classes`` reads. In training
+the pool caches the winning tap of each window as an int8 (``_maxpool2_taps``),
+which backward turns into argmax positions. ``backward`` pops each layer's
+cache as it consumes it, so a ``ForwardCache`` serves exactly one backward
+pass, and it stops at the lowest layer that owns a weight group: no layer
+below it has a weight, so that layer computes no input gradient.
 
 Networks are flat ordered lists of layers. Every learnable layer owns a named
 WeightGroup (weight tensor + bias); quantization and retraining operate on
@@ -490,13 +491,28 @@ def forward(
     return x, ForwardCache(net, net._param_version, caches, x, logits)
 
 
-def predict(net: Network, batch: np.ndarray) -> np.ndarray:
-    """The inference pass: class probabilities of a batch with dropout
-    disabled, keeping no caches. The batch is never written to."""
+def logits(net: Network, batch: np.ndarray) -> np.ndarray:
+    """The inference pass below the softmax: the logits of a batch with
+    dropout disabled, keeping no caches. The batch is never written to."""
     x = _checked_batch(net, np.asarray(batch, dtype=np.float64))
-    for layer in net.layers:
+    for layer in net.layers[:-1]:  # _walk_shapes: the last layer is the softmax
         x = layer.infer(x)
     return x
+
+
+def predict(net: Network, batch: np.ndarray) -> np.ndarray:
+    """The inference pass: class probabilities of a batch, the softmax of
+    ``logits``."""
+    return net.layers[-1].infer(logits(net, batch))
+
+
+def classes(net: Network, batch: np.ndarray) -> np.ndarray:
+    """Predicted class of each sample: its largest logit, the first on ties.
+    A row whose largest logit is NaN or +inf gets class 0, as the argmax of
+    ``predict``'s all-NaN row gives."""
+    z = logits(net, batch)
+    top = z.argmax(axis=1)
+    return np.where(z[np.arange(top.size), top] < np.inf, top, 0)
 
 
 def _checked_batch(net: Network, x: np.ndarray) -> np.ndarray:

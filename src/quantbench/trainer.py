@@ -38,11 +38,11 @@ from .errors import ConfigError, DivergenceError, UsageError
 from .nn import (
     Network,
     backward,
+    classes,
     cross_entropy,
     eval_chunk,
     forward,
     logit_cross_entropy,
-    predict,
 )
 from .quantizer import _grid_codes, apply
 from .tensor import Rng, Tensor
@@ -128,14 +128,14 @@ class TrainLog:
 
 
 def evaluate(net: Network, ds: Dataset) -> float:
-    """Misclassification rate in percent; dropout disabled, deterministic."""
+    """Misclassification rate in percent by ``classes``; dropout off, deterministic."""
     if ds.size == 0:
         raise ConfigError("cannot evaluate on an empty split")
     wrong = 0
     feats = ds.features.ndarray
     chunk = eval_chunk(net.spec)
     for start in range(0, ds.size, chunk):
-        pred = predict(net, feats[start : start + chunk]).argmax(axis=1)
+        pred = classes(net, feats[start : start + chunk])
         wrong += int((pred != ds.labels[start : start + chunk]).sum())
     return 100.0 * wrong / ds.size
 

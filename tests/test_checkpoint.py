@@ -233,6 +233,23 @@ class TestCorruption:
         with pytest.raises(DataFormatError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
+    @pytest.mark.parametrize("fault", ["shape", "no_shadow"])
+    def test_refused_save_leaves_the_existing_file(self, tmp_path, fault):
+        net = build_ffdnn(4, 3, 1, 2, seed=1)
+        p = tmp_path / "net.ckpt"
+        save_checkpoint(net, p)
+        before = p.read_bytes()
+        if fault == "shape":
+            net.groups["In-h1"].weights = Tensor(np.zeros((3, 3)))
+            match = "array shapes"
+        else:  # the last group, so a writer that checks as it goes has written the rest
+            net, _ = direct_quantize(net, 2)
+            net.groups["h1-out"].shadow_weights = None
+            match = "no shadow weights"
+        with pytest.raises(DataFormatError, match=match):
+            save_checkpoint(net, p)
+        assert p.read_bytes() == before
+
     def _quantized(self, tmp_path, n_bits):
         net, _ = direct_quantize(build_ffdnn(8, 6, 1, 4, seed=3), n_bits)
         p = tmp_path / "q.ckpt"

@@ -739,6 +739,16 @@ class TestReadersInAProcess:
         assert (code, "Traceback" in err) == (3, False)
         assert "train.csv: byte 11 is not UTF-8" in err
 
+    def test_data_csv_with_a_label_beyond_int64(self, tmp_path):
+        data = tmp_path / "train.csv"
+        data.write_text("0.5,1\n0.25,1e300\n")
+        cfg = _base_config(out_dir=str(tmp_path / "out"))
+        cfg["dataset"] = {"kind": "csv", "path": str(data), "valid_path": str(data),
+                          "test_path": str(data)}
+        code, err = _cli(tmp_path, "train", "--config", _write_config(tmp_path, cfg))
+        assert (code, "Traceback" in err) == (3, False)
+        assert "train.csv: label column must hold integers below 2**63; row 2" in err
+
     def test_corrupt_checkpoint(self, tmp_path):
         out = tmp_path / "out"
         cfg = _base_config(out_dir=str(out))

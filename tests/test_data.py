@@ -1,5 +1,7 @@
 """Dataset loading, synthetic generation, and batching."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,19 @@ class TestCsv:
         p.write_text("1.0,2.0,0.5\n")
         with pytest.raises(DataFormatError):
             load_csv(p, class_count=2)
+
+    @pytest.mark.parametrize("label, row, shown", [
+        ("1e300", 1, "1e+300"), ("inf", 2, "inf"), ("9223372036854775808", 1, "9.22"),
+        ("-inf", 2, "-inf"), ("nan", 2, "nan"),
+    ])
+    def test_unrepresentable_label_rejected(self, tmp_path, label, row, shown):
+        p = tmp_path / "big.csv"
+        rows = ["1.0,0", f"2.0,{label}"] if row == 2 else [f"1.0,{label}", "2.0,0"]
+        p.write_text("\n".join(rows) + "\n")
+        # Under the warnings-as-errors filter: no cast or subtraction warns first.
+        shown = re.escape(f"row {row} has value {shown}")
+        with pytest.raises(DataFormatError, match=shown):
+            load_csv(p)
 
     def test_labels_length_mismatch(self, tmp_path):
         fp = tmp_path / "feat.csv"

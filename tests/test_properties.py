@@ -1,9 +1,9 @@
 """Property tests for the grid rule, the step-size fit, the cache-free
-inference pass, the conv input gradient and sample runs, the conv weight
-gradient and channel blocks, the training pool and ReLU, every file reader
-under a single mutation of a valid file, and a check that a failing property
-reports under the repo's warning filters; skipped when hypothesis is not
-installed."""
+inference pass and its class rule, the conv input gradient and sample runs,
+the conv weight gradient and channel blocks, the training pool and ReLU,
+every file reader under a single mutation of a valid file, and a check that
+a failing property reports under the repo's warning filters; skipped when
+hypothesis is not installed."""
 
 import functools
 import os
@@ -204,6 +204,42 @@ def test_predict_is_eval_forward_bit_for_bit(net, n, seed):
     x = _batch(net, n, seed)
     probs, _ = forward(net, x)
     assert predict(net, x).tobytes() == probs.tobytes()
+
+
+logit_values = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1.0]),
+    st.floats(-3.0, 3.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _near_tie(row):
+    """A finite row whose top two logits may round to equal probabilities:
+    within 4 ulps at the scale of exp's argument, where 1.0 is the top's."""
+    if np.isnan(row).any() or not np.isfinite(row.max()) or row.size < 2:
+        return False
+    second, top = np.sort(row)[-2:]
+    with np.errstate(over="ignore"):
+        return second >= top - 4 * np.spacing(max(abs(top), 1.0))
+
+
+@SETTINGS
+@given(z=st.integers(1, 12).flatmap(lambda k: arrays(
+    np.float64, st.tuples(st.integers(1, 6), st.just(k)), elements=logit_values)))
+@example(z=np.array([
+    [1.0, np.nan, 2.0], [1.0, np.inf, np.inf], [-np.inf, -np.inf, -1.0],
+    [-np.inf, -np.inf, -np.inf], [1e-20, 2e-20, 0.0], [3.0, 3.0, 1.0],
+]))
+def test_classes_is_the_argmax_of_predict(z):
+    spec = NetworkSpec(input_shape=(z.shape[1],), classes=z.shape[1],
+                       layers=[LayerSpec(kind="softmax")])
+    net = build_from_spec(spec)
+    got = nn.classes(net, z)  # under the warning filters: it must not warn
+    with np.errstate(all="ignore"):
+        want = predict(net, z).argmax(axis=1)
+    tie = np.array([_near_tie(row) for row in z], dtype=bool)
+    assert np.array_equal(got[~tie], want[~tie])
+    assert np.array_equal(got[tie], z[tie].argmax(axis=1))  # the larger logit wins
 
 
 @INFER_SETTINGS

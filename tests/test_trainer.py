@@ -348,12 +348,24 @@ class TestEvaluate:
         net = build_cnn([3, 2], input_shape=(2, 8, 8), fc_units=4, classes=3, seed=1)
         whole = evaluate(net, split.train)
         chunks = []
-        monkeypatch.setattr(trainer, "predict",
-                            lambda n, x: chunks.append(len(x)) or predict(n, x))
+        monkeypatch.setattr(nn, "logits",
+                            lambda n, x, f=nn.logits: chunks.append(len(x)) or f(n, x))
         # C1's output is the largest activation: 3 maps of 8*8 float64 per sample
         monkeypatch.setattr(nn, "SLICE_BYTES", 7 * 8 * 3 * 64)
         assert evaluate(net, split.train) == whole
         assert chunks == [7, 7, 7, 7, 2]
+
+    def test_stops_below_the_softmax(self, monkeypatch):
+        split = _easy_split()
+        net = build_ffdnn(8, 16, 1, 3, seed=2)
+        pred = predict(net, split.valid.features.ndarray).argmax(axis=1)
+        expected = 100.0 * np.mean(pred != split.valid.labels)
+
+        def refuse(self, x):
+            raise AssertionError("evaluate ran the softmax")
+
+        monkeypatch.setattr(nn._SoftmaxLayer, "infer", refuse)
+        assert evaluate(net, split.valid) == expected
 
     def test_cifar_shaped_chunk(self):
         # 16 MiB over C1's 256 KiB output per sample: cnn-train's 64-sample
