@@ -25,7 +25,7 @@ import sys
 from typing import get_type_hints
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import Dataset, DatasetSplit, load_cifar10, load_csv, synthetic_split
+from .data import MAX_CLASSES, Dataset, DatasetSplit, load_cifar10, load_csv, synthetic_split
 from .errors import ConfigError, DataFormatError, DivergenceError, QuantbenchError, read_text
 from .experiments import (
     DEFAULT_SEED_REPS,
@@ -275,6 +275,8 @@ def _build_split(cfg: dict) -> DatasetSplit:
         raise ConfigError("dataset: required block is missing")
     ds = cfg["dataset"]
     kind = _require(ds, "kind", "dataset")
+    if ds.get("classes", 0) > MAX_CLASSES:
+        raise ConfigError(f"dataset.classes must be <= {MAX_CLASSES}, got {ds['classes']}")
     if kind == "cifar10":
         return load_cifar10(_require(ds, "path", "dataset"))
     if kind == "csv":

@@ -26,6 +26,7 @@ CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILE = "test_batch.bin"
 CIFAR_VALID_COUNT = 10_000
+MAX_CLASSES = 65536  # most classes a dataset may have, so labels stop below it
 
 
 @dataclass
@@ -182,6 +183,8 @@ def _labels_from_column(values: list[float], path: str) -> np.ndarray:
         )
     if rounded.min() < 0:
         raise DataFormatError(f"{path}: negative class index {int(rounded.min())}")
+    if (top := int(rounded.max())) >= MAX_CLASSES:
+        raise DataFormatError(f"{path}: largest label {top} is not below {MAX_CLASSES}")
     return rounded.astype(np.int64)
 
 

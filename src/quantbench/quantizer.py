@@ -167,6 +167,17 @@ def _parabola_min(w_sq, s1, s2, lo, hi):
     return step, 0.5 * (w_sq - 2.0 * step * s1 + step * step * s2)
 
 
+def _step_order(ev_t: np.ndarray, runs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Descending order of ``ev_t`` (ties in index order) and the sorted steps. ``ev_t``
+    is ``runs`` ascending runs: the stable sort merges up to 6 fastest, while past that the
+    SIMD argsort is faster and gives the same order when no two steps are equal."""
+    order = np.argsort(-ev_t, kind="stable" if runs <= 6 else None)
+    sorted_t = ev_t[order]
+    if runs > 6 and (sorted_t[1:] == sorted_t[:-1]).any():
+        order = np.argsort(-ev_t, kind="stable")
+    return order, sorted_t
+
+
 def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
     """Globally minimizing step size for quantizing ``flat`` to the code range.
 
@@ -262,8 +273,7 @@ def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
         pos = np.arange(m) + np.repeat(lo_i - (np.cumsum(moved) - moved), moved)
         ev_w = absw[pos]
         ev_t = ev_w / np.repeat(divisors, moved)
-        by_step = np.argsort(-ev_t, kind="stable")
-        ev_t = ev_t[by_step]
+        by_step, ev_t = _step_order(ev_t, np.count_nonzero(moved))
         # After the j-th event the codes stay fixed down to the next one.
         run_s1 = np.cumsum(np.concatenate(([s1_hi], ev_w[by_step])))
         run_s2 = np.cumsum(np.concatenate(([s2_hi], np.repeat(steps_sq, moved)[by_step])))

@@ -136,9 +136,9 @@ class Rng:
         return z.reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Deterministic permutation of range(n) by sorting raw 64-bit keys."""
-        keys = self.next_u64(n)
-        return np.argsort(keys, kind="stable")
+        """Permutation of range(n) sorting the next n raw outputs. They are distinct
+        (distinct counters, a bijective mix), so any argsort gives this one order."""
+        return np.argsort(self.next_u64(n))
 
     def spawn(self, tag: str) -> "Rng":
         """Independent child stream derived from this seed and a string tag."""

@@ -749,6 +749,27 @@ class TestReadersInAProcess:
         assert (code, "Traceback" in err) == (3, False)
         assert "train.csv: label column must hold integers below 2**63; row 2" in err
 
+    def test_data_csv_with_a_label_of_a_billion(self, tmp_path):
+        # max(label) + 1 classes would be a 1e9-unit output layer.
+        data = tmp_path / "train.csv"
+        data.write_text("0.5,1\n0.25,1e9\n")
+        cfg = _base_config(out_dir=str(tmp_path / "out"))
+        cfg["dataset"] = {"kind": "csv", "path": str(data), "valid_path": str(data),
+                          "test_path": str(data)}
+        code, err = _cli(tmp_path, "train", "--config", _write_config(tmp_path, cfg))
+        assert (code, "Traceback" in err) == (3, False)
+        assert "train.csv: largest label 1000000000 is not below 65536" in err
+
+    def test_config_class_count_above_the_cap(self, tmp_path):
+        data = tmp_path / "train.csv"
+        data.write_text("0.5,1\n0.25,0\n")
+        cfg = _base_config(out_dir=str(tmp_path / "out"))
+        cfg["dataset"] = {"kind": "csv", "path": str(data), "valid_path": str(data),
+                          "test_path": str(data), "classes": 65537}
+        code, err = _cli(tmp_path, "train", "--config", _write_config(tmp_path, cfg))
+        assert (code, "Traceback" in err) == (2, False)
+        assert "dataset.classes must be <= 65536, got 65537" in err
+
     def test_corrupt_checkpoint(self, tmp_path):
         out = tmp_path / "out"
         cfg = _base_config(out_dir=str(out))

@@ -173,6 +173,14 @@ class TestCsv:
         p.write_text("1.0,2.0,0\n3.0,4.0,4\n")
         assert load_csv(p).class_count == 5
 
+    def test_class_count_stops_at_the_cap(self, tmp_path):
+        p = tmp_path / "many.csv"
+        p.write_text(f"1.0,0\n2.0,{data.MAX_CLASSES - 1}\n")
+        assert load_csv(p).class_count == data.MAX_CLASSES
+        p.write_text(f"1.0,0\n2.0,{data.MAX_CLASSES}\n")
+        with pytest.raises(DataFormatError, match=r"many\.csv: largest label 65536 "):
+            load_csv(p)
+
     def test_header_detected(self, tmp_path):
         p = tmp_path / "with_header.csv"
         p.write_text("x1,x2,label\n1.0,2.0,0\n3.0,4.0,1\n")

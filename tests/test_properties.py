@@ -156,6 +156,44 @@ def test_pruning_the_fit_moves_no_result(w, M):
     assert repr(report.l2_error) == repr(ref_report.l2_error)
 
 
+def _lattice_steps(magnitudes, max_code):
+    """Event steps as the fit lays them out: level by level, |w| / (k - 1/2)."""
+    divisors = np.arange(1, max_code + 1) - 0.5
+    return (magnitudes[None, :] / divisors[:, None]).reshape(-1)
+
+
+tied_steps = st.one_of(
+    arrays(np.float64, st.integers(0, 600),
+           elements=st.sampled_from([0.0, 0.125, 0.3, 1.0, 7.5])),
+    st.builds(_lattice_steps,
+              arrays(np.float64, st.integers(1, 60), elements=st.integers(1, 6).map(float)),
+              st.integers(1, 127)),
+)
+
+
+@SETTINGS
+@given(ev_t=tied_steps, runs=st.integers(1, 127))
+def test_step_order_is_the_stable_descending_order(ev_t, runs):
+    # Few distinct values, or integer magnitudes whose thresholds coincide
+    # across levels (3 / 1.5 == 1 / 0.5): the SIMD sort alone would reorder
+    # ties. The run count only picks the faster sort; the order is the same.
+    order, sorted_t = quantizer._step_order(ev_t, runs)
+    assert np.array_equal(order, np.argsort(-ev_t, kind="stable"))
+    assert np.array_equal(sorted_t, ev_t[order])
+
+
+@pytest.mark.parametrize("n", [0, 1, 128, 5000, 10000])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), drawn=st.integers(0, 1000))
+def test_permutation_is_the_stable_key_order(n, seed, drawn):
+    # The keys of one stream never repeat, so the default sort's order is
+    # the stable one.
+    a, b = Rng(seed), Rng(seed)
+    a.next_u64(drawn)
+    b.next_u64(drawn)
+    assert np.array_equal(a.permutation(n), np.argsort(b.next_u64(n), kind="stable"))
+
+
 ffdnn_nets = st.builds(
     build_ffdnn,
     input_dim=st.integers(1, 8),

@@ -245,6 +245,79 @@ PINNED_FITS = [
     ("laplace", 30000, 63, 6, "0x1.081c6c1b0b809p-2", "0x1.a1b637d607adfp+6", 1),
 ]
 
+
+def _corpus_group(kind, n, seed):
+    """A seeded group of one of four kinds: Gaussian, integer lattice, +-m
+    (every magnitude equal) or Gaussian rounded to 2 decimals. All but the
+    first hold many equal thresholds, so the event order has ties."""
+    rng = np.random.default_rng(seed)
+    if kind == "gauss":
+        return rng.normal(scale=0.1, size=n)
+    if kind == "lattice":
+        return rng.integers(-6, 7, size=n).astype(np.float64)
+    if kind == "pm":
+        return rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.05, 2.0)
+    return np.round(rng.normal(size=n), 2)
+
+
+CORPUS_SIZES = (1, 9, 150, 2500, 20000)
+
+# Fitted steps of the corpus, as float.hex, per (kind, M) in the order of
+# CORPUS_SIZES; group i of a row is drawn with seed 100 * M + i. Recorded
+# when every chunk's events were ordered by the stable sort: any sort that
+# gives that order keeps every one of them.
+PINNED_CORPUS = {
+    ("gauss", 3): [
+        "0x1.d166c59f1ff25p-6", "0x1.3fe18bf68cd25p-3", "0x1.f0e5506119b4fp-4",
+        "0x1.f29c7465a9ba8p-4", "0x1.f73b2798ba098p-4",
+    ],
+    ("gauss", 15): [
+        "0x1.310501216f0e8p-7", "0x1.44f2f89d75c8dp-6", "0x1.9343cac24ba94p-5",
+        "0x1.240f28e1dc174p-5", "0x1.1f6ea16839959p-5",
+    ],
+    ("gauss", 255): [
+        "0x1.95a362d65be09p-6", "0x1.121d3e8e2a7d8p-9", "0x1.0930f69b9875ep-9",
+        "0x1.6d63ed7a08502p-9", "0x1.9c81e4dee3807p-9",
+    ],
+    ("lattice", 3): [
+        "0x1.8000000000000p+2", "0x1.b6db6db6db6dbp+1", "0x1.151eb851eb852p+2",
+        "0x1.1cab3d60cb8fep+2", "0x1.1ffab14d0a5dbp+2",
+    ],
+    ("lattice", 15): [
+        "0x1.6db6db6db6db7p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ],
+    ("lattice", 255): [
+        "0x1.0204081020408p-6", "0x1.af286bca1af28p-5", "0x1.2492492492492p-3",
+        "0x1.8618618618618p-5", "0x1.8618618618618p-5",
+    ],
+    ("pm", 3): [
+        "0x1.2450cb6537c15p+0", "0x1.7ac8447cceb68p+0", "0x1.f2ce27ff2e177p+0",
+        "0x1.55f16286cac00p+0", "0x1.bcbfa25499ec9p-1",
+    ],
+    ("pm", 15): [
+        "0x1.fc43b2bd03eeep-6", "0x1.72552ccd6ff9bp-4", "0x1.fbbdfad4e15f2p-3",
+        "0x1.f2fdb5e39e48fp-7", "0x1.0cf1a4d2c42a4p-3",
+    ],
+    ("pm", 255): [
+        "0x1.9c69a4e2aa1d7p-11", "0x1.f92b18260ab1ep-5", "0x1.479b071443299p-7",
+        "0x1.523b05eb6dbc7p-6", "0x1.ff2a6111e7f5cp-7",
+    ],
+    ("round2", 3): [
+        "0x1.1eb851eb851ecp-2", "0x1.9000000000000p+0", "0x1.3694467381d7ep+0",
+        "0x1.36edb16b6cb88p+0", "0x1.3a99675dab39fp+0",
+    ],
+    ("round2", 15): [
+        "0x1.47ae147ae147bp-4", "0x1.95810624dd2f1p-3", "0x1.f7fbd6e58325bp-2",
+        "0x1.6d58be991f46fp-2", "0x1.6682bd3041248p-2",
+    ],
+    ("round2", 255): [
+        "0x1.9381bc20d5f09p-7", "0x1.39d11310bbacfp-6", "0x1.50ec2dfea1bb9p-6",
+        "0x1.c7235785f8421p-6", "0x1.eb86eeb15f3e1p-6",
+    ],
+}
+
+
 _PINNED_FIT_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -304,6 +377,16 @@ class TestExactFit:
         assert done.returncode == 0, done.stderr
         want = [" ".join(map(str, case)) for case in PINNED_FITS]
         assert done.stdout.splitlines() == want
+
+    def test_corpus_fits_match_pinned_steps(self):
+        got = {
+            (kind, M): [
+                optimize_delta(_corpus_group(kind, n, 100 * M + i), M)[0].hex()
+                for i, n in enumerate(CORPUS_SIZES)
+            ]
+            for kind, M in PINNED_CORPUS
+        }
+        assert got == PINNED_CORPUS
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         src = os.path.dirname(os.path.dirname(quantizer.__file__))
