@@ -45,7 +45,7 @@ from .experiments import (
     write_train_log,
 )
 from .nn import cnn_group_names, count_params, ffdnn_group_names
-from .quantizer import bits_to_levels, direct_quantize
+from .quantizer import bits_to_levels, check_groups, direct_quantize
 from .tensor import Tensor
 from .trainer import (
     TrainConfig,
@@ -117,7 +117,7 @@ def _as_groups(value, path: str):
         return value
     if not isinstance(value, list):
         raise ConfigError(f'{path}: expected "all" or a list of names')
-    return _as_str_list(value, path)
+    return check_groups(_as_str_list(value, path))
 
 
 def _as_sizes(value, path: str) -> list:

@@ -30,6 +30,10 @@ _DELTA_REL_TOL = 1e-8
 _MAX_FIT_ITERATIONS = 100
 # Events (a weight crossing a code threshold) per chunk of the step axis.
 _EVENTS_PER_CHUNK = 16384
+# Adjacent chunks bounded as one block before their own bounds are made. A
+# multiple of 4, so a block's batch of chunk bounds rounds as a batch of every
+# chunk would: a matrix-vector product may work in blocks of 4 rows.
+_CHUNKS_PER_BLOCK = 16
 # A chunk is searched while its bound is within this share of sum(w^2) of the
 # best distortion: rounding in sums of N + _EVENTS_PER_CHUNK terms, N <= 2**20.
 _BOUND_SLACK = 2.0**-32
@@ -83,21 +87,24 @@ def bits_to_levels(n_bits: int) -> int:
     return 2**n_bits - 1
 
 
-def _grid_codes(w: np.ndarray, delta: float, max_code: float, out=None) -> np.ndarray:
+def _grid_codes(w: np.ndarray, delta: float, max_code: float, out=None, count_clamped=False):
     """sgn(w) * min(floor(|w|/delta + 0.5), max_code) as float64; the grid rule.
 
     This is the only place the rounding is written. A zero code is +0.0, so
     the grid has a single zero whatever the sign of the weight. With ``out``
-    (not overlapping w) the codes are written there.
+    (not overlapping w) the codes are written there. With ``count_clamped``
+    it returns the codes and how many of them the max_code clamp moved.
     """
     q = np.abs(w, out=out)
     q /= delta
     q += 0.5
     np.floor(q, out=q)
+    if count_clamped:
+        clamped = int(np.count_nonzero(q > max_code))
     np.minimum(q, max_code, out=q)
     q *= np.sign(w)
     q += 0.0  # -0.0 + 0.0 == +0.0
-    return q
+    return (q, clamped) if count_clamped else q
 
 
 def codes(w: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
@@ -140,21 +147,23 @@ def _first_at_or_above(absw: np.ndarray, divisors: np.ndarray, deltas: np.ndarra
 
     The rounded threshold fl(|w| / c) is monotone in |w|, so the smallest |w|
     reaching a step is found by moving c * step one unit in the last place at
-    a time, and the index by one binary search. Ties in |w| need no care.
+    a time, and the index by one binary search. Each pass touches only the
+    entries still moving. Ties in |w| need no care.
     """
     d = deltas[:, None]
     a = d * divisors
-    while True:
-        short = a / divisors < d
-        if not short.any():
-            break
-        a[short] = np.nextafter(a[short], np.inf)
-    while True:
-        prev = np.nextafter(a, 0.0)
-        reach = prev / divisors >= d
-        if not reach.any():
-            break
-        a[reach] = prev[reach]
+    flat = a.reshape(-1)
+    k = divisors.size
+    i = np.flatnonzero(a / divisors < d)
+    while i.size:
+        flat[i] = np.nextafter(flat[i], np.inf)
+        i = i[flat[i] / divisors[i % k] < deltas[i // k]]
+    prev = np.nextafter(flat, 0.0)
+    i = np.flatnonzero(prev.reshape(a.shape) / divisors >= d)
+    while i.size:
+        flat[i] = prev[i]
+        prev[i] = np.nextafter(prev[i], 0.0)
+        i = i[prev[i] / divisors[i % k] >= deltas[i // k]]
     return np.searchsorted(absw, a, side="left")
 
 
@@ -165,6 +174,25 @@ def _parabola_min(w_sq, s1, s2, lo, hi):
         vertex = np.where(s2 > 0, s1 / s2, hi)
     step = np.minimum(np.maximum(vertex, lo), hi)
     return step, 0.5 * (w_sq - 2.0 * step * s1 + step * step * s2)
+
+
+def _parabola_min_in_place(w_sq, s1, s2, lo, hi):
+    """_parabola_min over float64 arrays with the same operations in the same
+    order, so the same bits, making two arrays instead of about ten; the
+    searched chunk's evaluation. Overwrites ``s1``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.divide(s1, s2)
+    np.copyto(step, hi, where=s2 <= 0)
+    np.maximum(step, lo, out=step)
+    np.minimum(step, hi, out=step)
+    err = np.multiply(2.0, step)
+    err *= s1
+    np.subtract(w_sq, err, out=err)
+    sq = np.multiply(step, step, out=s1)
+    sq *= s2
+    err += sq
+    err *= 0.5
+    return step, err
 
 
 def _step_order(ev_t: np.ndarray, runs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,24 +229,35 @@ def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
     _BOUND_SLACK * sum(w^2): a tight bound may round a few ulps past its
     chunk's minimum, and a chunk that ties the best must still be searched. A
     chunk holding more than _EVENTS_PER_CHUNK events is halved, any other has
-    its events sorted and each interval's clamped vertex evaluated. So the
-    global minimum is kept, and memory is O(N + one chunk): the lookups at the
-    chunk edges hold n_chunks * max_code indices, fewer than N + max_code as
-    max_code <= 127.
+    its events sorted and each interval's clamped vertex evaluated in place.
+
+    Bounds are made on demand (unless all chunks fit in one block, when all
+    are bounded at once). Blocks of _CHUNKS_PER_BLOCK adjacent chunks are
+    bounded first, by the same formula over the whole block less twice
+    the slack: the block's pieces hold every member's and its floors are
+    lower, so that is below each member's bound, with room for both
+    roundings. Only when a block reaches the top of the heap are its inner
+    edges looked up and its members bounded, in one batch, so each bound
+    keeps the bits a batch of every chunk gives it. A block sorts just before
+    its first chunk, so chunks pop in (bound, index) order as if all were
+    bounded at once. So the global minimum is kept, and memory is O(N + one
+    chunk): the lookups at the block edges hold about n_chunks /
+    _CHUNKS_PER_BLOCK * max_code indices, fewer than N + max_code.
     """
-    absw = np.abs(flat)
-    absw = absw[absw > 0.0]
+    absw = flat[flat != 0.0]
+    np.abs(absw, out=absw)
     w_sq = _dot(absw, absw)
     absw.sort()
     n = absw.size
     levels = np.arange(1, max_code + 1)
     divisors = levels - 0.5
-    steps_sq = 2 * levels - 1  # q^2 grows by 2k - 1 as a code moves to k
+    steps_sq = 2.0 * levels - 1.0  # q^2 grows by 2k - 1 as a code moves to k
     below = levels - 1  # code just above a level-k event
     tail1 = np.zeros(n + 1)
-    tail1[:n] = np.cumsum(absw[::-1])[::-1]
+    np.cumsum(absw[::-1], out=tail1[n - 1::-1])
     tail2 = np.zeros(n + 1)
-    tail2[:n] = np.cumsum((absw * absw)[::-1])[::-1]
+    np.multiply(absw, absw, out=tail2[:n])
+    np.cumsum(tail2[n - 1::-1], out=tail2[n - 1::-1])
 
     def sums_at(deltas):
         """Event indices, s1 and s2 at each step: events at or above count."""
@@ -247,19 +286,44 @@ def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
     edges = np.geomspace(t_min, t_max, n_chunks + 1)
     edges[0], edges[-1] = t_min, t_max
     edges = np.maximum.accumulate(edges)  # rounding must not reorder them
-    idx, s1, s2 = sums_at(edges)
+    # With no more chunks than a block holds, every chunk is bounded at once.
+    per_block = _CHUNKS_PER_BLOCK if n_chunks > _CHUNKS_PER_BLOCK else 1
+    firsts = np.append(np.arange(0, n_chunks, per_block), n_chunks)
+    idx, s1, s2 = sums_at(edges[firsts])
 
     best_delta, best_err = _parabola_min(w_sq, s1[0], s2[0], tiny, t_min)
-    bounds = bound(edges[:-1], edges[1:], idx[:-1], idx[1:], s1[1:], s2[1:])
-    heap = [
-        (bounds[c], c, (edges[c], edges[c + 1], idx[c], idx[c + 1], s1[c + 1], s2[c + 1]))
-        for c in range(n_chunks)
-    ]
-    heapq.heapify(heap)
-    tiebreak = itertools.count(n_chunks)
     slack = max(_BOUND_SLACK * w_sq, np.finfo(np.float64).tiny)  # subnormals round absolutely
+    heap = []
+
+    def push_chunks(first, e, e_i, e_s1, e_s2):
+        """Bound the chunks between edges ``e``, chunk ``first`` the lowest,
+        from the sums at those edges, and push them."""
+        bounds = bound(e[:-1], e[1:], e_i[:-1], e_i[1:], e_s1[1:], e_s2[1:])
+        for c in range(e.size - 1):
+            chunk = (e[c], e[c + 1], e_i[c], e_i[c + 1], e_s1[c + 1], e_s2[c + 1])
+            heapq.heappush(heap, (bounds[c], first + c, chunk))
+
+    if per_block == 1:
+        push_chunks(0, edges, idx, s1, s2)
+    else:
+        block_bounds = bound(edges[firsts[:-1]], edges[firsts[1:]], idx[:-1], idx[1:],
+                             s1[1:], s2[1:])
+        # A block's entry holds its number b; a chunk's holds its edges and sums.
+        heap.extend((block_bounds[b] - 2.0 * slack, first - 0.5, b)
+                    for b, first in enumerate(firsts[:-1]))
+        heapq.heapify(heap)
+    tiebreak = itertools.count(n_chunks)
     while heap and heap[0][0] < best_err + slack:
-        lo, hi, lo_i, hi_i, s1_hi, s2_hi = heapq.heappop(heap)[2]
+        item = heapq.heappop(heap)[2]
+        if isinstance(item, int):  # a block: look up its inner edges
+            b, first, last = item, firsts[item], firsts[item + 1]
+            inner_i, inner_s1, inner_s2 = sums_at(edges[first + 1:last])
+            push_chunks(first, edges[first:last + 1],
+                        np.concatenate((idx[b:b + 1], inner_i, idx[b + 1:b + 2])),
+                        np.concatenate((s1[b:b + 1], inner_s1, s1[b + 1:b + 2])),
+                        np.concatenate((s2[b:b + 1], inner_s2, s2[b + 1:b + 2])))
+            continue
+        lo, hi, lo_i, hi_i, s1_hi, s2_hi = item
         moved = hi_i - lo_i
         m = int(moved.sum())
         mid = np.sqrt(lo) * np.sqrt(hi)
@@ -270,16 +334,22 @@ def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
                 heapq.heappush(heap, (bound(*half), next(tiebreak), half))
             continue
         # Events in [lo, hi): per level k, a slice of the sorted |w|.
-        pos = np.arange(m) + np.repeat(lo_i - (np.cumsum(moved) - moved), moved)
+        pos = np.repeat(lo_i - (np.cumsum(moved) - moved), moved)
+        pos += np.arange(m)
         ev_w = absw[pos]
         ev_t = ev_w / np.repeat(divisors, moved)
         by_step, ev_t = _step_order(ev_t, np.count_nonzero(moved))
         # After the j-th event the codes stay fixed down to the next one.
-        run_s1 = np.cumsum(np.concatenate(([s1_hi], ev_w[by_step])))
-        run_s2 = np.cumsum(np.concatenate(([s2_hi], np.repeat(steps_sq, moved)[by_step])))
-        step, err = _parabola_min(
-            w_sq, run_s1, run_s2, np.concatenate((ev_t, [lo])), np.concatenate(([hi], ev_t))
-        )
+        run_s1 = np.empty(m + 1)
+        run_s1[0] = s1_hi
+        np.take(ev_w, by_step, out=run_s1[1:])
+        np.cumsum(run_s1, out=run_s1)
+        run_s2 = np.empty(m + 1)
+        run_s2[0] = s2_hi
+        np.take(np.repeat(steps_sq, moved), by_step, out=run_s2[1:])
+        np.cumsum(run_s2, out=run_s2)
+        t = np.concatenate(([hi], ev_t, [lo]))  # interval j is [t[j + 1], t[j]]
+        step, err = _parabola_min_in_place(w_sq, run_s1, run_s2, t[1:], t[:-1])
         j = int(np.argmin(err))
         if err[j] < best_err:
             best_delta, best_err = step[j], err[j]
@@ -290,20 +360,29 @@ def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationRepor
     """Fit the step size minimizing L2 distortion of quantizing ``w`` to M levels.
 
     The candidate step is the global minimizer of the piecewise-quadratic
-    distortion, found by a search over chunks of the step axis that skips
-    every chunk whose lower bound cannot beat the best step found, in memory
-    O(N + one chunk) (see _best_vertex_delta). Alternating descent then
-    polishes it: (a) assign integer codes at the current delta and (b) set
-    delta to the least-squares value sum(q*w)/sum(q^2) for those codes, until
-    the relative delta change falls below 1e-8 or 100 iterations. Both
-    half-steps are non-increasing in the distortion, so the reported l2_error
-    never exceeds the error at the search's pick nor at 2*max|w|/(M-1).
+    distortion, found by a search over chunks of the step axis that bounds
+    chunks only as the search reaches them and skips every chunk whose lower
+    bound cannot beat the best step found, in memory O(N + one chunk) (see
+    _best_vertex_delta). Alternating descent then polishes it: (a) assign
+    integer codes at the current delta and (b) set delta to the
+    least-squares value sum(q*w)/sum(q^2) for those codes, until the relative
+    delta change falls below 1e-8 or 100 iterations. Both half-steps are
+    non-increasing in the distortion, so the reported l2_error never exceeds
+    the error at the search's pick nor at 2*max|w|/(M-1). One grid pass at
+    the fitted step then gives the report's l2_error and saturated fraction.
     Deterministic given the input order.
 
     An all-zero group is degenerate: delta 1.0, all codes 0, zero error,
     flagged in the report. A group with N * max_code * max|w|^2 above
     float max / 8, or a non-finite weight, raises ConfigError.
     """
+    report, _ = _fit(w, M, group)
+    return report.delta, report
+
+
+def _fit(w, M: int, group: str) -> tuple[QuantizationReport, np.ndarray]:
+    """optimize_delta's report, and ``w`` quantized at the fitted step (its
+    shape, the bytes of ``apply``), both from one final grid pass."""
     arr = np.asarray(w, dtype=np.float64)
     flat = arr.reshape(-1)
     if flat.size == 0:
@@ -316,7 +395,7 @@ def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationRepor
             group=group, M=M, delta=1.0, l2_error=0.0,
             iterations=0, saturated_fraction=0.0, degenerate=True,
         )
-        return 1.0, report
+        return report, np.zeros(arr.shape)
     # Steps reach 2 * max|w| and the search sums up to max_code slices of |w|
     # and w^2, so no term it forms exceeds 4 * N * max_code * max|w|^2: at
     # most float max / 2 each, no sum overflows. Compared without squaring,
@@ -341,14 +420,15 @@ def optimize_delta(w, M: int, group: str = "") -> tuple[float, QuantizationRepor
             break
         delta = new_delta
 
-    spec = QuantizerSpec(M=M, delta=delta)
-    unclipped = _grid_codes(flat, delta, np.inf)
-    saturated = float(np.mean(np.abs(unclipped) > max_code))
+    QuantizerSpec(M=M, delta=delta)  # checks the fitted step
+    quantized, clamped = _grid_codes(flat, delta, max_code, out=q, count_clamped=True)
+    quantized *= delta
+    d = quantized - flat
     report = QuantizationReport(
-        group=group, M=M, delta=delta, l2_error=l2_error(flat, spec),
-        iterations=iterations, saturated_fraction=saturated,
+        group=group, M=M, delta=delta, l2_error=0.5 * _dot(d, d),
+        iterations=iterations, saturated_fraction=clamped / flat.size,
     )
-    return delta, report
+    return report, quantized.reshape(arr.shape)
 
 
 def direct_quantize(net, n_bits: int, groups="all"):
@@ -358,7 +438,8 @@ def direct_quantize(net, n_bits: int, groups="all"):
     network is not modified. Each selected group gets its own fitted step
     size, its weights replaced by their quantized values, and its original
     float weights kept as the shadow copy used by retraining. Unselected
-    groups and all biases are untouched.
+    groups and all biases are untouched. ``groups`` is "all" or a non-empty
+    list of distinct names of this network's groups (check_groups).
     """
     M = bits_to_levels(n_bits)
     selected = _resolve_groups(net, groups)
@@ -366,24 +447,34 @@ def direct_quantize(net, n_bits: int, groups="all"):
     reports = []
     for name in selected:
         group = out.groups[name]
-        delta, report = optimize_delta(group.weights.ndarray, M, group=name)
-        spec = QuantizerSpec(M=M, delta=delta)
+        report, quantized = _fit(group.weights.ndarray, M, name)
         group.shadow_weights = group.weights
-        group.weights = Tensor._wrap(apply(group.weights.ndarray, spec))
-        group.quantizer = spec
+        group.weights = Tensor._wrap(quantized)
+        group.quantizer = QuantizerSpec(M=M, delta=report.delta)
         reports.append(report)
     return out, reports
+
+
+def check_groups(groups):
+    """The group selection: "all", or a non-empty list of names none of
+    which is listed twice; anything else is a ConfigError naming quant.groups."""
+    if groups == "all":
+        return groups
+    names = list(groups)
+    if not names:
+        raise ConfigError('quant.groups: expected "all" or a non-empty list of names')
+    reject_repeats(names, "quant.groups")
+    return names
 
 
 def _resolve_groups(net, groups) -> list[str]:
     known = list(net.groups.keys())
     if groups == "all" or groups is None:
         return known
-    names = list(groups)
+    names = check_groups(groups)
     unknown = [g for g in names if g not in net.groups]
     if unknown:
         raise ConfigError(
             f"unknown weight group(s) {unknown}; this network has {known}"
         )
-    reject_repeats(names, "quant.groups")
     return names

@@ -455,6 +455,19 @@ class TestExitCodes:
         assert not (out / "quantized_2bit.ckpt").exists()
         assert not (out / "quant_report.csv").exists()
 
+    def test_empty_quant_groups_fail_at_load(self, tmp_path):
+        # An empty selection would quantize nothing, and retrain would then
+        # refuse the checkpoint; it fails at config load for every command.
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg["quant"] = {"n_bits": 2, "groups": []}
+        config = _write_config(tmp_path, cfg)
+        for command in ("train", "quantize"):
+            code, err = _cli(tmp_path, command, "--config", config)
+            assert (code, "Traceback" in err) == (2, False)
+            assert 'quant.groups: expected "all" or a non-empty list' in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "sweep, bits, message",
         [({"sizes": [4, 4]}, [2], "sweep.sizes: 4 is listed twice"),

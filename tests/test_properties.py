@@ -42,6 +42,7 @@ from quantbench.quantizer import (  # noqa: E402
     optimize_delta,
 )
 from quantbench.tensor import Rng, Tensor  # noqa: E402
+from test_quantizer import _corpus_group  # noqa: E402
 
 pytest_plugins = ["pytester"]
 
@@ -154,6 +155,36 @@ def test_pruning_the_fit_moves_no_result(w, M):
         ref_delta, ref_report = optimize_delta(w, M)
     assert repr(delta) == repr(ref_delta)
     assert repr(report.l2_error) == repr(ref_report.l2_error)
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(["gauss", "lattice", "pm", "half_zero"]),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.sampled_from([2, 4, 8]),
+)
+def test_report_and_stored_weights_match_a_recomputation(kind, rows, seed, bits):
+    # The fit's one final grid pass gives the report and the stored weights:
+    # each must be what the public grid functions give at the fitted step,
+    # to the bit, and each report number a plain float (a numpy scalar's repr
+    # would differ in quant_report.csv).
+    net = build_ffdnn(rows, 6, 1, 2, seed=0)
+    shape = net.groups["In-h1"].weights.shape
+    net.groups["In-h1"].weights = Tensor(_corpus_group(kind, rows * 6, seed).reshape(shape))
+    w = net.groups["In-h1"].weights.ndarray
+    qnet, (report,) = direct_quantize(net, bits, groups=["In-h1"])
+    group = qnet.groups["In-h1"]
+    spec = QuantizerSpec(M=2**bits - 1, delta=report.delta)
+    assert group.quantizer == spec
+    for value in (report.delta, report.l2_error, report.saturated_fraction):
+        assert type(value) is float
+    assert repr(report.delta) == repr(optimize_delta(w, spec.M)[0])
+    assert repr(report.l2_error) == repr(quantizer.l2_error(w, spec))
+    clamped = np.floor(np.abs(w) / report.delta + 0.5) > spec.max_code
+    assert repr(report.saturated_fraction) == repr(float(np.mean(clamped)))
+    assert group.shadow_weights.ndarray.tobytes() == w.tobytes()
+    assert group.weights.ndarray.tobytes() == apply(w, spec).tobytes()
 
 
 def _lattice_steps(magnitudes, max_code):
