@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -76,6 +77,12 @@ class SweepRecord:
             raise ConfigError(
                 f"float records must carry n_bits={FLOAT_BITS}, got {self.n_bits}"
             )
+        for name in ("param_count", "total_weight_bits"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("val_metric", "test_metric"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
     def sort_key(self):
         return (
@@ -426,8 +433,6 @@ def ecr(record: SweepRecord, curve: FloatBaselineCurve) -> float:
     """Effective compression ratio: effective float bits over actual bits."""
     if record.mode == "float":
         raise ConfigError("ECR is defined for quantized records only")
-    if record.total_weight_bits <= 0:
-        raise ConfigError("record has zero total weight bits")
     params, _ = effective_params(curve, record.val_metric)
     return params * FLOAT_BITS / record.total_weight_bits
 

@@ -14,8 +14,10 @@ patch matrix: backward unfolds that input again for the dW GEMM, in blocks of
 input channels (``_channel_blocks``) when the whole batch's patch matrix
 would pass SLICE_BYTES, each block filling whole patch rows of dW. So no
 cache holds a view of the workspace, and any number of forwards or
-inference passes may run before a backward. The runs and blocks are aligned
-and large, so each gives every bit of one whole-batch GEMM.
+inference passes may run before a backward. One slice rule (``_runs``) cuts
+both: as many aligned units (samples spanning a multiple of 8 patch columns,
+or 8 channels) as fit in SLICE_BYTES, at least one, so each slice gives every
+bit of one whole-batch GEMM.
 SLICE_BYTES also bounds the largest activation of an evaluation chunk.
 
 A 2x2 max-pool is the maximum of four strided views (``_maxpool2_even``),
@@ -193,40 +195,39 @@ def _unfold(x: np.ndarray) -> np.ndarray:
     return _im2col(x, _scratch(c * KERNEL_SIZE**2, n * h * w))
 
 
+def _runs(count: int, unit: int, item_bytes: int) -> list[tuple[int, int]]:
+    """[start, stop) runs of ``count`` items of ``item_bytes`` patch bytes: one
+    if all fit in SLICE_BYTES, else runs of as many whole ``unit``s as fit (at
+    least one), the remainder joining the last run, so no run is small."""
+    if count * item_bytes <= SLICE_BYTES:
+        return [(0, count)]
+    step = max(unit, SLICE_BYTES // item_bytes // unit * unit)
+    starts = list(range(0, max(count - step, 0) + 1, step))
+    return list(zip(starts, starts[1:] + [count]))
+
+
 def _sample_runs(x_shape: tuple) -> list[tuple[int, int]]:
     """[start, stop) sample runs of a conv batch, each one column block of its
-    GEMM in ``_conv``: one run when the batch's patch matrix fits in
-    SLICE_BYTES, more only when it would pass that bound.
-
-    Every run computes each output bit for bit as one whole-batch GEMM does
-    (measured with OpenBLAS 0.3.31). Each run but the last spans a multiple of
-    8 patch columns, because a block that ends inside a kernel tile sums its
-    last columns in another order. No run builds less than about half the
-    bound, so the remainder joins the last run: a small block sums in another
-    order too (OpenBLAS takes a small-matrix kernel up to 10^6 multiply-adds)."""
+    GEMM in ``_conv``. Each run but the last spans a multiple of 8 patch
+    columns, because a block that ends inside a kernel tile sums its last
+    columns in another order. No run is small, because a small block sums in
+    another order too (OpenBLAS takes a small-matrix kernel up to 10^6
+    multiply-adds). So every run computes each output bit for bit as one
+    whole-batch GEMM does (measured with OpenBLAS 0.3.31)."""
     n, c, h, w = x_shape
-    unit = 8 // math.gcd(h * w, 8)  # samples per multiple of 8 columns
-    per_sample = 8 * KERNEL_SIZE**2 * c * h * w
-    step = max(unit, SLICE_BYTES // per_sample // unit * unit)
-    starts = list(range(0, max(n - step, 0) + 1, step))
-    return list(zip(starts, starts[1:] + [n]))
+    # 8 // gcd(h*w, 8) samples span a multiple of 8 columns.
+    return _runs(n, 8 // math.gcd(h * w, 8), 8 * KERNEL_SIZE**2 * c * h * w)
 
 
 def _channel_blocks(x_shape: tuple) -> list[tuple[int, int]]:
     """[c0, c1) input-channel blocks of a conv's dW GEMM, each unfolded alone
-    into whole patch rows of dW: one block when the batch's patch matrix fits
-    in SLICE_BYTES or C is not a multiple of 8. Each block spans a multiple of
-    8 channels (200 patch rows, so it starts on an 8-column tile of dW), as
-    many as fit in SLICE_BYTES or else 8; the remainder joins the last block.
-    N*H*W, which orders the sums, is never split, so every block gives the
-    bits of one whole-batch GEMM (measured with OpenBLAS 0.3.31)."""
+    into whole patch rows of dW; one block unless C is a multiple of 8, so
+    that each block spans a multiple of 8 channels (200 patch rows, so it
+    starts on an 8-column tile of dW). N*H*W, which orders the sums, is never
+    split, so every block gives the bits of one whole-batch GEMM (measured
+    with OpenBLAS 0.3.31)."""
     n, c, h, w = x_shape
-    per_channel = 8 * KERNEL_SIZE**2 * n * h * w  # patch bytes of one channel
-    if c % 8 or c * per_channel <= SLICE_BYTES:
-        return [(0, c)]
-    step = 8 * max(1, SLICE_BYTES // (8 * per_channel))
-    starts = list(range(0, c - step + 1, step))
-    return list(zip(starts, starts[1:] + [c]))
+    return [(0, c)] if c % 8 else _runs(c, 8, 8 * KERNEL_SIZE**2 * n * h * w)
 
 
 def _conv(x: np.ndarray, k: np.ndarray, bias: np.ndarray | None) -> np.ndarray:

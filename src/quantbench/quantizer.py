@@ -102,7 +102,7 @@ def _grid_codes(w: np.ndarray, delta: float, max_code: float, out=None, count_cl
     if count_clamped:
         clamped = int(np.count_nonzero(q > max_code))
     np.minimum(q, max_code, out=q)
-    q *= np.sign(w)
+    np.copysign(q, w, out=q)
     q += 0.0  # -0.0 + 0.0 == +0.0
     return (q, clamped) if count_clamped else q
 
@@ -114,17 +114,18 @@ def codes(w: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     return q.astype(np.int64).reshape(w.shape)
 
 
-def apply(w, spec: QuantizerSpec):
+def apply(w, spec: QuantizerSpec, out=None):
     """Quantize w onto the grid of ``spec``: codes(w) * delta.
 
-    Returns a float for a scalar and an ndarray otherwise. Total function:
-    saturates at +/- max_code * delta and is odd-symmetric as numbers
-    (apply(-w) == -apply(w)); zero is +0.0.
+    Returns a float for a scalar and an ndarray otherwise, written into
+    ``out`` (a float64 array of w's shape, not overlapping it) when given.
+    Total function: saturates at +/- max_code * delta and is odd-symmetric as
+    numbers (apply(-w) == -apply(w)); zero is +0.0.
     """
     arr = np.asarray(w, dtype=np.float64)
     if arr.ndim == 0:
         return float(apply(arr.reshape(1), spec)[0])
-    out = _grid_codes(arr, spec.delta, spec.max_code)
+    out = _grid_codes(arr, spec.delta, spec.max_code, out=out)
     out *= spec.delta
     return out
 
@@ -169,17 +170,9 @@ def _first_at_or_above(absw: np.ndarray, divisors: np.ndarray, deltas: np.ndarra
 
 def _parabola_min(w_sq, s1, s2, lo, hi):
     """Step in [lo, hi] minimizing 1/2 * (w_sq - 2*step*s1 + step^2*s2), and
-    that minimum. With s2 = 0 the line falls as the step grows: take hi."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = np.where(s2 > 0, s1 / s2, hi)
-    step = np.minimum(np.maximum(vertex, lo), hi)
-    return step, 0.5 * (w_sq - 2.0 * step * s1 + step * step * s2)
-
-
-def _parabola_min_in_place(w_sq, s1, s2, lo, hi):
-    """_parabola_min over float64 arrays with the same operations in the same
-    order, so the same bits, making two arrays instead of about ten; the
-    searched chunk's evaluation. Overwrites ``s1``."""
+    that minimum, as 1-D arrays. With s2 = 0 the line falls as the step grows:
+    take hi. Makes two arrays; overwrites ``s1`` when it is a float64 array."""
+    s1, s2 = np.atleast_1d(s1, s2)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.divide(s1, s2)
     np.copyto(step, hi, where=s2 <= 0)
@@ -291,7 +284,7 @@ def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
     firsts = np.append(np.arange(0, n_chunks, per_block), n_chunks)
     idx, s1, s2 = sums_at(edges[firsts])
 
-    best_delta, best_err = _parabola_min(w_sq, s1[0], s2[0], tiny, t_min)
+    (best_delta,), (best_err,) = _parabola_min(w_sq, s1[0], s2[0], tiny, t_min)
     slack = max(_BOUND_SLACK * w_sq, np.finfo(np.float64).tiny)  # subnormals round absolutely
     heap = []
 
@@ -331,7 +324,7 @@ def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
             (mid_i,), (s1_mid,), (s2_mid,) = sums_at(np.array([mid]))
             for half in ((lo, mid, lo_i, mid_i, s1_mid, s2_mid),
                          (mid, hi, mid_i, hi_i, s1_hi, s2_hi)):
-                heapq.heappush(heap, (bound(*half), next(tiebreak), half))
+                heapq.heappush(heap, (bound(*half)[0], next(tiebreak), half))
             continue
         # Events in [lo, hi): per level k, a slice of the sorted |w|.
         pos = np.repeat(lo_i - (np.cumsum(moved) - moved), moved)
@@ -349,7 +342,7 @@ def _best_vertex_delta(flat: np.ndarray, max_code: int) -> float:
         np.take(np.repeat(steps_sq, moved), by_step, out=run_s2[1:])
         np.cumsum(run_s2, out=run_s2)
         t = np.concatenate(([hi], ev_t, [lo]))  # interval j is [t[j + 1], t[j]]
-        step, err = _parabola_min_in_place(w_sq, run_s1, run_s2, t[1:], t[:-1])
+        step, err = _parabola_min(w_sq, run_s1, run_s2, t[1:], t[:-1])
         j = int(np.argmin(err))
         if err[j] < best_err:
             best_delta, best_err = step[j], err[j]

@@ -44,7 +44,7 @@ from .nn import (
     forward,
     logit_cross_entropy,
 )
-from .quantizer import _grid_codes, apply
+from .quantizer import apply
 from .tensor import Rng, Tensor
 
 _BLOCK = 32768  # elements per optimizer block: six 256 KiB arrays fill a 2 MiB L2
@@ -200,8 +200,7 @@ class _FlatState:
             v -= t
             theta += v
         for shadow, exposed, spec in self._grids:
-            _grid_codes(shadow, spec.delta, spec.max_code, out=exposed)
-            exposed *= spec.delta
+            apply(shadow, spec, out=exposed)
 
 
 def _assert_on_grid(net: Network) -> None:

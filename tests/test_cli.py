@@ -500,6 +500,27 @@ class TestExitCodes:
         assert _run("ecr", "--config", config) == 2
         assert "sweep.modes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ecr", "report"])
+    @pytest.mark.parametrize("field, value", [
+        ("val_metric", "nan"), ("val_metric", "inf"), ("test_metric", "-inf"),
+        ("param_count", "0"), ("total_weight_bits", "0"),
+    ])
+    def test_records_with_a_non_finite_metric_or_a_zero_count(
+        self, tmp_path, capsys, command, field, value
+    ):
+        # A returned 3 means no exception left main, so no traceback.
+        out = tmp_path / "out"
+        out.mkdir()
+        demo = Path(__file__).resolve().parent.parent / "out" / "demo" / "records.csv"
+        lines = demo.read_text().splitlines()
+        row = lines[2].split(",")
+        row[lines[0].split(",").index(field)] = value
+        lines[2] = ",".join(row)
+        (out / "records.csv").write_text("\n".join(lines) + "\n")
+        config = _write_config(tmp_path, _base_config(out_dir=str(out)))
+        assert _run(command, "--config", config) == 3
+        assert f"records.csv:3: bad record: {field} must be" in capsys.readouterr().err
+
     def test_sweep_without_block(self, tmp_path, capsys):
         config = _write_config(tmp_path, _base_config())
         assert _run("sweep", "--config", config) == 2

@@ -1,20 +1,18 @@
-"""Golden test: the six-command demo chain reproduces out/demo byte for byte.
+"""Golden test: the six-command demo chain reproduces out/demo byte for byte,
+and so does the CNN demo chain out/demo_cnn.
 
-The chain runs from the committed demo config with only the output directory
+Each chain runs from its committed demo config with only the output directory
 changed, so any change to a rule the artifacts depend on (the grid rule, the
-retraining schedule, training, the sweep, ECR or the report) shows up here.
+retraining schedule, training, the layer math, the sweep, ECR or the report)
+shows up here.
 """
 
 import os
 from pathlib import Path
 
-import pytest
-
 from quantbench.cli import SEED_ENV, main
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFIG = ROOT / "configs" / "demo_blobs.json"
-GOLDEN = ROOT / "out" / "demo"
 GOLDEN_FILES = (
     "train_log.csv",
     "quant_report.csv",
@@ -27,15 +25,26 @@ GOLDEN_FILES = (
 )
 
 
-def test_demo_chain_reproduces_committed_artifacts(tmp_path, monkeypatch, capsys):
+def _check_chain(config, golden, tmp_path, monkeypatch, capsys):
+    """Run the six commands from configs/<config> and compare with out/<golden>."""
     monkeypatch.delenv(SEED_ENV, raising=False)
-    assert sorted(os.listdir(GOLDEN)) == sorted(GOLDEN_FILES)
+    golden = ROOT / "out" / golden
+    assert sorted(os.listdir(golden)) == sorted(GOLDEN_FILES)
     for command in ("train", "quantize", "retrain", "sweep", "ecr", "report"):
         extra = ["--jobs", "2"] if command == "sweep" else []
-        argv = [command, "--config", str(CONFIG), "--out", str(tmp_path), *extra]
+        argv = [command, "--config", str(ROOT / "configs" / config), "--out", str(tmp_path),
+                *extra]
         assert main(argv) == 0, f"{command} failed: {capsys.readouterr().err}"
     capsys.readouterr()
     for name in GOLDEN_FILES:
         got = (tmp_path / name).read_bytes()
-        want = (GOLDEN / name).read_bytes()
-        assert got == want, f"{name} differs from out/demo/{name}"
+        want = (golden / name).read_bytes()
+        assert got == want, f"{name} differs from {golden.relative_to(ROOT)}/{name}"
+
+
+def test_demo_chain_reproduces_committed_artifacts(tmp_path, monkeypatch, capsys):
+    _check_chain("demo_blobs.json", "demo", tmp_path, monkeypatch, capsys)
+
+
+def test_cnn_demo_chain_reproduces_committed_artifacts(tmp_path, monkeypatch, capsys):
+    _check_chain("demo_cnn.json", "demo_cnn", tmp_path, monkeypatch, capsys)

@@ -1,9 +1,9 @@
-"""Property tests for the grid rule, the step-size fit, the cache-free
-inference pass and its class rule, the conv input gradient and sample runs,
-the conv weight gradient and channel blocks, the training pool and ReLU,
-every file reader under a single mutation of a valid file, and a check that
-a failing property reports under the repo's warning filters; skipped when
-hypothesis is not installed."""
+"""Property tests for the grid rule, the step-size fit and its parabola
+minimum, the cache-free inference pass and its class rule, the conv input
+gradient and sample runs, the conv weight gradient and channel blocks, the
+training pool and ReLU, every file reader under a single mutation of a valid
+file, and a check that a failing property reports under the repo's warning
+filters; skipped when hypothesis is not installed."""
 
 import functools
 import os
@@ -42,7 +42,7 @@ from quantbench.quantizer import (  # noqa: E402
     optimize_delta,
 )
 from quantbench.tensor import Rng, Tensor  # noqa: E402
-from test_quantizer import _corpus_group  # noqa: E402
+from test_quantizer import _corpus_group, _reference_parabola_min  # noqa: E402
 
 pytest_plugins = ["pytester"]
 
@@ -155,6 +155,42 @@ def test_pruning_the_fit_moves_no_result(w, M):
         ref_delta, ref_report = optimize_delta(w, M)
     assert repr(delta) == repr(ref_delta)
     assert repr(report.l2_error) == repr(ref_report.l2_error)
+
+
+def _parabola_case(arrs):
+    """(w_sq, s1, s2, lo, hi) with lo <= hi; an s2 below 1e-6 becomes 0, a
+    line with no vertex."""
+    w_sq, s1, s2, a, b = arrs
+    s2[s2 < 1e-6] = 0.0
+    return w_sq, s1, s2, np.minimum(a, b), np.maximum(a, b)
+
+
+sums = st.floats(0.0, 1e12)
+# Steps from the smallest subnormal up: a fitted step may be subnormal.
+steps = st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-300, 1e6))
+parabola_cases = st.integers(0, 8).map(lambda k: (k,) if k else ()).flatmap(
+    lambda shape: st.tuples(*(arrays(np.float64, shape, elements=e)
+                              for e in (sums, sums, sums, steps, steps)))
+).map(_parabola_case)
+
+
+@SETTINGS
+@given(case=parabola_cases)
+@example(case=(3.0, 2.0, 0.0, 0.5, 0.75))  # s2 = 0: the line's low end, hi
+@example(case=(3.0, 2.0, 4.0, 0.6, 0.6))  # lo == hi
+@example(case=(3.0, 2.0, 4.0, 0.6, 0.9))  # vertex 0.5 below lo
+@example(case=(3.0, 2.0, 4.0, 0.1, 0.2))  # vertex above hi
+@example(case=(1e-300, 5e-324, 1.0, 5e-324, 1e-323))  # subnormal steps
+def test_parabola_min_gives_the_formula_bits(case):
+    # The fit's one parabola minimum, in place, against the formula it
+    # implements: scalars (numpy's, as the fit passes) and arrays both give
+    # the formula's bits.
+    case = tuple(v if np.ndim(v) else np.float64(v) for v in case)
+    want = _reference_parabola_min(*case)
+    got = quantizer._parabola_min(*case)  # may overwrite s1, not read again
+    for g, w in zip(got, want):
+        assert g.ndim == 1
+        assert g.tobytes() == np.asarray(w).reshape(-1).tobytes()
 
 
 @SETTINGS
@@ -530,6 +566,14 @@ def test_sample_runs_are_aligned_and_never_small(shape):
         assert (e - s) * h * w % 8 == 0
     if len(runs) > 1:  # so every run's patch holds at least 2^20 entries
         assert min(e - s for s, e in runs) * per_sample >= nn.SLICE_BYTES // 2
+    # The same slice rule cuts the input channels of the dW GEMM.
+    blocks = nn._channel_blocks(shape)
+    assert [s for s, _ in blocks] == [0] + [e for _, e in blocks[:-1]]
+    assert blocks[-1][1] == c
+    if c % 8 or n * per_sample <= nn.SLICE_BYTES:
+        assert blocks == [(0, c)]
+    for s, e in blocks[:-1]:
+        assert (e - s) % 8 == 0
 
 
 # Batches of 2 to 3 bounds of patch matrix whose C_in is a multiple of 8, so

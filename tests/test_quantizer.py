@@ -91,6 +91,24 @@ class TestApply:
         assert not np.signbit(out[codes(w, spec) == 0]).any()
         assert not np.signbit(apply(-0.04, spec))
 
+    @pytest.mark.parametrize("M,delta", [(3, 0.1), (7, 1.0), (255, 3e-5)])
+    def test_bytes_match_the_sign_transliteration(self, M, delta):
+        # array_equal cannot see a zero's sign, so compare bytes: the grid
+        # signs its codes by copysign, the closed form multiplies by sgn(w).
+        spec = QuantizerSpec(M=M, delta=delta)
+        thresholds = (np.arange(1, spec.max_code + 2) - 0.5) * delta
+        mags = np.concatenate((
+            [0.0, 5e-324, np.inf, 1e300, spec.max_code * delta],
+            thresholds, np.nextafter(thresholds, 0.0), np.nextafter(thresholds, np.inf),
+        ))
+        w = np.concatenate((mags, -mags))
+        q = np.minimum(np.floor(np.abs(w) / delta + 0.5), spec.max_code)
+        want = (q * np.sign(w) + 0.0) * delta
+        assert apply(w, spec).tobytes() == want.tobytes()
+        out = np.full_like(w, np.nan)
+        assert apply(w, spec, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
 
 class TestBitsToLevels:
     @pytest.mark.parametrize("bits,levels", [(2, 3), (3, 7), (4, 15), (8, 255)])
@@ -206,6 +224,15 @@ def _reference_scan(flat, max_code):
     w_sq = float(np.dot(absw, absw))
     errors = 0.5 * (w_sq - 2.0 * clamped * s1 + clamped * clamped * s2)
     return float(clamped[int(np.argmin(errors))])
+
+
+def _reference_parabola_min(w_sq, s1, s2, lo, hi):
+    """quantizer._parabola_min as a formula: the clamped vertex s1 / s2 (hi
+    when s2 = 0) and the distortion there, without reusing any array."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(s2 > 0, s1 / s2, hi)
+    step = np.minimum(np.maximum(vertex, lo), hi)
+    return step, 0.5 * (w_sq - 2.0 * step * s1 + step * step * s2)
 
 
 def _draw(kind, n, seed):
