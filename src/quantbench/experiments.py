@@ -34,7 +34,14 @@ import numpy as np
 
 from .data import DatasetSplit
 from .errors import ConfigError, DataFormatError, read_text, reject_repeats
-from .nn import Network, build_cnn, build_ffdnn, count_params, count_weight_bits
+from .nn import (
+    MAX_CNN_LEVELS,
+    Network,
+    build_cnn,
+    build_ffdnn,
+    count_params,
+    count_weight_bits,
+)
 from .quantizer import QuantizationReport, bits_to_levels, direct_quantize
 from .tensor import derive_seed
 from .trainer import (
@@ -77,6 +84,15 @@ class SweepRecord:
             raise ConfigError(
                 f"float records must carry n_bits={FLOAT_BITS}, got {self.n_bits}"
             )
+        if self.mode != "float":
+            bits_to_levels(self.n_bits)  # 2..8, as quant.bits at config load
+        if self.family not in ("ffdnn", "cnn"):
+            raise ConfigError(f"unknown family {self.family!r}")
+        # Depth 0 is an ffdnn without hidden layers; a cnn has 1..3 levels.
+        if self.family == "ffdnn" and self.depth < 0:
+            raise ConfigError(f"ffdnn depth must be >= 0, got {self.depth}")
+        if self.family == "cnn" and not 1 <= self.depth <= MAX_CNN_LEVELS:
+            raise ConfigError(f"cnn depth must be 1..{MAX_CNN_LEVELS}, got {self.depth}")
         for name in ("param_count", "total_weight_bits"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

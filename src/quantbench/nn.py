@@ -3,21 +3,25 @@
 All layer math lives here. A conv layer unfolds its input into a contiguous
 tap-major [C*25, N*H*W] patch matrix (``_im2col``), each row a run of whole
 image rows, written into one module-level workspace (``_scratch``) that every
-conv call reuses and grows on demand. A conv has one computation, ``_conv``:
-a batch whose patch matrix would pass SLICE_BYTES is unfolded in sample runs
-(``_sample_runs``), each run's output written straight into one preallocated
-output. Inference and the training forward call it with the layer's kernels,
-and backward computes dX with it too: the input gradient of a same-size conv
-is the same-size conv of dY with the kernels flipped in both spatial axes and
-their channel axes swapped. The training forward caches its input, not a
-patch matrix: backward unfolds that input again for the dW GEMM, in blocks of
-input channels (``_channel_blocks``) when the whole batch's patch matrix
-would pass SLICE_BYTES, each block filling whole patch rows of dW. So no
-cache holds a view of the workspace, and any number of forwards or
-inference passes may run before a backward. One slice rule (``_runs``) cuts
-both: as many aligned units (samples spanning a multiple of 8 patch columns,
-or 8 channels) as fit in SLICE_BYTES, at least one, so each slice gives every
-bit of one whole-batch GEMM.
+conv call reuses and grows on demand. SLICE_BYTES bounds every patch matrix a
+conv builds, except where a split would change bits (below). A conv has one
+computation, ``_conv``: a batch whose patch matrix would pass SLICE_BYTES is
+unfolded in sample runs (``_sample_runs``), each run's output written
+straight into one preallocated output. Inference and the training forward
+call it with the layer's kernels, and backward computes dX with it too: the
+input gradient of a same-size conv is the same-size conv of dY with the
+kernels flipped in both spatial axes and their channel axes swapped. The
+training forward caches its input, not a patch matrix: backward unfolds that
+input again for the dW GEMM, in blocks of patch rows (``_row_blocks``), each
+block filling whole columns of dW; a block's unit is C_out rows rounded up to
+8, or 32 rows when C_out is at most 16. So no cache holds a view of
+the workspace, and any number of forwards or inference passes may run before
+a backward. One slice rule (``_runs``) cuts both: the fewest runs of whole
+aligned units that each fit SLICE_BYTES, the units spread evenly and no run
+small, so each slice gives every bit of one whole-batch GEMM (measured with
+OpenBLAS 0.3.31 at 1 and 2 threads; docstrings below). A unit that
+alone passes the bound is one run; a one-map conv, and a dW GEMM whose
+OpenBLAS tail kernels would sum a block in another order, are never split.
 SLICE_BYTES also bounds the largest activation of an evaluation chunk.
 
 A 2x2 max-pool is the maximum of four strided views (``_maxpool2_even``),
@@ -71,6 +75,7 @@ BIAS_BITS = 32  # biases always stay full width
 # Bytes of a conv run's or block's patch matrix and of an eval chunk's activation.
 SLICE_BYTES = 16 << 20
 EVAL_BATCH = 512  # samples per evaluation chunk at most
+MAX_CNN_LEVELS = 3  # conv + ReLU + pool stages of a CNN at most
 
 
 @dataclass
@@ -176,58 +181,113 @@ def _scratch(rows: int, cols: int) -> np.ndarray:
     return _workspace[: rows * cols].reshape(rows, cols)
 
 
-def _im2col(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Unfold a [N, C, H, W] batch, zero-padded for a same-size 5x5 conv, into
-    ``out``, a contiguous tap-major [C*25, N*H*W] patch matrix: row (c, dy,
-    dx), in the order of a flattened kernel, holds input channel c shifted by
-    tap (dy, dx) at every output pixel (i, y, x). Each row is a run of whole
-    image rows, so the unfold copies contiguous stretches of the padded input."""
-    xp = np.pad(x, ((0, 0), (0, 0), (CONV_PAD, CONV_PAD), (CONV_PAD, CONV_PAD)))
+def _im2col(x: np.ndarray, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """Unfold rows [start, start + len(out)) of the patch matrix of a
+    [N, C, H, W] batch, zero-padded for a same-size 5x5 conv, into ``out``.
+    The patch matrix is tap-major [C*25, N*H*W]: row (c, dy, dx), in the
+    order of a flattened kernel, holds input channel c shifted by tap (dy, dx)
+    at every output pixel (i, y, x). Each row is a run of whole image rows, so
+    the unfold copies contiguous stretches of the padded input: whole channels
+    at once, and single taps only at the edges of the row range. Only the
+    channels the range touches are padded."""
+    n, _, h, w = x.shape
+    taps = KERNEL_SIZE**2
+    stop = start + out.shape[0]
+    c0, c1 = start // taps, -(-stop // taps)
+    xp = np.zeros((n, c1 - c0, h + 2 * CONV_PAD, w + 2 * CONV_PAD))
+    xp[:, :, CONV_PAD : CONV_PAD + h, CONV_PAD : CONV_PAD + w] = x[:, c0:c1]
     windows = sliding_window_view(xp, (KERNEL_SIZE, KERNEL_SIZE), axis=(2, 3))
-    taps = windows.transpose(1, 4, 5, 0, 2, 3)  # [C, 5, 5, N, H, W]
-    out.reshape(taps.shape)[...] = taps
+    src = windows.transpose(1, 4, 5, 0, 2, 3)  # [C, 5, 5, N, H, W] from c0
+    dst = out.reshape(stop - start, n, h, w)
+    a = min(-(-start // taps) * taps, stop)  # rows [a, b) are whole channels
+    b = max(stop // taps * taps, a)
+    for r in (*range(start, a), *range(b, stop)):
+        c, t = divmod(r, taps)
+        dst[r - start] = src[c - c0, t // KERNEL_SIZE, t % KERNEL_SIZE]
+    whole = dst[a - start : b - start]
+    whole.reshape((b - a) // taps, KERNEL_SIZE, KERNEL_SIZE, n, h, w)[...] = (
+        src[a // taps - c0 : b // taps - c0]
+    )
     return out
 
 
-def _unfold(x: np.ndarray) -> np.ndarray:
-    """The patch matrix of x, unfolded into the workspace."""
+def _unfold(x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows [start, stop) of the patch matrix of x, all by default, unfolded
+    into the workspace."""
     n, c, h, w = x.shape
-    return _im2col(x, _scratch(c * KERNEL_SIZE**2, n * h * w))
+    stop = c * KERNEL_SIZE**2 if stop is None else stop
+    return _im2col(x, _scratch(stop - start, n * h * w), start)
 
 
 def _runs(count: int, unit: int, item_bytes: int) -> list[tuple[int, int]]:
-    """[start, stop) runs of ``count`` items of ``item_bytes`` patch bytes: one
-    if all fit in SLICE_BYTES, else runs of as many whole ``unit``s as fit (at
-    least one), the remainder joining the last run, so no run is small."""
+    """[start, stop) runs of ``count`` items of ``item_bytes`` patch bytes:
+    one if all fit in SLICE_BYTES, else the fewest runs of whole ``unit``s
+    that each fit, the units spread evenly, so every run starts on a unit.
+    The last unit may be partial; alone in the last run it would be small if
+    it held under a quarter of the bound, or one item (one patch row, or one
+    sample of one pixel, makes a matrix-vector product), so then it joins
+    the run before it. So no run is small, and a run passes the bound only
+    when it holds one unit (and that partial one)."""
     if count * item_bytes <= SLICE_BYTES:
         return [(0, count)]
-    step = max(unit, SLICE_BYTES // item_bytes // unit * unit)
-    starts = list(range(0, max(count - step, 0) + 1, step))
+    units = -(-count // unit)
+    k = -(-units // max(1, SLICE_BYTES // (unit * item_bytes)))  # fewest runs
+    starts = [unit * (i * units // k) for i in range(k)]
+    tail = count - starts[-1]
+    small = tail < 2 or tail * item_bytes < SLICE_BYTES // 4
+    if k > 1 and tail < unit and small:
+        starts.pop()
     return list(zip(starts, starts[1:] + [count]))
 
 
-def _sample_runs(x_shape: tuple) -> list[tuple[int, int]]:
-    """[start, stop) sample runs of a conv batch, each one column block of its
-    GEMM in ``_conv``. Each run but the last spans a multiple of 8 patch
-    columns, because a block that ends inside a kernel tile sums its last
-    columns in another order. No run is small, because a small block sums in
-    another order too (OpenBLAS takes a small-matrix kernel up to 10^6
-    multiply-adds). So every run computes each output bit for bit as one
-    whole-batch GEMM does (measured with OpenBLAS 0.3.31)."""
+def _sample_runs(x_shape: tuple, c_out: int) -> list[tuple[int, int]]:
+    """[start, stop) sample runs of a conv batch with ``c_out`` output maps,
+    each one column block of its GEMM in ``_conv``. Each run but the last
+    spans a multiple of 8 patch columns, because a block that ends inside a
+    kernel tile sums its last columns in another order. No run is small,
+    because a small block sums in another order too (OpenBLAS takes a
+    small-matrix kernel up to 10^6 multiply-adds, and numpy a matrix-vector
+    product for one column). numpy runs a one-map conv's GEMM as a
+    matrix-vector product, whose bits depend on the column count, so that
+    conv is one run. So every run computes each output bit for bit as one
+    whole-batch GEMM does (measured with OpenBLAS 0.3.31 at 1 and 2
+    threads)."""
     n, c, h, w = x_shape
+    if c_out == 1:
+        return [(0, n)]
     # 8 // gcd(h*w, 8) samples span a multiple of 8 columns.
     return _runs(n, 8 // math.gcd(h * w, 8), 8 * KERNEL_SIZE**2 * c * h * w)
 
 
-def _channel_blocks(x_shape: tuple) -> list[tuple[int, int]]:
-    """[c0, c1) input-channel blocks of a conv's dW GEMM, each unfolded alone
-    into whole patch rows of dW; one block unless C is a multiple of 8, so
-    that each block spans a multiple of 8 channels (200 patch rows, so it
-    starts on an 8-column tile of dW). N*H*W, which orders the sums, is never
-    split, so every block gives the bits of one whole-batch GEMM (measured
-    with OpenBLAS 0.3.31)."""
+def _row_blocks(x_shape: tuple, c_out: int) -> list[tuple[int, int]]:
+    """[r0, r1) patch-row blocks of the dW GEMM of a conv with ``c_out``
+    output maps, each unfolded alone into whole columns of dW. A unit is
+    C_out rows rounded up to 8, so each block starts on an 8-column tile of
+    dW, and the dY each whole unit reads again is no larger than the unit.
+    N*H*W, which orders the sums, is never split. Two more rules follow
+    OpenBLAS 0.3.31's SkylakeX kernels and its thread split at 1 and 2
+    threads, where every block was measured to give the bits of one
+    whole-batch GEMM; another BLAS build, core or thread count is not
+    covered by that measurement:
+    - A GEMM of at most 16 rows and under 32 columns runs on one thread,
+      which sums in another order than the threaded whole, so with at most
+      16 maps a unit is 32 patch rows and no block of a split dW holds
+      fewer.
+    - A row count that is not a multiple of 8 leaves its last rows to narrow
+      tail kernels, whose sums follow the whole GEMM's blocking and thread
+      split. A block reproduces them only when the whole fits one 192-row
+      OpenBLAS block and the conv has at most 32 maps; otherwise dW is one
+      block, so its patch matrix may pass SLICE_BYTES, as it is for one map
+      (a vector-matrix product)."""
     n, c, h, w = x_shape
-    return [(0, c)] if c % 8 else _runs(c, 8, 8 * KERNEL_SIZE**2 * n * h * w)
+    rows = c * KERNEL_SIZE**2
+    if c_out == 1 or rows % 8 and (rows > 192 or c_out > 32):
+        return [(0, rows)]
+    unit = 32 if c_out <= 16 else -(-c_out // 8) * 8
+    blocks = _runs(rows, unit, 8 * n * h * w)
+    if c_out <= 16 and rows - blocks[-1][0] < 32 < rows:  # a short last block
+        blocks[-2:] = [(blocks[-2][0], rows)]
+    return blocks
 
 
 def _conv(x: np.ndarray, k: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
@@ -236,9 +296,7 @@ def _conv(x: np.ndarray, k: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     (n, _, h, w), c_out = x.shape, k.shape[0]
     kmat = k.reshape(c_out, -1)
     y = np.empty((n, c_out, h, w), dtype=np.float64)
-    # numpy runs a one-map conv's GEMM as a matrix-vector product, whose
-    # bits depend on the column count, so that conv is never split.
-    for s, e in _sample_runs(x.shape) if c_out > 1 else [(0, n)]:
+    for s, e in _sample_runs(x.shape, c_out):
         # K @ cols, not cols.T @ K.T: the same products, but BLAS runs this
         # orientation about 3x faster on a CIFAR-sized batch.
         g = kmat @ _unfold(x[s:e])
@@ -295,7 +353,7 @@ class _ConvLayer:
 
     def forward(self, x, rng):
         # The cache is the input, not its patch matrix: backward unfolds it
-        # again, a block of channels at a time, for the dW GEMM.
+        # again, a block of patch rows at a time, for the dW GEMM.
         return self.infer(x), x
 
     def infer(self, x):
@@ -311,11 +369,9 @@ class _ConvLayer:
     def backward(self, dy, x, need_dx=True, out=None):
         c_out = dy.shape[1]
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)  # [N*H*W, C_out]
-        rows = KERNEL_SIZE**2  # patch rows of one channel
         dw, db = (np.empty(self.group.weights.shape), None) if out is None else out
-        for c0, c1 in _channel_blocks(x.shape):  # into whole patch rows of dw
-            cols = dw.reshape(c_out, -1)[:, c0 * rows : c1 * rows]
-            np.matmul(dyf.T, _unfold(x[:, c0:c1]).T, out=cols)
+        for r0, r1 in _row_blocks(x.shape, c_out):  # into whole columns of dw
+            np.matmul(dyf.T, _unfold(x, r0, r1).T, out=dw.reshape(c_out, -1)[:, r0:r1])
         # Summed down the columns of this copy: a row sum of dyf.T would add
         # pairwise and change db's last bits.
         db = dyf.sum(axis=0, out=db)
@@ -721,9 +777,9 @@ def build_cnn(
     of the feature-map configuration. Groups: C1..Ck, FC, Out.
     """
     map_counts = list(map_counts)
-    if not 1 <= len(map_counts) <= 3:
+    if not 1 <= len(map_counts) <= MAX_CNN_LEVELS:
         raise ConfigError(
-            f"map_counts must have 1 to 3 levels, got {len(map_counts)}"
+            f"map_counts must have 1 to {MAX_CNN_LEVELS} levels, got {len(map_counts)}"
         )
     if any(m <= 0 for m in map_counts) or fc_units <= 0 or classes <= 0:
         raise ConfigError(f"sizes must be positive: maps {map_counts}, "

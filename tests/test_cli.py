@@ -57,6 +57,21 @@ def _base_config(**overrides):
     return cfg
 
 
+def _demo_records_with(tmp_path, changes):
+    """Config of an out dir whose records.csv is out/demo's with the fields
+    of its second record (line 3) set to ``changes``."""
+    out = tmp_path / "out"
+    out.mkdir()
+    demo = Path(__file__).resolve().parent.parent / "out" / "demo" / "records.csv"
+    lines = demo.read_text().splitlines()
+    header, row = lines[0].split(","), lines[2].split(",")
+    for field, value in changes.items():
+        row[header.index(field)] = value
+    lines[2] = ",".join(row)
+    (out / "records.csv").write_text("\n".join(lines) + "\n")
+    return _write_config(tmp_path, _base_config(out_dir=str(out)))
+
+
 def _write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=1))
@@ -509,17 +524,22 @@ class TestExitCodes:
         self, tmp_path, capsys, command, field, value
     ):
         # A returned 3 means no exception left main, so no traceback.
-        out = tmp_path / "out"
-        out.mkdir()
-        demo = Path(__file__).resolve().parent.parent / "out" / "demo" / "records.csv"
-        lines = demo.read_text().splitlines()
-        row = lines[2].split(",")
-        row[lines[0].split(",").index(field)] = value
-        lines[2] = ",".join(row)
-        (out / "records.csv").write_text("\n".join(lines) + "\n")
-        config = _write_config(tmp_path, _base_config(out_dir=str(out)))
+        config = _demo_records_with(tmp_path, {field: value})
         assert _run(command, "--config", config) == 3
         assert f"records.csv:3: bad record: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ecr", "report"])
+    @pytest.mark.parametrize("changes, message", [
+        ({"n_bits": "-3"}, "bit width must be an integer >= 2, got -3"),
+        ({"n_bits": "9"}, "bit width must be <= 8, got 9"),
+        ({"family": "cnn", "depth": "0"}, "cnn depth must be 1..3, got 0"),
+    ])
+    def test_records_with_a_bad_bit_width_or_depth(
+        self, tmp_path, capsys, command, changes, message
+    ):
+        config = _demo_records_with(tmp_path, changes)
+        assert _run(command, "--config", config) == 3
+        assert f"records.csv:3: bad record: {message}" in capsys.readouterr().err
 
     def test_sweep_without_block(self, tmp_path, capsys):
         config = _write_config(tmp_path, _base_config())

@@ -512,7 +512,7 @@ SLICE_SETTINGS = settings(max_examples=10, deadline=None)
 
 def _sliced_case(c, h, w, c_out, n, seed):
     """(conv layer, input batch) of a batch that splits into two or more runs."""
-    assert len(nn._sample_runs((n, c, h, w))) >= 2
+    assert len(nn._sample_runs((n, c, h, w), c_out)) >= 2
     conv = _conv_layer(c, c_out, h, w, seed)
     x = Rng(seed + 1).uniform((n, c, h, w), -1.0, 1.0)
     x[np.abs(x) < 0.2] = -0.0
@@ -544,58 +544,110 @@ def test_sliced_input_grad_matches_one_conv_bit_for_bit(case):
     c, h, w, c_out, n, seed = case
     conv = _conv_layer(c_out, c, h, w, seed)
     dy = Rng(seed + 2).uniform((n, c, h, w), -1.0, 1.0)
-    assert len(nn._sample_runs(dy.shape)) >= 2
+    assert len(nn._sample_runs(dy.shape, c_out)) >= 2
     flipped = conv.group.weights.ndarray[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     assert _input_grad(conv, dy).tobytes() == _reference_conv(flipped, dy).tobytes()
 
 
+def _assert_slice_rule(runs, count, unit, item_bytes):
+    """The slice rule: runs cover [0, count) in order, each starts on a unit,
+    they are the fewest runs of whole units that fit SLICE_BYTES with the
+    units spread evenly, a run passes the bound only when it holds one unit
+    (and the partial one), and no run is small: each holds a quarter of the
+    bound, and two items, one whole unit or all items."""
+    assert [s for s, _ in runs] == [0] + [e for _, e in runs[:-1]]
+    assert runs[-1][1] == count
+    assert all(s % unit == 0 for s, _ in runs)
+    if count * item_bytes <= nn.SLICE_BYTES:
+        assert runs == [(0, count)]
+        return
+    units = -(-count // unit)
+    assert len(runs) <= -(-units // max(1, nn.SLICE_BYTES // (unit * item_bytes)))
+    spans = [-(-(e - s) // unit) for s, e in runs]
+    assert max(spans) - min(spans) <= 1
+    for s, e in runs:
+        assert (e - s) * item_bytes <= nn.SLICE_BYTES or e - s < 2 * unit
+        assert (e - s) * item_bytes >= nn.SLICE_BYTES // 4
+        assert e - s >= 2 or e - s in (unit, count)
+
+
 @SETTINGS
 @given(
-    shape=st.tuples(st.integers(0, 3000), st.integers(1, 64), st.integers(1, 64),
-                    st.integers(1, 64)),
+    count=st.integers(0, 5000),
+    unit=st.sampled_from([1, 2, 4, 8, 16, 24, 32, 40, 64, 72, 128]),
+    item_bytes=st.one_of(st.integers(1, 1 << 16), st.integers(1, 40 << 20)),
 )
-def test_sample_runs_are_aligned_and_never_small(shape):
+@example(count=75, unit=32, item_bytes=8 * 64 * 32 * 32)  # C1: 32, 32, 11
+@example(count=25, unit=8, item_bytes=8 * 137 * 32 * 32)  # 1-row tail joins
+def test_runs_are_aligned_bounded_even_and_never_small(count, unit, item_bytes):
+    runs = nn._runs(count, unit, item_bytes)
+    _assert_slice_rule(runs, count, unit, item_bytes)
+
+
+conv_shapes = st.tuples(st.integers(0, 3000), st.integers(1, 64), st.integers(1, 64),
+                        st.integers(1, 64))
+
+
+@SETTINGS
+@given(shape=conv_shapes, c_out=st.integers(1, 128))
+def test_sample_runs_are_aligned_and_never_small(shape, c_out):
     n, c, h, w = shape
-    runs = nn._sample_runs(shape)
-    per_sample = _patch_bytes(c, h, w)
-    assert [s for s, _ in runs] == [0] + [e for _, e in runs[:-1]]
-    assert runs[-1][1] == n
-    if n * per_sample <= nn.SLICE_BYTES:
+    runs = nn._sample_runs(shape, c_out)
+    if c_out == 1:  # a one-map conv is never split
         assert runs == [(0, n)]
-    for s, e in runs[:-1]:
-        assert (e - s) * h * w % 8 == 0
-    if len(runs) > 1:  # so every run's patch holds at least 2^20 entries
-        assert min(e - s for s, e in runs) * per_sample >= nn.SLICE_BYTES // 2
-    # The same slice rule cuts the input channels of the dW GEMM.
-    blocks = nn._channel_blocks(shape)
-    assert [s for s, _ in blocks] == [0] + [e for _, e in blocks[:-1]]
-    assert blocks[-1][1] == c
-    if c % 8 or n * per_sample <= nn.SLICE_BYTES:
-        assert blocks == [(0, c)]
-    for s, e in blocks[:-1]:
-        assert (e - s) % 8 == 0
+        return
+    _assert_slice_rule(runs, n, 8 // np.gcd(h * w, 8), _patch_bytes(c, h, w))
+    assert all(s * h * w % 8 == 0 for s, _ in runs)  # 8-column tiles
 
 
-# Batches of 2 to 3 bounds of patch matrix whose C_in is a multiple of 8, so
-# the dW GEMM runs in channel blocks: 8-channel ones when 8 channels alone
-# pass the bound. The rule never makes a small block
-# (test_channel_blocks_are_whole_octets_and_never_small), as it makes no small
-# run: a small GEMM may take another OpenBLAS kernel and change last bits.
+@SETTINGS
+@given(shape=conv_shapes, c_out=st.integers(1, 128))
+@example(shape=(64, 3, 32, 32), c_out=32)  # cnn-train's C1: 3 blocks, not one
+def test_row_blocks_are_aligned_and_never_small(shape, c_out):
+    n, c, h, w = shape
+    blocks = nn._row_blocks(shape, c_out)
+    rows = c * 25
+    # A one-map dW is never split, nor one whose last rows fall to tail
+    # kernels outside the measured safe case.
+    if c_out == 1 or rows % 8 and (rows > 192 or c_out > 32):
+        assert blocks == [(0, rows)]
+        return
+    unit = 32 if c_out <= 16 else -(-c_out // 8) * 8
+    _assert_slice_rule(blocks, rows, unit, 8 * n * h * w)
+    # A block of at most 16 maps and under 32 rows would run on one thread.
+    if c_out <= 16:
+        assert all(e - s >= 32 for s, e in blocks) or blocks == [(0, rows)]
+    assert all(s % 8 == 0 for s, _ in blocks)  # 8-column tiles of dW
+    # Every block but a partial last one holds at least the dY it reads again.
+    assert all(e - s >= c_out for s, e in blocks[:-1])
+
+
+# Batches of 2 to 3 bounds of patch matrix, so the dW GEMM runs in blocks of
+# patch rows, one unit each when one unit alone passes half the bound. The
+# rule never makes a small block (test_row_blocks_are_aligned_and_never_small):
+# a small GEMM may take another OpenBLAS kernel and change last bits.
 def _batch_size(c, h, w, bounds):
     return max(1, int(bounds * nn.SLICE_BYTES / _patch_bytes(c, h, w)))
 
 
 blocked_cases = st.tuples(
-    st.sampled_from([8, 16, 24, 32, 48, 64]), st.integers(9, 40), st.integers(9, 40),
-    st.sampled_from([1, 2, 3, 48, 64, 96]), st.floats(2.0, 3.0), st.integers(0, 99),
+    st.sampled_from([1, 3, 8, 12, 16, 32, 48, 64]), st.integers(9, 40),
+    st.integers(9, 40), st.sampled_from([1, 2, 3, 32, 48, 64, 96]),
+    st.floats(2.0, 3.0), st.integers(0, 99),
 ).map(lambda t: (*t[:4], _batch_size(*t[:3], t[4]), t[5]))
 
 
 @SLICE_SETTINGS
 @given(case=blocked_cases)
-@example(case=(32, 16, 16, 64, 64, 0))  # cnn-train's C2: four 25 MiB blocks
-@example(case=(48, 27, 13, 1, 12, 1))  # one map, blocks of 16 channels
-@example(case=(12, 29, 33, 1, 17, 4))  # C_in 12 is one block; 8 + 4 changes bits
+@example(case=(32, 16, 16, 64, 64, 0))  # cnn-train's C2: 7 blocks of 3-4 units
+@example(case=(3, 32, 32, 32, 64, 2))  # cnn-train's C1: 32, 32 and 11 rows
+@example(case=(3, 27, 31, 16, 200, 3))  # 16 maps: 32-row units, 11 rows join
+@example(case=(3, 32, 32, 8, 64, 5))  # 8-row blocks would run on one thread
+@example(case=(3, 27, 31, 24, 200, 3))  # 24 maps: 24-row units, 3 rows join
+@example(case=(4, 34, 31, 64, 47, 58))  # 100 rows, 64 maps: one block
+@example(case=(12, 38, 24, 17, 14, 63))  # 300 rows: one block
+@example(case=(48, 27, 13, 1, 12, 1))  # one map: one block
+@example(case=(12, 29, 33, 1, 17, 4))  # one map: split blocks would change bits
 def test_blocked_weight_grad_matches_one_gemm_bit_for_bit(case):
     c, h, w, c_out, n, seed = case
     conv = _conv_layer(c, c_out, h, w, seed)
@@ -608,39 +660,14 @@ def test_blocked_weight_grad_matches_one_gemm_bit_for_bit(case):
     assert dw.tobytes() == want.tobytes()
 
 
-@SETTINGS
-@given(
-    shape=st.tuples(
-        st.integers(1, 3000),
-        st.one_of(st.integers(1, 128), st.integers(1, 16).map(lambda k: 8 * k)),
-        st.integers(1, 64), st.integers(1, 64),
-    ),
-)
-@example(shape=(64, 12, 32, 32))  # C_in not a multiple of 8: never split
-def test_channel_blocks_are_whole_octets_and_never_small(shape):
-    n, c, h, w = shape
-    blocks = nn._channel_blocks(shape)
-    per_channel = n * _patch_bytes(1, h, w)
-    assert [s for s, _ in blocks] == [0] + [e for _, e in blocks[:-1]]
-    assert blocks[-1][1] == c
-    if c % 8 or c * per_channel <= nn.SLICE_BYTES:
-        assert blocks == [(0, c)]
-    else:
-        assert all((e - s) % 8 == 0 for s, e in blocks)
-    if len(blocks) > 1:
-        assert min(e - s for s, e in blocks) * per_channel >= nn.SLICE_BYTES // 2
-        # A block passes the bound only when 8 channels alone do.
-        for s, e in blocks[:-1]:
-            assert (e - s) * per_channel <= nn.SLICE_BYTES or e - s == 8
-
-
 def test_one_map_conv_is_never_sliced(monkeypatch):
     # numpy runs a one-row GEMM as a matrix-vector product whose bits depend
     # on the column count; split into samples, this batch changes bits.
     monkeypatch.setattr(nn, "SLICE_BYTES", 1)
     conv = _conv_layer(8, 1, 17, 18, seed=3)
     x = Rng(4).uniform((9, 8, 17, 18), -1.0, 1.0)
-    assert nn._sample_runs(x.shape) == [(0, 4), (4, 9)]
+    assert nn._sample_runs(x.shape, 2) == [(0, 4), (4, 9)]  # two maps: 2 runs
+    assert nn._sample_runs(x.shape, 1) == [(0, 9)]
     k, b = conv.group.weights.ndarray, conv.group.bias.ndarray
     assert conv.infer(x).tobytes() == _reference_conv(k, x, b).tobytes()
 
@@ -648,7 +675,7 @@ def test_one_map_conv_is_never_sliced(monkeypatch):
 def test_predict_is_eval_forward_across_conv_slices():
     net = build_cnn([8, 4], input_shape=(16, 32, 32), fc_units=8, classes=3, seed=5)
     x = Rng(6).uniform((11, 16, 32, 32), -1.0, 1.0)
-    assert nn._sample_runs(x.shape) == [(0, 5), (5, 11)]  # C1's runs
+    assert nn._sample_runs(x.shape, 8) == [(0, 3), (3, 7), (7, 11)]  # C1's runs
     probs, _ = forward(net, x)
     assert predict(net, x).tobytes() == probs.tobytes()
 
