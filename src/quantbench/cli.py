@@ -3,9 +3,10 @@
     quantbench train|quantize|retrain|sweep|ecr|report --config FILE
                [--out DIR] [--jobs N] [--seed N]
 
-One JSON config per experiment. Unknown keys anywhere in the document are
-errors (catches sweep-definition typos); error messages carry the offending
-field path. Seed precedence: --seed flag, then the QUANTBENCH_SEED
+One JSON config per experiment, read into ``Config``: each block is a frozen
+dataclass whose fields are its keys, types and defaults. Unknown keys anywhere
+in the document are errors (catches sweep-definition typos); error messages
+carry the offending field path. Seed precedence: --seed flag, then the QUANTBENCH_SEED
 environment variable, then the config's seeds. Either override replaces
 every seed in the config; without one, the "seed" of the dataset or train
 block beats the top-level "seed" for that block.
@@ -22,20 +23,25 @@ import json
 import math
 import os
 import sys
-from typing import get_type_hints
+import types
+from dataclasses import dataclass, field
+from typing import get_args, get_origin, get_type_hints
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import MAX_CLASSES, Dataset, DatasetSplit, load_cifar10, load_csv, synthetic_split
-from .errors import ConfigError, DataFormatError, DivergenceError, QuantbenchError, read_text
+from .errors import (ConfigError, DataFormatError, DivergenceError, QuantbenchError,
+                     missing_key, read_text, reject_repeats)
 from .experiments import (
     DEFAULT_SEED_REPS,
     MODES,
+    NetworkConfig,
     SweepRecord,
     baseline_curves,
     build_network,
     check_modes,
+    check_scale,
+    check_seed_reps,
     emit_report,
-    network_block,
     parse_records_csv,
     run_depth_sweep,
     run_width_sweep,
@@ -62,198 +68,209 @@ RETRAINED_CKPT = "retrained.ckpt"
 
 
 # ---------------------------------------------------------------------------
-# Config schema
+# Config blocks
 # ---------------------------------------------------------------------------
 
 
-def _type_name(value) -> str:
-    return type(value).__name__
+# A field's type (dict: a config block) -> (the JSON values it takes, their name)
+_JSON = {int: (int, "an integer"), float: ((int, float), "a number"),
+         str: (str, "a string"), bool: (bool, "true or false"),
+         list: (list, "a list"), dict: (dict, "an object")}
 
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {_type_name(value)}")
+def _cast(value, kind, path: str):
+    """``value`` checked against the field type ``kind``: a scalar, a ``list[...]``,
+    a config dataclass, or one of these ``| None`` (None only as the default)."""
+    if get_origin(kind) is types.UnionType:
+        (kind,) = [k for k in get_args(kind) if k is not type(None)]
+    shape = dict if dataclasses.is_dataclass(kind) else get_origin(kind) or kind
+    accepted, name = _JSON[shape]
+    # bool is an int subclass: a bool passes exactly where the field is bool.
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{path}: expected {name}, got {type(value).__name__}")
+    if shape is dict:
+        return _build(kind, value, path)
+    if shape is list:
+        (item,) = get_args(kind)
+        return [_cast(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond float range
+            value = math.inf
+        if not math.isfinite(value):  # json also reads NaN, Infinity and 1e999
+            raise ConfigError(f"{path}: expected a finite number, got {value}")
     return value
 
 
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {_type_name(value)}")
+def _build(cls, block: dict, path: str):
+    """A ``cls`` from the JSON object ``block`` at ``path``: unknown keys are
+    errors, each value is cast by its field's type (or by the ``cast`` of the
+    field's metadata), and a field without a default is required."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kinds = get_type_hints(cls)
+    values = {}
+    for key, value in block.items():
+        key_path = f"{path}.{key}" if path else key
+        if key not in fields:
+            known = ", ".join(sorted(fields))
+            raise ConfigError(f"{key_path}: unknown key (known keys: {known})")
+        values[key] = fields[key].metadata.get("cast", _cast)(value, kinds[key], key_path)
+    for name, f in fields.items():
+        no_default = f.default is f.default_factory is dataclasses.MISSING
+        if name not in values and no_default:
+            raise missing_key(f"{path}.{name}")
+    return cls(**values)
+
+
+def _at(path: str, check, value):
+    """``check(value)``, a ConfigError it raises prefixed with ``path``."""
     try:
-        number = float(value)
-    except OverflowError:  # an integer beyond float range
-        number = math.inf
-    if not math.isfinite(number):  # json also reads NaN, Infinity and 1e999
-        raise ConfigError(f"{path}: expected a finite number, got {number}")
-    return number
+        return check(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {_type_name(value)}")
-    return value
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false, got {_type_name(value)}")
-    return value
-
-
-def _as_int_list(value, path: str) -> list[int]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list, got {_type_name(value)}")
-    return [_as_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
-def _as_str_list(value, path: str) -> list[str]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list, got {_type_name(value)}")
-    return [_as_str(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
-def _as_groups(value, path: str):
+def _as_groups(value, kind, path: str):
     if value == "all":
         return value
     if not isinstance(value, list):
         raise ConfigError(f'{path}: expected "all" or a list of names')
-    return check_groups(_as_str_list(value, path))
+    return check_groups(_cast(value, list[str], path))
 
 
-def _as_sizes(value, path: str) -> list:
+def _as_sizes(value, kind, path: str) -> list:
     """Hidden-unit counts (ffdnn) or lists of map counts (cnn)."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty list")
-    if all(isinstance(s, list) for s in value):
-        return [_as_int_list(s, f"{path}[{i}]") for i, s in enumerate(value)]
-    return _as_int_list(value, path)
+    nested = all(isinstance(s, list) for s in value)
+    return _cast(value, list[list[int]] if nested else list[int], path)
 
 
-_RECORDS_SCHEMA = {"records": _as_str, "scale": _as_str}
-
-# Each key maps to the cast that checks its value, or to the schema of a block.
-_SCHEMA = {
-    "seed": _as_int,
-    "out_dir": _as_str,
-    "dataset": {
-        "kind": _as_str,
-        "path": _as_str,
-        "labels_path": _as_str,
-        "valid_path": _as_str,
-        "test_path": _as_str,
-        "n_train": _as_int,
-        "n_valid": _as_int,
-        "n_test": _as_int,
-        "classes": _as_int,
-        "dim": _as_int,
-        "spread": _as_float,
-        "shape": _as_int_list,
-        "seed": _as_int,
-    },
-    "network": {
-        "family": _as_str,
-        "hidden_units": _as_int,
-        "hidden_layers": _as_int,
-        "map_counts": _as_int_list,
-        "fc_units": _as_int,
-        "dropout_rate": _as_float,
-    },
-    # Exactly TrainConfig's fields; a field of another type fails at import.
-    "train": {
-        name: {int: _as_int, float: _as_float, bool: _as_bool}[kind]
-        for name, kind in get_type_hints(TrainConfig).items()
-    },
-    "quant": {
-        "checkpoint": _as_str,
-        "n_bits": _as_int,
-        "bits": _as_int_list,
-        "groups": _as_groups,
-    },
-    "sweep": {
-        "axis": _as_str,
-        "sizes": _as_sizes,
-        "depths": _as_int_list,
-        "modes": _as_str_list,
-        "seed_reps": _as_int,
-    },
-    "ecr": _RECORDS_SCHEMA,
-    "report": _RECORDS_SCHEMA,
+# dataset.kind -> the keys it reads besides kind and seed (which every kind
+# takes: _resolve_seeds writes it). Each path it reads but labels_path is
+# required.
+_SYNTHETIC = ("n_train", "n_valid", "n_test", "classes")
+_DATASET_KEYS = {
+    "cifar10": ("path",),
+    "csv": ("path", "labels_path", "valid_path", "test_path", "classes"),
+    "blobs": _SYNTHETIC + ("dim", "spread", "shape"),
+    "spirals": _SYNTHETIC + ("spread",),
+    "teacher_net": _SYNTHETIC + ("dim",),
 }
 
 
-def _check_block(block, schema: dict, path: str) -> dict:
-    """Validate one config block: unknown keys are errors, values are cast,
-    nested blocks are checked recursively."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path}: expected an object, got {_type_name(block)}")
-    out = {}
-    for key, value in block.items():
-        key_path = f"{path}.{key}" if path else key
-        if key not in schema:
-            known = ", ".join(sorted(schema))
-            raise ConfigError(f"{key_path}: unknown key (known keys: {known})")
-        check = schema[key]
-        if isinstance(check, dict):
-            out[key] = _check_block(value, check, key_path)
-        else:
-            out[key] = check(value, key_path)
-    return out
+@dataclass(frozen=True)
+class DatasetConfig:
+    """The ``dataset`` block. Left at None, ``classes`` is the largest label
+    plus 1 for csv and 4 for a synthetic kind, and ``dim`` and ``spread`` take
+    ``data.make_synthetic``'s defaults."""
+
+    kind: str
+    seed: int
+    path: str | None = None
+    labels_path: str | None = None
+    valid_path: str | None = None
+    test_path: str | None = None
+    n_train: int = 1000
+    n_valid: int = 300
+    n_test: int = 300
+    classes: int | None = None
+    dim: int | None = None
+    spread: float | None = None
+    shape: list[int] | None = None
+
+    def __post_init__(self):
+        if self.kind not in _DATASET_KEYS:
+            raise ConfigError(f"dataset.kind: expected one of {', '.join(_DATASET_KEYS)}, "
+                              f"got {self.kind!r}")
+        for key in ("path", "valid_path", "test_path"):
+            if key in _DATASET_KEYS[self.kind] and getattr(self, key) is None:
+                raise missing_key(f"dataset.{key}")
+        if self.classes is not None and self.classes > MAX_CLASSES:
+            raise ConfigError(f"dataset.classes must be <= {MAX_CLASSES}, got {self.classes}")
 
 
-def load_config(path: str) -> dict:
-    """Read and validate an experiment config; returns the checked document."""
-    text = read_text(path, "config", unreadable=ConfigError)
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config root must be a JSON object")
-    cfg = _check_block(raw, _SCHEMA, "")
-    _validate_references(cfg)
-    return cfg
+@dataclass(frozen=True)
+class QuantConfig:
+    """The ``quant`` block; ``checkpoint`` left at None is ``<out>/float.ckpt``."""
+
+    checkpoint: str | None = None
+    n_bits: int | None = None
+    bits: list[int] = field(default_factory=lambda: [2])
+    groups: str | list[str] = field(default="all", metadata={"cast": _as_groups})
+
+    def __post_init__(self):
+        given = [] if self.n_bits is None else [("quant.n_bits", self.n_bits)]
+        for path, bits in given + [(f"quant.bits[{i}]", b) for i, b in enumerate(self.bits)]:
+            _at(path, bits_to_levels, bits)
+        reject_repeats(self.bits, "quant.bits")
+
+    def required_n_bits(self) -> int:
+        """``n_bits``, which quantize and retrain require."""
+        if self.n_bits is None:
+            raise missing_key("quant.n_bits")
+        return self.n_bits
 
 
-def _expected_groups(network: dict) -> list[str]:
-    """Weight-group names the declared architecture will create."""
-    nw = network_block(network)
-    if nw["family"] == "cnn":
-        return cnn_group_names(len(nw.get("map_counts", [])))
-    return ffdnn_group_names(nw["hidden_layers"])
+@dataclass(frozen=True)
+class SweepConfig:
+    """The ``sweep`` block; a width sweep needs ``sizes``, a depth sweep ``depths``."""
+
+    axis: str = "width"
+    sizes: list[int] | list[list[int]] | None = field(default=None, metadata={"cast": _as_sizes})
+    depths: list[int] | None = None
+    modes: list[str] = field(default_factory=lambda: list(MODES))
+    seed_reps: int = DEFAULT_SEED_REPS
+
+    def __post_init__(self):
+        if self.axis not in _SWEEPS:
+            raise ConfigError(f"sweep.axis: expected 'width' or 'depth', got {self.axis!r}")
+        check_modes(self.modes)
+        check_seed_reps(self.seed_reps)
 
 
-def _validate_references(cfg: dict) -> None:
-    """Cross-block checks that must fail before any work starts."""
-    quant = cfg.get("quant", {})
-    groups = quant.get("groups")
-    if isinstance(groups, list) and "network" in cfg:
-        known = _expected_groups(cfg["network"])
-        unknown = [g for g in groups if g not in known]
-        if unknown:
-            raise ConfigError(
-                f"quant.groups: unknown group(s) {unknown} for the declared "
-                f"network (expected among {known})"
-            )
-    if "modes" in cfg.get("sweep", {}):
-        check_modes(cfg["sweep"]["modes"])
+@dataclass(frozen=True)
+class RecordsConfig:
+    """An ``ecr`` or ``report`` block; ``records`` None is ``<out>/records.csv``."""
+
+    records: str | None = None
+    scale: str = "linear"
 
 
-# ---------------------------------------------------------------------------
-# Config -> objects
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Config:
+    """A whole experiment config; a command refuses a block it reads left at None."""
+
+    seed: int = 0
+    out_dir: str = "out"
+    dataset: DatasetConfig | None = None
+    network: NetworkConfig | None = None
+    train: TrainConfig = TrainConfig()
+    quant: QuantConfig = QuantConfig()
+    sweep: SweepConfig | None = None
+    ecr: RecordsConfig = RecordsConfig()
+    report: RecordsConfig = RecordsConfig()
+
+    def __post_init__(self):
+        for key in ("ecr", "report"):
+            _at(f"{key}.scale", check_scale, getattr(self, key).scale)
+        groups, nw = self.quant.groups, self.network
+        if isinstance(groups, list) and nw is not None:
+            known = (cnn_group_names(len(nw.map_counts)) if nw.family == "cnn"
+                     else ffdnn_group_names(nw.hidden_layers))
+            if unknown := [g for g in groups if g not in known]:
+                raise ConfigError(
+                    f"quant.groups: unknown group(s) {unknown} for the declared "
+                    f"network (expected among {known})"
+                )
 
 
-def _require(block: dict, key: str, path: str):
-    if key not in block:
-        raise ConfigError(f"{path}.{key}: required key is missing")
-    return block[key]
-
-
-def _resolve_seeds(cfg: dict, flag_seed: int | None) -> None:
-    """Write the effective seed into the dataset and train blocks.
+def _resolve_seeds(raw: dict, flag_seed: int | None) -> None:
+    """Write the effective seed into the document's dataset and train blocks.
 
     --seed, then QUANTBENCH_SEED, beats every config seed. Without an
-    override, a block's own "seed" beats the top-level one (default 0).
+    override, a block's own "seed" beats the top-level one.
     """
     override = flag_seed
     env = os.environ.get(SEED_ENV)
@@ -264,57 +281,69 @@ def _resolve_seeds(cfg: dict, flag_seed: int | None) -> None:
             raise ConfigError(
                 f"{SEED_ENV} must be an integer, got {env!r}"
             ) from None
-    top = cfg.get("seed", 0) if override is None else override
-    for block in (cfg.get("dataset"), cfg.setdefault("train", {})):
-        if block is not None:
-            block["seed"] = top if override is not None else block.get("seed", top)
+    top = _cast(raw.get("seed", Config.seed), int, "seed")
+    raw.setdefault("train", {})
+    for key in ("dataset", "train"):
+        if isinstance(block := raw.get(key), dict):  # anything else fails in _build
+            own = _cast(block.get("seed", top), int, f"{key}.seed")
+            block["seed"] = own if override is None else override
 
 
-def _build_split(cfg: dict) -> DatasetSplit:
-    if "dataset" not in cfg:
+def load_config(path: str, flag_seed: int | None = None) -> Config:
+    """Read and check an experiment config, its seeds resolved."""
+    text = read_text(path, "config", unreadable=ConfigError)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config root must be a JSON object")
+    _resolve_seeds(raw, flag_seed)
+    cfg = _build(Config, raw, "")
+    if cfg.dataset is not None:  # the keys given, so that no default trips this
+        reads = ("kind", "seed", *_DATASET_KEYS[cfg.dataset.kind])
+        if unread := [key for key in raw["dataset"] if key not in reads]:
+            raise ConfigError(f"dataset.{unread[0]}: a {cfg.dataset.kind} dataset does not "
+                              f"read it (it reads {', '.join(reads)})")
+    return cfg
+
+
+# ---------------------------------------------------------------------------
+# Config -> objects
+# ---------------------------------------------------------------------------
+
+
+def _build_split(cfg: Config) -> DatasetSplit:
+    ds = cfg.dataset
+    if ds is None:
         raise ConfigError("dataset: required block is missing")
-    ds = cfg["dataset"]
-    kind = _require(ds, "kind", "dataset")
-    if ds.get("classes", 0) > MAX_CLASSES:
-        raise ConfigError(f"dataset.classes must be <= {MAX_CLASSES}, got {ds['classes']}")
-    if kind == "cifar10":
-        return load_cifar10(_require(ds, "path", "dataset"))
-    if kind == "csv":
-        classes = ds.get("classes")
+    if ds.kind == "cifar10":
+        return load_cifar10(ds.path)
+    if ds.kind == "csv":
         parts = (
-            load_csv(_require(ds, "path", "dataset"), ds.get("labels_path"), classes),
-            load_csv(_require(ds, "valid_path", "dataset"), class_count=classes),
-            load_csv(_require(ds, "test_path", "dataset"), class_count=classes),
+            load_csv(ds.path, ds.labels_path, ds.classes),
+            load_csv(ds.valid_path, class_count=ds.classes),
+            load_csv(ds.test_path, class_count=ds.classes),
         )
         classes = max(part.class_count for part in parts)
         return DatasetSplit(*(Dataset(p.features, p.labels, classes) for p in parts))
-    if kind in ("blobs", "spirals", "teacher_net"):
-        shape = ds.get("shape")
-        kw = {k: ds[k] for k in ("dim", "spread") if k in ds}
-        return synthetic_split(
-            kind,
-            n_train=ds.get("n_train", 1000),
-            n_valid=ds.get("n_valid", 300),
-            n_test=ds.get("n_test", 300),
-            classes=ds.get("classes", 4),
-            seed=ds["seed"],
-            shape=tuple(shape) if shape else None,
-            **kw,
-        )
-    raise ConfigError(
-        f"dataset.kind: expected cifar10, csv, blobs, spirals, or teacher_net, "
-        f"got {kind!r}"
+    kw = {k: v for k in ("dim", "spread") if (v := getattr(ds, k)) is not None}
+    return synthetic_split(
+        ds.kind,
+        n_train=ds.n_train,
+        n_valid=ds.n_valid,
+        n_test=ds.n_test,
+        classes=4 if ds.classes is None else ds.classes,
+        seed=ds.seed,
+        shape=tuple(ds.shape) if ds.shape else None,
+        **kw,
     )
 
 
-def _family(cfg: dict) -> str:
-    return network_block(cfg.get("network"))["family"]
-
-
-def _load_split(cfg: dict) -> DatasetSplit:
+def _load_split(cfg: Config) -> DatasetSplit:
     """The configured split, with image features flattened for an ffdnn."""
     split = _build_split(cfg)
-    if _family(cfg) != "ffdnn":
+    if (cfg.network or NetworkConfig()).family != "ffdnn":
         return split
 
     def flat(ds):
@@ -330,16 +359,16 @@ def _load_split(cfg: dict) -> DatasetSplit:
     )
 
 
-def _build_network(cfg: dict, split: DatasetSplit, seed: int):
-    if "network" not in cfg:
+def _build_network(cfg: Config, split: DatasetSplit, seed: int):
+    if cfg.network is None:
         raise ConfigError("network: required block is missing")
     return build_network(
-        cfg["network"], split.train.features.shape[1:], split.train.class_count, seed
+        cfg.network, split.train.features.shape[1:], split.train.class_count, seed
     )
 
 
-def _out_dir(cfg: dict, flag_out: str | None) -> str:
-    out = flag_out or cfg.get("out_dir", "out")
+def _out_dir(cfg: Config, flag_out: str | None) -> str:
+    out = flag_out or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -353,31 +382,29 @@ def _quantized_ckpt(out_dir: str, n_bits: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(cfg: dict, out_dir: str, jobs: int) -> int:
+def cmd_train(cfg: Config, out_dir: str, jobs: int) -> int:
     split = _load_split(cfg)
-    tcfg = TrainConfig(**cfg["train"])
-    net = _build_network(cfg, split, seed=tcfg.seed)
-    best, log = train_float(net, split, tcfg)
+    net = _build_network(cfg, split, seed=cfg.train.seed)
+    best, log = train_float(net, split, cfg.train)
     ckpt = os.path.join(out_dir, FLOAT_CKPT)
     save_checkpoint(best, ckpt)
     log_path = os.path.join(out_dir, "train_log.csv")
     write_train_log(log, log_path)
     test = evaluate(best, split.test)
-    print(f"trained {_family(cfg)} ({count_params(best)} params): "
+    print(f"trained {cfg.network.family} ({count_params(best)} params): "
           f"val {log.best_metric:.2f}% test {test:.2f}%")
     print(f"wrote {ckpt}")
     print(f"wrote {log_path}")
     return 0
 
 
-def cmd_quantize(cfg: dict, out_dir: str, jobs: int) -> int:
-    quant = cfg.get("quant", {})
-    ckpt_in = quant.get("checkpoint", os.path.join(out_dir, FLOAT_CKPT))
-    n_bits = _require(quant, "n_bits", "quant")
-    bits_to_levels(n_bits)  # range check before touching the checkpoint
-    groups = quant.get("groups", "all")
-    net = load_checkpoint(ckpt_in)
-    qnet, reports = direct_quantize(net, n_bits, groups=groups)
+def cmd_quantize(cfg: Config, out_dir: str, jobs: int) -> int:
+    quant = cfg.quant
+    n_bits = quant.required_n_bits()
+    net = load_checkpoint(
+        os.path.join(out_dir, FLOAT_CKPT) if quant.checkpoint is None else quant.checkpoint
+    )
+    qnet, reports = direct_quantize(net, n_bits, groups=quant.groups)
     ckpt_out = _quantized_ckpt(out_dir, n_bits)
     save_checkpoint(qnet, ckpt_out)
     report_path = os.path.join(out_dir, "quant_report.csv")
@@ -390,13 +417,10 @@ def cmd_quantize(cfg: dict, out_dir: str, jobs: int) -> int:
     return 0
 
 
-def cmd_retrain(cfg: dict, out_dir: str, jobs: int) -> int:
-    n_bits = _require(cfg.get("quant", {}), "n_bits", "quant")
-    bits_to_levels(n_bits)
-    net = load_checkpoint(_quantized_ckpt(out_dir, n_bits))
+def cmd_retrain(cfg: Config, out_dir: str, jobs: int) -> int:
+    net = load_checkpoint(_quantized_ckpt(out_dir, cfg.quant.required_n_bits()))
     split = _load_split(cfg)
-    tcfg = retrain_config(TrainConfig(**cfg["train"]))
-    best, log = retrain_quantized(net, split, tcfg)
+    best, log = retrain_quantized(net, split, retrain_config(cfg.train))
     ckpt_out = os.path.join(out_dir, RETRAINED_CKPT)
     save_checkpoint(best, ckpt_out)
     log_path = os.path.join(out_dir, "retrain_log.csv")
@@ -411,21 +435,19 @@ def cmd_retrain(cfg: dict, out_dir: str, jobs: int) -> int:
 _SWEEPS = {"width": (run_width_sweep, "sizes"), "depth": (run_depth_sweep, "depths")}
 
 
-def cmd_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
-    if "sweep" not in cfg:
+def cmd_sweep(cfg: Config, out_dir: str, jobs: int) -> int:
+    sw = cfg.sweep
+    if sw is None:
         raise ConfigError("sweep: required block is missing")
-    sw = cfg["sweep"]
-    axis = sw.get("axis", "width")
-    if axis not in _SWEEPS:
-        raise ConfigError(f"sweep.axis: expected 'width' or 'depth', got {axis!r}")
-    run, key = _SWEEPS[axis]
-    values = _require(sw, key, "sweep")
+    run, key = _SWEEPS[sw.axis]
+    values = getattr(sw, key)
+    if values is None:
+        raise missing_key(f"sweep.{key}")
     split = _load_split(cfg)
+    network = cfg.network or NetworkConfig()
     records = run(
-        _family(cfg), values, cfg.get("quant", {}).get("bits", [2]),
-        sw.get("modes", MODES), split, TrainConfig(**cfg["train"]),
-        network=cfg.get("network"),
-        seed_reps=sw.get("seed_reps", DEFAULT_SEED_REPS), jobs=jobs,
+        network.family, values, cfg.quant.bits, sw.modes, split, cfg.train,
+        network=network, seed_reps=sw.seed_reps, jobs=jobs,
     )
     path = os.path.join(out_dir, "records.csv")
     write_records_csv(records, path)
@@ -434,17 +456,17 @@ def cmd_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
     return 0
 
 
-def _load_records(cfg: dict, key: str, out_dir: str) -> tuple[list[SweepRecord], str]:
-    block = cfg.get(key, {})
-    path = block.get("records", os.path.join(out_dir, "records.csv"))
+def _load_records(cfg: Config, key: str, out_dir: str) -> tuple[list[SweepRecord], str]:
+    block = getattr(cfg, key)
+    path = os.path.join(out_dir, "records.csv") if block.records is None else block.records
     if not os.path.exists(path):
         raise ConfigError(
             f"{key}.records: no records at {path}; run `quantbench sweep` first"
         )
-    return parse_records_csv(path), block.get("scale", "linear")
+    return parse_records_csv(path), block.scale
 
 
-def cmd_ecr(cfg: dict, out_dir: str, jobs: int) -> int:
+def cmd_ecr(cfg: Config, out_dir: str, jobs: int) -> int:
     records, scale = _load_records(cfg, "ecr", out_dir)
     quantized = [r for r in records if r.mode != "float"]
     path = os.path.join(out_dir, "ecr.csv")
@@ -454,7 +476,7 @@ def cmd_ecr(cfg: dict, out_dir: str, jobs: int) -> int:
     return 0
 
 
-def cmd_report(cfg: dict, out_dir: str, jobs: int) -> int:
+def cmd_report(cfg: Config, out_dir: str, jobs: int) -> int:
     records, scale = _load_records(cfg, "report", out_dir)
     files = emit_report(records, out_dir, scale=scale)
     for f in files:
@@ -492,8 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        _resolve_seeds(cfg, args.seed)
+        cfg = load_config(args.config, args.seed)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         out_dir = _out_dir(cfg, args.out)

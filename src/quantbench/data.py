@@ -259,8 +259,8 @@ def make_synthetic(
         raise ConfigError(f"class_count must be >= 2, got {classes}")
     if dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
-    if not math.isfinite(spread):
-        raise ConfigError(f"spread must be finite, got {spread}")
+    if not math.isfinite(spread) or spread < 0:
+        raise ConfigError(f"spread must be finite and >= 0, got {spread}")
     if shape is not None:
         if any(d < 1 for d in shape):
             raise ConfigError(f"shape entries must be >= 1, got {list(shape)}")

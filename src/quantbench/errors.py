@@ -1,5 +1,5 @@
-"""Exception types shared across the package, ``reject_repeats``, and
-``read_text``, the one way a text input is read.
+"""Exception types shared across the package, ``reject_repeats``,
+``missing_key`` and ``read_text``, the one way a text input is read.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 DataFormatError -> 3, DivergenceError -> 4.
@@ -47,6 +47,11 @@ def reject_repeats(values: list, key: str) -> None:
     for i, v in enumerate(values):
         if v in values[:i]:
             raise ConfigError(f"{key}: {v} is listed twice")
+
+
+def missing_key(path: str) -> ConfigError:
+    """The error for a config key that is required and absent at ``path``."""
+    return ConfigError(f"{path}: required key is missing")
 
 
 def read_text(path: str, what: str, unreadable: type = DataFormatError) -> str:

@@ -28,12 +28,12 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
 from .data import DatasetSplit
-from .errors import ConfigError, DataFormatError, read_text, reject_repeats
+from .errors import ConfigError, DataFormatError, missing_key, read_text, reject_repeats
 from .nn import (
     MAX_CNN_LEVELS,
     Network,
@@ -55,8 +55,6 @@ from .trainer import (
 
 FLOAT_BITS = 32
 DEFAULT_SEED_REPS = 3
-# Defaults of a `network` block; dropout_rate and fc_units default in nn.
-NETWORK_DEFAULTS = {"family": "ffdnn", "hidden_units": 64, "hidden_layers": 1}
 SCALES = ("linear", "log2")  # interpolation axes of a baseline curve
 
 MODES = ("float", "direct", "retrained")
@@ -130,8 +128,7 @@ class FloatBaselineCurve:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.scale not in SCALES:
-            raise ConfigError(f"unknown interpolation scale {self.scale!r}")
+        check_scale(self.scale)
         counts = [p for p, _ in self.points]
         if any(b <= a for a, b in zip(counts, counts[1:])):
             raise ConfigError("curve param_counts must be strictly increasing")
@@ -139,54 +136,62 @@ class FloatBaselineCurve:
             raise ConfigError("curve param_counts must be positive")
 
 
+def check_scale(scale: str) -> None:
+    """Raise ConfigError unless ``scale`` is one of ``SCALES``."""
+    if scale not in SCALES:
+        raise ConfigError(f"unknown interpolation scale {scale!r}")
+
+
 # ---------------------------------------------------------------------------
 # Sweep execution
 # ---------------------------------------------------------------------------
 
 
-def network_block(network: Mapping | None = None, **replace) -> dict:
-    """``network`` with ``NETWORK_DEFAULTS`` filled in and ``replace`` applied;
-    its family must be ffdnn or cnn."""
-    nw = {**NETWORK_DEFAULTS, **(network or {}), **replace}
-    if nw["family"] not in ("ffdnn", "cnn"):
-        raise ConfigError(
-            f"network.family: unknown family {nw['family']!r} (expected ffdnn or cnn)"
-        )
-    return nw
+@dataclass(frozen=True)
+class NetworkConfig:
+    """A ``network`` block. ffdnn: ``hidden_layers`` hidden layers of
+    ``hidden_units`` units with ``dropout_rate``, over flat features. cnn: one
+    conv level per entry of ``map_counts`` (required) and an ``fc_units`` dense
+    head, over [C, H, W] features. None takes the builder's default."""
+
+    family: str = "ffdnn"
+    hidden_units: int = 64
+    hidden_layers: int = 1
+    map_counts: list[int] | None = None
+    fc_units: int | None = None
+    dropout_rate: float | None = None
+
+    def __post_init__(self):
+        if self.family not in ("ffdnn", "cnn"):
+            raise ConfigError(f"network.family: unknown family {self.family!r} "
+                              "(expected ffdnn or cnn)")
+        if self.family == "cnn" and self.map_counts is None:
+            raise missing_key("network.map_counts")
 
 
 def build_network(
-    network: Mapping | None,
+    network: NetworkConfig | None,
     input_shape: tuple[int, ...],
     classes: int,
     seed: int,
 ) -> Network:
-    """The network a ``network`` block describes.
-
-    ffdnn: ``hidden_layers`` hidden layers of ``hidden_units`` units with
-    ``dropout_rate``, over flat features. cnn: one conv level per entry of
-    ``map_counts`` (required) and an ``fc_units`` dense head, over
-    [C, H, W] features. Missing keys take ``NETWORK_DEFAULTS``;
-    ``dropout_rate`` and ``fc_units`` take the builders' defaults.
-    """
-    nw = network_block(network)
-    if nw["family"] == "cnn":
-        if "map_counts" not in nw:
-            raise ConfigError("network.map_counts: required key is missing")
+    """The network a ``network`` block describes (None: every default)."""
+    nw = network or NetworkConfig()
+    if nw.family == "cnn":
         if len(input_shape) != 3:
             raise ConfigError(
                 f"cnn needs [C, H, W] features, got input shape {input_shape}"
             )
-        kw = {k: nw[k] for k in ("fc_units",) if k in nw}
+        kw = {} if nw.fc_units is None else {"fc_units": nw.fc_units}
         return build_cnn(
-            nw["map_counts"], input_shape=input_shape, classes=classes, seed=seed,
+            nw.map_counts, input_shape=input_shape, classes=classes, seed=seed,
             **kw,
         )
     if len(input_shape) != 1:
         raise ConfigError(f"ffdnn needs flat features, got input shape {input_shape}")
-    kw = {k: nw[k] for k in ("dropout_rate",) if k in nw}
+    kw = {} if nw.dropout_rate is None else {"dropout_rate": nw.dropout_rate}
     return build_ffdnn(
-        input_shape[0], nw["hidden_units"], nw["hidden_layers"], classes,
+        input_shape[0], nw.hidden_units, nw.hidden_layers, classes,
         seed=seed, **kw,
     )
 
@@ -195,43 +200,42 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _width_cell(network: Mapping | None, family: str, size) -> dict:
+def _width_cell(network: NetworkConfig, family: str, size) -> NetworkConfig:
     """``network`` with ``family`` set and its width replaced: ``hidden_units``
     by an int size (ffdnn), ``map_counts`` by a list size (cnn)."""
-    cell = network_block(network, family=family)
     if family == "cnn":
         if isinstance(size, (list, tuple)) and all(map(_is_int, size)):
-            return {**cell, "map_counts": list(size)}
+            return dataclasses.replace(network, family=family, map_counts=list(size))
         raise ConfigError(f"sweep.sizes: a cnn size is a map-count list, got {size!r}")
+    cell = dataclasses.replace(network, family=family)  # an unknown family fails here
     if _is_int(size):
-        return {**cell, "hidden_units": size}
+        return dataclasses.replace(cell, hidden_units=size)
     raise ConfigError(f"sweep.sizes: an ffdnn size is a unit count, got {size!r}")
 
 
-def _depth_cell(network: Mapping | None, family: str, depth: int) -> dict:
+def _depth_cell(network: NetworkConfig, family: str, depth: int) -> NetworkConfig:
     """``network`` with ``family`` set and its depth replaced:
     ``hidden_layers`` (ffdnn), or the last ``depth`` entries of
     ``map_counts`` (cnn)."""
-    cell = network_block(network, family=family)
+    # An unknown family, or a cnn without map counts, fails here.
+    cell = dataclasses.replace(network, family=family)
     if family == "cnn":
-        if "map_counts" not in cell:
-            raise ConfigError("network.map_counts: required for a cnn depth sweep")
-        maps = list(cell["map_counts"])
+        maps = list(cell.map_counts)
         if not 1 <= depth <= len(maps):
             raise ConfigError(
                 f"cnn depth {depth} needs 1..{len(maps)} (network.map_counts {maps})"
             )
-        return {**cell, "map_counts": maps[-depth:]}
+        return dataclasses.replace(cell, map_counts=maps[-depth:])
     if depth < 0:
         raise ConfigError(f"ffdnn depth must be >= 0, got {depth}")
-    return {**cell, "hidden_layers": depth}
+    return dataclasses.replace(cell, hidden_layers=depth)
 
 
-def _cell_label(cell: dict) -> tuple[str, int]:
+def _cell_label(cell: NetworkConfig) -> tuple[str, int]:
     """A cell's (width_or_maps, depth); a cnn's depth is its level count."""
-    if cell["family"] == "cnn":
-        return "-".join(map(str, cell["map_counts"])), len(cell["map_counts"])
-    return str(cell["hidden_units"]), cell["hidden_layers"]
+    if cell.family == "cnn":
+        return "-".join(map(str, cell.map_counts)), len(cell.map_counts)
+    return str(cell.hidden_units), cell.hidden_layers
 
 
 def _run_point(args) -> list[SweepRecord]:
@@ -248,7 +252,7 @@ def _run_point(args) -> list[SweepRecord]:
 
     def record(mode: str, bits: int, network: Network, val: float) -> SweepRecord:
         return SweepRecord(
-            family=cell["family"],
+            family=cell.family,
             width_or_maps=label,
             depth=depth,
             mode=mode,
@@ -289,6 +293,12 @@ def check_modes(modes: Iterable[str]) -> tuple[str, ...]:
     return modes
 
 
+def check_seed_reps(seed_reps: int) -> None:
+    """Raise ConfigError unless ``seed_reps`` is at least 1."""
+    if seed_reps < 1:
+        raise ConfigError(f"sweep.seed_reps must be >= 1, got {seed_reps}")
+
+
 def _check_bits(bit_list: Sequence[int], modes) -> list[int]:
     bits = [int(b) for b in bit_list]
     for b in bits:
@@ -300,7 +310,7 @@ def _check_bits(bit_list: Sequence[int], modes) -> list[int]:
 
 
 def _sweep(
-    cells: list[dict],
+    cells: list[NetworkConfig],
     bit_list: Sequence[int],
     modes: Iterable[str],
     data: DatasetSplit,
@@ -314,13 +324,12 @@ def _sweep(
     bits = _check_bits(bit_list, modes)
     if not cells:
         raise ConfigError("sweep sizes and depths must be non-empty")
-    if seed_reps < 1:
-        raise ConfigError(f"sweep.seed_reps must be >= 1, got {seed_reps}")
+    check_seed_reps(seed_reps)
     points = []
     for cell in cells:
         label, depth = _cell_label(cell)
         for rep in range(seed_reps):
-            key = f"{cell['family']}|w{label}|d{depth}|s{rep}"
+            key = f"{cell.family}|w{label}|d{depth}|s{rep}"
             points.append((cell, bits, modes, data, cfg, derive_seed(cfg.seed, key)))
     if jobs > 1 and len(points) > 1:
         # The pool starts all its workers at the first submit: no more than
@@ -341,7 +350,7 @@ def run_width_sweep(
     modes: Iterable[str],
     data: DatasetSplit,
     cfg: TrainConfig,
-    network: Mapping | None = None,
+    network: NetworkConfig | None = None,
     seed_reps: int = DEFAULT_SEED_REPS,
     jobs: int = 1,
 ) -> list[SweepRecord]:
@@ -353,7 +362,7 @@ def run_width_sweep(
     seeds; float weights are trained once per (size, seed) and reused for
     every precision setting.
     """
-    cells = [_width_cell(network, family, size) for size in sizes]
+    cells = [_width_cell(network or NetworkConfig(), family, size) for size in sizes]
     reject_repeats([_cell_label(c)[0] for c in cells], "sweep.sizes")
     return _sweep(cells, bit_list, modes, data, cfg, seed_reps, jobs)
 
@@ -365,16 +374,16 @@ def run_depth_sweep(
     modes: Iterable[str],
     data: DatasetSplit,
     cfg: TrainConfig,
-    network: Mapping | None = None,
+    network: NetworkConfig | None = None,
     seed_reps: int = DEFAULT_SEED_REPS,
     jobs: int = 1,
 ) -> list[SweepRecord]:
     """Sweep layer count; every other key comes from ``network``.
 
     ffdnn: ``depths`` replace ``hidden_layers``. cnn: depth d keeps the last
-    d entries of ``network["map_counts"]``.
+    d entries of ``network.map_counts``.
     """
-    cells = [_depth_cell(network, family, int(d)) for d in depths]
+    cells = [_depth_cell(network or NetworkConfig(), family, int(d)) for d in depths]
     reject_repeats([_cell_label(c)[1] for c in cells], "sweep.depths")
     return _sweep(cells, bit_list, modes, data, cfg, seed_reps, jobs)
 

@@ -21,6 +21,7 @@ from quantbench.cli import main as cli_main
 from quantbench.data import DatasetSplit, load_cifar10, synthetic_split
 from quantbench.experiments import (
     FloatBaselineCurve,
+    NetworkConfig,
     SweepRecord,
     baseline_curve,
     ecr,
@@ -394,7 +395,7 @@ def test_criterion_06_depth_report_difference_column(tmp_path):
     cfg = TrainConfig(batch_size=32, lr_init=0.05, lr_final=1e-4,
                       max_epochs=4, patience=4, seed=1, dropout_active=False)
     records = run_depth_sweep(
-        "ffdnn", depths=[1, 2], bit_list=[2], network={"hidden_units": 12},
+        "ffdnn", depths=[1, 2], bit_list=[2], network=NetworkConfig(hidden_units=12),
         modes=("float", "direct", "retrained"), data=split, cfg=cfg,
         seed_reps=3, jobs=2,
     )

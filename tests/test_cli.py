@@ -1,14 +1,17 @@
 """Command-line behavior: pipelines, exit codes, seeds, reproducibility."""
 
 import dataclasses
+import functools
 import hashlib
 import json
+import operator
 import os
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -17,10 +20,38 @@ from forge import reseal_replace, seal
 import quantbench
 
 from quantbench.checkpoint import load_checkpoint, save_checkpoint
-from quantbench.cli import SEED_ENV, _build_split, load_config, main
+from quantbench.cli import (
+    SEED_ENV,
+    Config,
+    DatasetConfig,
+    QuantConfig,
+    RecordsConfig,
+    SweepConfig,
+    _build_split,
+    load_config,
+    main,
+)
 from quantbench.data import make_synthetic
+from quantbench.experiments import NetworkConfig
 from quantbench.tensor import Tensor
 from quantbench.trainer import TrainConfig
+
+
+# Each block of a config and its dataclass; "" is the document's own fields.
+BLOCKS = {"": Config, "dataset": DatasetConfig, "network": NetworkConfig,
+          "train": TrainConfig, "quant": QuantConfig, "sweep": SweepConfig,
+          "ecr": RecordsConfig, "report": RecordsConfig}
+CONFIG_FIELDS = [
+    (block, f) for block, cls in BLOCKS.items() for f in dataclasses.fields(cls)
+    if not (cls is Config and f.name in BLOCKS)
+]
+# A field's type (without its "| None") -> values of other types, refused
+WRONG_VALUES = {
+    int: [True, 1.5, "1", None], float: ["x", False, None], str: [1, ["a"], None],
+    bool: [1, "true", None], list[int]: [7, "a", None], list[str]: ["a", None],
+    list[int] | list[list[int]]: [7, [], None],  # sweep.sizes
+    str | list[str]: [7, None],  # quant.groups
+}
 
 
 @pytest.fixture(autouse=True)
@@ -222,7 +253,7 @@ class TestPipeline:
         for key, top in (("path", 2), ("valid_path", 1), ("test_path", 4)):
             paths[key] = tmp_path / f"{key}.csv"
             paths[key].write_text("".join(f"0.5,{k}\n" for k in range(top + 1)))
-        split = _build_split({"dataset": {"kind": "csv", **paths}})
+        split = _build_split(Config(dataset=DatasetConfig(kind="csv", seed=0, **paths)))
         assert [p.class_count for p in (split.train, split.valid, split.test)] == [5] * 3
         assert not split.valid.labels.flags.writeable
 
@@ -270,15 +301,46 @@ class TestExitCodes:
         "field", dataclasses.fields(TrainConfig), ids=lambda f: f.name
     )
     def test_every_train_field_is_typed(self, tmp_path, capsys, field):
-        cfg = _base_config()
-        cfg["train"] = {field.name: field.default}
-        got = load_config(_write_config(tmp_path, cfg))["train"][field.name]
-        assert got == field.default and type(got) is type(field.default)
-        wrong = {int: [True, 1.5], float: ["x"], bool: [1]}
-        for value in wrong[get_type_hints(TrainConfig)[field.name]]:
-            cfg["train"] = {field.name: value}
-            assert _run("train", "--config", _write_config(tmp_path, cfg)) == 2
-            assert f"train.{field.name}: expected" in capsys.readouterr().err
+        self._assert_typed(tmp_path, capsys, "train", field)
+
+    @pytest.mark.parametrize(
+        "block, field", [(b, f) for b, f in CONFIG_FIELDS if b != "train"],
+        ids=lambda x: getattr(x, "name", x),
+    )
+    def test_every_other_config_field_is_typed(self, tmp_path, capsys, block, field):
+        self._assert_typed(tmp_path, capsys, block, field)
+
+    def _assert_typed(self, tmp_path, capsys, block, field):
+        """Its default loads back with its type, and each value of another
+        type exits 2 naming the field. The block holds only this field (a
+        dataset also its kind); a field left at a None default is absent."""
+        cls = BLOCKS[block]
+        base = {"kind": "blobs"} if cls is DatasetConfig else {}
+        path = f"{block}.{field.name}" if block else field.name
+
+        def config(**fields):
+            cfg = _base_config()
+            if block:
+                cfg[block] = {**base, **fields}
+            else:
+                cfg.update(fields)
+            return _write_config(tmp_path, cfg)
+
+        default = (field.default if field.default_factory is dataclasses.MISSING
+                   else field.default_factory())
+        if default is not dataclasses.MISSING:
+            given = {} if default is None else {field.name: default}
+            loaded = load_config(config(**given))
+            got = getattr(getattr(loaded, block) if block else loaded, field.name)
+            assert got == default and type(got) is type(default)
+        kind = get_type_hints(cls)[field.name]
+        if isinstance(kind, types.UnionType):
+            kind = functools.reduce(
+                operator.or_, [k for k in get_args(kind) if k is not type(None)]
+            )
+        for value in WRONG_VALUES[kind]:
+            assert _run("train", "--config", config(**{field.name: value})) == 2
+            assert f"{path}: expected" in capsys.readouterr().err
 
     def test_bits_out_of_range(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -568,6 +630,47 @@ class TestExitCodes:
         assert _run("sweep", "--config", config) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, value, message", [
+        ("quant", {"bits": [9], "n_bits": 11}, "quant.n_bits: bit width must be <= 8, got 11"),
+        ("quant", {"bits": [1]}, "quant.bits[0]: bit width must be an integer >= 2, got 1"),
+        ("quant", {"bits": [2, 4, 2]}, "quant.bits: 2 is listed twice"),
+        ("sweep", {"axis": "diagonal"}, "sweep.axis: expected 'width' or 'depth'"),
+        ("sweep", {"seed_reps": 0}, "sweep.seed_reps must be >= 1, got 0"),
+        ("ecr", {"scale": "cubic"}, "ecr.scale: unknown interpolation scale 'cubic'"),
+        ("report", {"scale": "log10"}, "report.scale: unknown interpolation scale"),
+        ("network", {"family": "cnn"}, "network.map_counts: required key is missing"),
+    ])
+    def test_whole_document_checks_at_load(self, tmp_path, capsys, block, value, message):
+        # Each fails at load, before the out directory exists.
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        cfg[block] = value
+        if block == "network":
+            cfg["quant"] = {"groups": ["C1"]}
+        assert _run("train", "--config", _write_config(tmp_path, cfg)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("csv", "n_train", 10), ("csv", "spread", 0.3), ("csv", "shape", [1, 1, 1]),
+        ("csv", "dim", 1), ("blobs", "path", "data.csv"), ("blobs", "valid_path", "data.csv"),
+        ("teacher_net", "spread", 0.3), ("spirals", "dim", 2), ("cifar10", "classes", 10),
+    ])
+    def test_key_the_dataset_kind_never_reads(self, tmp_path, capsys, kind, key, value):
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,0\n0.25,1\n")
+        out = tmp_path / "out"
+        cfg = _base_config(out_dir=str(out))
+        if kind in ("csv", "cifar10"):
+            paths = ("path", "valid_path", "test_path") if kind == "csv" else ("path",)
+            cfg["dataset"] = {"kind": kind, **dict.fromkeys(paths, str(data))}
+        else:
+            cfg["dataset"] = {"kind": kind, "n_train": 30, "n_valid": 10, "n_test": 10}
+        cfg["dataset"][key] = value
+        assert _run("train", "--config", _write_config(tmp_path, cfg)) == 2
+        assert f"dataset.{key}: a {kind} dataset does not read it" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_sweep_axis(self, tmp_path, capsys):
         cfg = _base_config()
         cfg["sweep"] = {"axis": "diagonal", "sizes": [4]}
@@ -583,7 +686,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key, value",
         [("n_train", 0), ("n_train", -5), ("n_test", -10), ("dim", -3),
-         ("shape", [0, 4, 4]), ("shape", [3, 0, 8]), ("shape", [3, -4, 4])],
+         ("shape", [0, 4, 4]), ("shape", [3, 0, 8]), ("shape", [3, -4, 4]),
+         ("spread", -1.0)],
     )
     def test_bad_synthetic_size(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"
@@ -751,7 +855,7 @@ class TestQuantizedArtifacts:
     ids=lambda p: p.name,
 )
 def test_committed_config_loads(path):
-    assert load_config(str(path))["network"]["family"] in ("ffdnn", "cnn")
+    assert load_config(str(path)).network.family in ("ffdnn", "cnn")
 
 
 def _cli(tmp_path, *argv):

@@ -109,7 +109,7 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("kind, spread", [
         ("blobs", float("nan")), ("spirals", float("inf")),
-        ("teacher_net", -float("inf")),
+        ("teacher_net", -float("inf")), ("blobs", -1.0),  # negative, as bad
     ])
     def test_non_finite_spread_rejected(self, kind, spread):
         with pytest.raises(ConfigError, match="spread"):

@@ -16,6 +16,7 @@ from quantbench.experiments import (
     MODES,
     RECORD_FIELDS,
     FloatBaselineCurve,
+    NetworkConfig,
     SweepRecord,
     baseline_curve,
     ecr,
@@ -359,7 +360,7 @@ class TestWidthSweep:
         kw = dict(bit_list=[], modes=("float",), data=split,
                   cfg=_tiny_cfg(max_epochs=1), seed_reps=1)
         for fc in (3, 5):
-            network = {"family": "cnn", "map_counts": [9, 9], "fc_units": fc}
+            network = NetworkConfig(family="cnn", map_counts=[9, 9], fc_units=fc)
             (rec,) = run_width_sweep("cnn", [[2]], network=network, **kw)
             want = build_cnn([2], input_shape=(1, 8, 8), fc_units=fc, classes=2)
             assert (rec.width_or_maps, rec.depth) == ("2", 1)
@@ -370,7 +371,7 @@ class TestDepthSweep:
     def test_ffdnn_depths(self):
         records = run_depth_sweep(
             "ffdnn", depths=[0, 1], bit_list=[2], modes=("float", "direct"),
-            data=_tiny_split(), cfg=_tiny_cfg(), network={"hidden_units": 4},
+            data=_tiny_split(), cfg=_tiny_cfg(), network=NetworkConfig(hidden_units=4),
             seed_reps=1,
         )
         assert {r.depth for r in records} == {0, 1}
@@ -387,7 +388,7 @@ class TestDepthSweep:
         records = run_depth_sweep(
             "cnn", depths=[1, 2], bit_list=[2], modes=("float",),
             data=split, cfg=_tiny_cfg(max_epochs=1),
-            network={"map_counts": [3, 4]}, seed_reps=1,
+            network=NetworkConfig(map_counts=[3, 4]), seed_reps=1,
         )
         labels = {r.depth: r.width_or_maps for r in records}
         assert labels == {1: "4", 2: "3-4"}
@@ -401,7 +402,7 @@ class TestDepthSweep:
         kw = dict(bit_list=[2], modes=("float", "direct"), data=split,
                   cfg=_tiny_cfg(max_epochs=1), seed_reps=1)
         by_width = run_width_sweep("cnn", [[2, 3]], **kw)
-        by_depth = run_depth_sweep("cnn", [2], network={"map_counts": [2, 3]}, **kw)
+        by_depth = run_depth_sweep("cnn", [2], network=NetworkConfig(map_counts=[2, 3]), **kw)
         assert {r.depth for r in by_width} == {2}
         assert by_width == by_depth
 
@@ -426,7 +427,7 @@ class TestDepthSweep:
         with pytest.raises(ConfigError, match="depth"):
             run_depth_sweep(
                 "cnn", depths=[4], bit_list=[2], modes=("float",),
-                data=split, cfg=_tiny_cfg(), network={"map_counts": [3, 4]},
+                data=split, cfg=_tiny_cfg(), network=NetworkConfig(map_counts=[3, 4]),
                 seed_reps=1,
             )
 

@@ -25,17 +25,18 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("teacher-sweep", "cnn-train", "wide-quantize")
 SEEDS = (1, 2, 3, 4, 5)
 SECONDS = {"full": 25.0, "tiny": 1.0}  # full matches BENCHMARK.json's run_seconds
 
 
-def run_once(workload: str, seed: int, scale: str) -> tuple[dict, dict, dict]:
-    """(env, run, result) of one perfbench run; raises if it printed none."""
-    cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS[scale]), "--trace", "0", "--scale", scale]
-    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+def run_once(workload: str, seed: int, scale: str, root: Path = ROOT) -> tuple[dict, dict, dict]:
+    """(env, run, result) of one perfbench run of the checkout at ``root``;
+    raises if it printed none."""
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(SECONDS[scale]), "--trace", "0",
+           "--scale", scale]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}: {done.stderr.strip()}")
