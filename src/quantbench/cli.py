@@ -11,8 +11,8 @@ environment variable, then the config's seeds. Either override replaces
 every seed in the config; without one, the "seed" of the dataset or train
 block beats the top-level "seed" for that block.
 
-Exit codes: 0 success, 2 config or usage error, 3 data format error,
-4 numeric divergence during training.
+Exit code 0 is success; an error exits with its class's ``exit_code`` (see
+``errors``), and running out of memory exits as a ConfigError.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import get_args, get_origin, get_type_hints
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import MAX_CLASSES, Dataset, DatasetSplit, load_cifar10, load_csv, synthetic_split
-from .errors import (ConfigError, DataFormatError, DivergenceError, QuantbenchError,
-                     missing_key, read_text, reject_repeats)
+from .errors import (ConfigError, DataFormatError, QuantbenchError, missing_key,
+                     read_text, reject_repeats)
 from .experiments import (
     DEFAULT_SEED_REPS,
     MODES,
@@ -255,8 +255,9 @@ class Config:
     def __post_init__(self):
         for key in ("ecr", "report"):
             _at(f"{key}.scale", check_scale, getattr(self, key).scale)
+        # A named checkpoint may hold another network: direct_quantize checks it.
         groups, nw = self.quant.groups, self.network
-        if isinstance(groups, list) and nw is not None:
+        if isinstance(groups, list) and nw is not None and self.quant.checkpoint is None:
             known = (cnn_group_names(len(nw.map_counts)) if nw.family == "cnn"
                      else ffdnn_group_names(nw.hidden_layers))
             if unknown := [g for g in groups if g not in known]:
@@ -383,6 +384,7 @@ def _quantized_ckpt(out_dir: str, n_bits: int) -> str:
 
 
 def cmd_train(cfg: Config, out_dir: str, jobs: int) -> int:
+    """Train the network in float; write float.ckpt."""
     split = _load_split(cfg)
     net = _build_network(cfg, split, seed=cfg.train.seed)
     best, log = train_float(net, split, cfg.train)
@@ -399,6 +401,7 @@ def cmd_train(cfg: Config, out_dir: str, jobs: int) -> int:
 
 
 def cmd_quantize(cfg: Config, out_dir: str, jobs: int) -> int:
+    """Direct-quantize the float checkpoint to quant.n_bits."""
     quant = cfg.quant
     n_bits = quant.required_n_bits()
     net = load_checkpoint(
@@ -418,6 +421,7 @@ def cmd_quantize(cfg: Config, out_dir: str, jobs: int) -> int:
 
 
 def cmd_retrain(cfg: Config, out_dir: str, jobs: int) -> int:
+    """Retrain the quantized checkpoint on its grid."""
     net = load_checkpoint(_quantized_ckpt(out_dir, cfg.quant.required_n_bits()))
     split = _load_split(cfg)
     best, log = retrain_quantized(net, split, retrain_config(cfg.train))
@@ -436,6 +440,7 @@ _SWEEPS = {"width": (run_width_sweep, "sizes"), "depth": (run_depth_sweep, "dept
 
 
 def cmd_sweep(cfg: Config, out_dir: str, jobs: int) -> int:
+    """Run a width or depth sweep; write records.csv."""
     sw = cfg.sweep
     if sw is None:
         raise ConfigError("sweep: required block is missing")
@@ -467,6 +472,7 @@ def _load_records(cfg: Config, key: str, out_dir: str) -> tuple[list[SweepRecord
 
 
 def cmd_ecr(cfg: Config, out_dir: str, jobs: int) -> int:
+    """Compute compression ratios; write ecr.csv."""
     records, scale = _load_records(cfg, "ecr", out_dir)
     quantized = [r for r in records if r.mode != "float"]
     path = os.path.join(out_dir, "ecr.csv")
@@ -477,6 +483,7 @@ def cmd_ecr(cfg: Config, out_dir: str, jobs: int) -> int:
 
 
 def cmd_report(cfg: Config, out_dir: str, jobs: int) -> int:
+    """Write summary.md and plot CSVs from the records."""
     records, scale = _load_records(cfg, "report", out_dir)
     files = emit_report(records, out_dir, scale=scale)
     for f in files:
@@ -519,15 +526,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         out_dir = _out_dir(cfg, args.out)
         return _COMMANDS[args.command](cfg, out_dir, args.jobs)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except QuantbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -338,22 +338,17 @@ def synthetic_split(
 
 
 def batches(
-    ds: Dataset, batch_size: int, shuffle: bool = False, rng: Rng | None = None
+    ds: Dataset, batch_size: int, rng: Rng | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (features, labels) covering every sample exactly once.
-
-    The final short batch is included. Shuffling consumes the supplied rng;
-    shuffle=True without an rng is a usage error.
-    """
+    """Yield (features, labels) covering every sample exactly once, the final
+    short batch included. Given an ``rng``, the order is its permutation of
+    the samples; without one, batches are contiguous views in order."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if shuffle:
-        if rng is None:
-            raise ConfigError("shuffle=True requires an rng")
-        order = rng.permutation(ds.size)
-    else:
-        order = np.arange(ds.size)
+    order = None if rng is None else rng.permutation(ds.size)
     feats = ds.features.ndarray
     for start in range(0, ds.size, batch_size):
-        idx = order[start : start + batch_size]
+        idx = slice(start, start + batch_size)
+        if order is not None:
+            idx = order[idx]
         yield feats[idx], ds.labels[idx]

@@ -1,17 +1,19 @@
 """Exception types shared across the package, ``reject_repeats``,
 ``missing_key`` and ``read_text``, the one way a text input is read.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataFormatError -> 3, DivergenceError -> 4.
+Each error class carries, as ``exit_code``, the process exit code the CLI
+returns for it.
 """
 
 
 class QuantbenchError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2
+
 
 class ConfigError(QuantbenchError):
-    """Invalid configuration, arguments, or preconditions (exit code 2)."""
+    """Invalid configuration, arguments, or preconditions."""
 
 
 class DimensionError(ConfigError):
@@ -23,11 +25,15 @@ class UsageError(ConfigError):
 
 
 class DataFormatError(QuantbenchError):
-    """Malformed input files: datasets, CSVs, checkpoints (exit code 3)."""
+    """Malformed input files: datasets, CSVs, checkpoints."""
+
+    exit_code = 3
 
 
 class DivergenceError(QuantbenchError):
-    """Training produced a non-finite loss (exit code 4)."""
+    """Training produced a non-finite loss."""
+
+    exit_code = 4
 
     def __init__(self, epoch: int, lr: float):
         self.epoch = epoch

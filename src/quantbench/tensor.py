@@ -148,16 +148,12 @@ class Rng:
 def derive_seed(seed: int, tag: str) -> int:
     """Stable 64-bit sub-seed from a base seed and a label.
 
-    Uses FNV-1a over the tag bytes folded into the seed; avoids Python's
-    salted hash() so derived seeds are identical across runs and platforms.
+    FNV-1a over the tag bytes, folded into the seed, then the first draw of
+    an ``Rng`` on that, so tag and seed bits diffuse; Python's salted hash()
+    is avoided, so derived seeds are identical across runs and platforms.
     """
     h = 0xCBF29CE484222325
     for b in tag.encode("utf-8"):
         h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    z = (seed ^ h) & 0xFFFFFFFFFFFFFFFF
-    # One mixing round so tag/seed bits diffuse.
-    z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
+    return int(Rng(seed ^ h).next_u64(1)[0])
 

@@ -131,12 +131,10 @@ def evaluate(net: Network, ds: Dataset) -> float:
     """Misclassification rate in percent by ``classes``; dropout off, deterministic."""
     if ds.size == 0:
         raise ConfigError("cannot evaluate on an empty split")
-    wrong = 0
-    feats = ds.features.ndarray
-    chunk = eval_chunk(net.spec)
-    for start in range(0, ds.size, chunk):
-        pred = classes(net, feats[start : start + chunk])
-        wrong += int((pred != ds.labels[start : start + chunk]).sum())
+    wrong = sum(
+        int((classes(net, feats) != labels).sum())
+        for feats, labels in batches(ds, eval_chunk(net.spec))
+    )
     return 100.0 * wrong / ds.size
 
 
@@ -245,9 +243,7 @@ def _run_training(
         t0 = time.monotonic()
         loss_sum = 0.0
         seen = 0
-        for feats, labels in batches(
-            data.train, cfg.batch_size, shuffle=True, rng=shuffle_rng
-        ):
+        for feats, labels in batches(data.train, cfg.batch_size, shuffle_rng):
             probs, cache = forward(net, feats, dropout_rng)
             loss = cross_entropy(probs, labels)
             if not np.isfinite(loss):

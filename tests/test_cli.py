@@ -510,15 +510,28 @@ class TestExitCodes:
 
     def test_unknown_quant_group_for_network(self, tmp_path, capsys):
         cfg = _base_config()
-        cfg["quant"] = {
-            "checkpoint": "whatever.ckpt",
-            "n_bits": 2,
-            "groups": ["In-h1", "h9-out"],
-        }
+        cfg["quant"] = {"n_bits": 2, "groups": ["In-h1", "h9-out"]}
         config = _write_config(tmp_path, cfg)
         assert _run("quantize", "--config", config) == 2
         err = capsys.readouterr().err
         assert "h9-out" in err and "In-h1" not in err.split("expected among")[0].split("[")[-1]
+
+    def test_quant_groups_of_a_named_checkpoint_are_its_own(self, tmp_path, capsys):
+        # A named checkpoint may hold another network than the declared one:
+        # its groups are checked against the network it loads.
+        cnn_out, out = tmp_path / "cnn", tmp_path / "out"
+        cnn = _base_config(out_dir=str(cnn_out))
+        cnn["dataset"]["shape"] = [1, 6, 6]
+        cnn["network"] = {"family": "cnn", "map_counts": [2], "fc_units": 5}
+        assert _run("train", "--config", _write_config(tmp_path, cnn, "cnn.json")) == 0
+        cfg = _base_config(out_dir=str(out))
+        cfg["quant"] = {"checkpoint": str(cnn_out / "float.ckpt"), "n_bits": 2,
+                        "groups": ["C1"]}
+        assert _run("quantize", "--config", _write_config(tmp_path, cfg)) == 0
+        assert "group C1:" in capsys.readouterr().out
+        cfg["quant"]["groups"] = ["In-h1"]
+        assert _run("quantize", "--config", _write_config(tmp_path, cfg)) == 2
+        assert "unknown weight group(s) ['In-h1']" in capsys.readouterr().err
 
     def test_repeated_quant_group(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -946,3 +959,33 @@ class TestReadersInAProcess:
         code, err = _cli(tmp_path, "train", "--config", str(tmp_path / "absent.json"))
         assert (code, "Traceback" in err) == (2, False)
         assert "cannot read config" in err
+
+    @pytest.mark.skipif(
+        Path("/proc/sys/vm/overcommit_memory").exists()
+        and Path("/proc/sys/vm/overcommit_memory").read_text().strip() == "1",
+        reason="with overcommit always on, the allocation may succeed lazily",
+    )
+    def test_unallocatable_network(self, tmp_path):
+        cfg = _base_config(out_dir=str(tmp_path / "out"))
+        cfg["dataset"]["dim"] = 4
+        cfg["network"]["hidden_units"] = 10**12
+        code, err = _cli(tmp_path, "train", "--config", _write_config(tmp_path, cfg))
+        assert (code, "Traceback" in err) == (2, False)
+        assert err.startswith("error: out of memory: ")
+
+
+def test_help_lists_every_command_with_its_summary(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("train", "quantize", "retrain", "sweep", "ecr", "report"):
+        (line,) = [ln for ln in lines if ln.split()[:1] == [name]]
+        assert len(line.split()) > 1, line
+
+
+def test_errors_module_loads_without_numpy():
+    src = os.path.dirname(os.path.dirname(quantbench.__file__))
+    code = "import sys, quantbench.errors; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                   check=True)

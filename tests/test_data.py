@@ -302,18 +302,19 @@ class TestBatches:
         )
 
     def test_sequential_covers_everything(self):
-        got = list(batches(self._ds(), 4))
+        # Without an rng the batches are views, in order.
+        ds = self._ds()
+        got = list(batches(ds, 4))
         sizes = [feats.shape[0] for feats, _ in got]
         assert sizes == [4, 4, 2]
-        stacked = np.vstack([feats for feats, _ in got])
-        assert np.array_equal(stacked, self._ds().features.ndarray)
-
-    def test_shuffle_needs_rng(self):
-        with pytest.raises(ConfigError):
-            next(iter(batches(self._ds(), 4, shuffle=True)))
+        for feats, labels in got:
+            assert np.shares_memory(feats, ds.features.ndarray)
+            assert np.shares_memory(labels, ds.labels)
+        assert np.array_equal(np.vstack([f for f, _ in got]), ds.features.ndarray)
+        assert np.array_equal(np.concatenate([l for _, l in got]), ds.labels)
 
     def test_shuffle_is_permutation(self):
-        got = list(batches(self._ds(), 3, shuffle=True, rng=Rng(5)))
+        got = list(batches(self._ds(), 3, rng=Rng(5)))
         stacked = np.vstack([feats for feats, _ in got])
         assert not np.array_equal(stacked, self._ds().features.ndarray)
         assert np.array_equal(
@@ -321,18 +322,14 @@ class TestBatches:
         )
 
     def test_shuffle_deterministic_per_seed(self):
-        a = np.vstack(
-            [f for f, _ in batches(self._ds(), 3, shuffle=True, rng=Rng(7))]
-        )
-        b = np.vstack(
-            [f for f, _ in batches(self._ds(), 3, shuffle=True, rng=Rng(7))]
-        )
+        a = np.vstack([f for f, _ in batches(self._ds(), 3, rng=Rng(7))])
+        b = np.vstack([f for f, _ in batches(self._ds(), 3, rng=Rng(7))])
         assert np.array_equal(a, b)
 
     def test_labels_travel_with_rows(self):
         ds = self._ds()
         lookup = {tuple(f): l for f, l in zip(ds.features.ndarray, ds.labels)}
-        for feats, labels in batches(ds, 4, shuffle=True, rng=Rng(3)):
+        for feats, labels in batches(ds, 4, rng=Rng(3)):
             for f, l in zip(feats, labels):
                 assert lookup[tuple(f)] == l
 

@@ -2,8 +2,9 @@
 minimum, the cache-free inference pass and its class rule, the conv input
 gradient and sample runs, the conv weight gradient and channel blocks, the
 training pool and ReLU, every file reader under a single mutation of a valid
-file, and a check that a failing property reports under the repo's warning
-filters; skipped when hypothesis is not installed."""
+file, ``derive_seed`` against its Python-integer form, and a check that a
+failing property reports under the repo's warning filters; skipped when
+hypothesis is not installed."""
 
 import functools
 import os
@@ -41,7 +42,7 @@ from quantbench.quantizer import (  # noqa: E402
     direct_quantize,
     optimize_delta,
 )
-from quantbench.tensor import Rng, Tensor  # noqa: E402
+from quantbench.tensor import Rng, Tensor, derive_seed  # noqa: E402
 from test_quantizer import _corpus_group, _reference_parabola_min  # noqa: E402
 
 pytest_plugins = ["pytester"]
@@ -786,6 +787,34 @@ TEXT_READERS = {
 def test_a_mutated_text_file_parses_or_raises_its_error(data, reader):
     raw, parse, errors = TEXT_READERS[reader]
     _read_mutated(data.draw(mutated(raw())), reader, parse, errors)
+
+
+def _reference_derive_seed(seed: int, tag: str) -> int:
+    # derive_seed as it was written in Python integers: FNV-1a over the tag,
+    # folded into the seed, then one splitmix64 round.
+    h = 0xCBF29CE484222325
+    for b in tag.encode("utf-8"):
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    z = (seed ^ h) & 0xFFFFFFFFFFFFFFFF
+    z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return z ^ (z >> 31)
+
+
+@SETTINGS
+@given(
+    seed=st.one_of(
+        st.integers(max_value=-1),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=2**64),
+    ),
+    tag=st.text(),
+)
+@example(seed=-1, tag="shuffle")
+@example(seed=2**64, tag="")
+def test_derive_seed_matches_its_integer_form(seed, tag):
+    assert derive_seed(seed, tag) == _reference_derive_seed(seed, tag)
 
 
 _FAIL_THEN_PASS = """

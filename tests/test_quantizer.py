@@ -12,9 +12,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from quantbench import build_ffdnn, quantizer
+from quantbench import quantizer
 from quantbench.errors import ConfigError
 from quantbench.experiments import write_reports
+from quantbench.nn import build_ffdnn
 from quantbench.quantizer import (
     QuantizationReport,
     QuantizerSpec,

@@ -133,8 +133,7 @@ def _reference_run(net, data, cfg):
     best, lr, bad_epochs = net.copy(), cfg.lr_init, 0
     for epoch in range(cfg.max_epochs):
         loss_sum, seen = 0.0, 0
-        for feats, labels in batches(data.train, cfg.batch_size, shuffle=True,
-                                     rng=shuffle_rng):
+        for feats, labels in batches(data.train, cfg.batch_size, shuffle_rng):
             probs, cache = forward(net, feats, dropout_rng)
             picked = probs[np.arange(len(labels)), labels]
             loss_sum += float(-np.mean(np.log(picked))) * len(labels)
