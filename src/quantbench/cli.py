@@ -50,7 +50,7 @@ from .experiments import (
     write_reports,
     write_train_log,
 )
-from .nn import cnn_group_names, count_params, ffdnn_group_names
+from .nn import count_params, group_name_pattern, is_group_name
 from .quantizer import bits_to_levels, check_groups, direct_quantize
 from .tensor import Tensor
 from .trainer import (
@@ -258,12 +258,11 @@ class Config:
         # A named checkpoint may hold another network: direct_quantize checks it.
         groups, nw = self.quant.groups, self.network
         if isinstance(groups, list) and nw is not None and self.quant.checkpoint is None:
-            known = (cnn_group_names(len(nw.map_counts)) if nw.family == "cnn"
-                     else ffdnn_group_names(nw.hidden_layers))
-            if unknown := [g for g in groups if g not in known]:
+            depth = len(nw.map_counts) if nw.family == "cnn" else nw.hidden_layers
+            if unknown := [g for g in groups if not is_group_name(g, nw.family, depth)]:
                 raise ConfigError(
                     f"quant.groups: unknown group(s) {unknown} for the declared "
-                    f"network (expected among {known})"
+                    f"network (expected among {group_name_pattern(nw.family, depth)})"
                 )
 
 

@@ -1,33 +1,46 @@
 """Layers, network assembly, and manual forward/backward passes.
 
-All layer math lives here. A conv layer unfolds its input into a contiguous
-tap-major [C*25, N*H*W] patch matrix (``_im2col``), each row a run of whole
-image rows, written into one module-level workspace (``_scratch``) that every
-conv call reuses and grows on demand. SLICE_BYTES bounds every patch matrix a
-conv builds, except where a split would change bits (below). A conv has one
-computation, ``_conv``: a batch whose patch matrix would pass SLICE_BYTES is
-unfolded in sample runs (``_sample_runs``), each run's output written
-straight into one preallocated output. Inference and the training forward
-call it with the layer's kernels, and backward computes dX with it too: the
-input gradient of a same-size conv is the same-size conv of dY with the
-kernels flipped in both spatial axes and their channel axes swapped. The
-training forward caches its input, not a patch matrix: backward unfolds that
-input again for the dW GEMM, in blocks of patch rows (``_row_blocks``), each
-block filling whole columns of dW; a block's unit is C_out rows rounded up to
-8, or 32 rows when C_out is at most 16. So no cache holds a view of
-the workspace, and any number of forwards or inference passes may run before
-a backward. One slice rule (``_runs``) cuts both: the fewest runs of whole
-aligned units that each fit SLICE_BYTES, the units spread evenly and no run
-small, so each slice gives every bit of one whole-batch GEMM (measured with
-OpenBLAS 0.3.31 at 1 and 2 threads; docstrings below). A unit that
-alone passes the bound is one run; a one-map conv, and a dW GEMM whose
-OpenBLAS tail kernels would sum a block in another order, are never split.
-SLICE_BYTES also bounds the largest activation of an evaluation chunk.
+All layer math lives here. Image activations are carried sample-innermost,
+[C, H, W, N], from the first conv's input to the first dense layer: a
+[N, C, H, W] batch enters as its [C, H, W, N] view, and a dense layer copies
+its input into sample-major [N, C*H*W] rows, flattened channel-major, so
+dense weights, checkpoints and dense bits are those of an [N, C, H, W]
+stack. A conv layer unfolds its input into a contiguous tap-major
+[C*25, H*W*N] patch matrix (``_im2col``) whose columns run in (h, w, n)
+order, so every copy moves W*N contiguous values; it is written into one
+module-level workspace (``_scratch``) that every conv call reuses and grows
+on demand. SLICE_BYTES bounds every patch matrix a conv builds, except
+where a split would change bits (below). A conv has one computation,
+``_conv``: K @ cols writes the [C_out, H, W, N] output directly, and a batch
+whose patch matrix would pass SLICE_BYTES is unfolded in runs of whole
+output rows (``_out_row_runs``, a unit of 8 // gcd(W*N, 8) rows, so each run
+spans whole 8-column tiles), each run's GEMM written straight into its
+columns of the output; a one-map conv is never split. Inference and the
+training forward call it with the layer's kernels, and backward computes dX
+with it too: the input gradient of a same-size conv is the same-size conv of
+dY with the kernels flipped in both spatial axes and their channel axes
+swapped. The training forward caches its input, not a patch matrix:
+backward reads dY in place as [C_out, H*W*N] and unfolds that input again
+for the dW GEMM, so dW and db sum over (h, w, n). It does so in blocks of
+patch rows (``_row_blocks``), each block filling whole columns of dW; a
+block's unit is C_out rows rounded up to 8, or 32 rows when C_out is at
+most 16. The GEMM shapes are those of the sample-major layout, so the block
+rules still hold. So no cache holds a view of the workspace, and any number
+of forwards or inference passes may run before a backward. One slice rule
+(``_runs``) cuts both: the fewest runs of whole aligned units that each fit
+SLICE_BYTES, the units spread evenly and no run small, so each slice gives
+every bit of one whole-batch GEMM (measured with OpenBLAS 0.3.31 at 1 and 2
+threads; docstrings below). A unit that alone passes the bound is one run;
+a dW GEMM whose OpenBLAS tail kernels would sum a block in another order is
+never split. SLICE_BYTES also bounds the largest activation of an
+evaluation chunk.
 
-A 2x2 max-pool is the maximum of four strided views (``_maxpool2_even``),
-with an odd trailing row or column padded by -inf; ties resolve to the
-smallest flat index. ReLU is branch-free, ``fmax(x, 0) + 0.0``: NaN and -0.0
-both give +0.0, byte for byte what ``where(x > 0, x, 0)`` gives.
+A 2x2 max-pool is the maximum of four strided views (``_maxpool2_even``) over
+H and W, N contiguous, with an odd trailing row or column padded by -inf;
+ties resolve to the smallest flat index. ReLU is branch-free,
+``fmax(x, 0) + 0.0``: NaN and -0.0 both give +0.0, byte for byte what
+``where(x > 0, x, 0)`` gives. Dropout draws its mask in sample-major order
+whatever the layout.
 
 Every layer has two passes with one definition of its math: ``forward``
 returns what ``backward`` needs, ``infer`` returns only the output. A network
@@ -37,7 +50,8 @@ bit for bit), and ``predict`` infers through ``infer`` with no caches, so no
 ReLU mask or pool argmax outlives its layer; it is the softmax of ``logits``,
 the pass stopped below it, whose largest entry ``classes`` reads. In training
 the pool caches the winning tap of each window as an int8 (``_maxpool2_taps``),
-which backward turns into argmax positions. ``backward`` pops each layer's
+and backward routes each window's gradient by that tap, scattering it to
+the tap's flat position in dX (``_flat_argmax``). ``backward`` pops each layer's
 cache as it consumes it, so a ``ForwardCache`` serves exactly one backward
 pass, and it stops at the lowest layer that owns a weight group: no layer
 below it has a weight, so that layer computes no input gradient.
@@ -137,8 +151,18 @@ class NetworkSpec:
 
 
 # ---------------------------------------------------------------------------
-# Layer implementations (batched, sample axis first)
+# Layer implementations (image activations [C, H, W, N], others sample-major)
 # ---------------------------------------------------------------------------
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """x as [N, features], each sample flattened channel-major. A
+    [C, H, W, N] activation is copied into a sample-major [N, C*H*W] array,
+    so the dense GEMMs see the operands, and give the bits, that an
+    [N, C, H, W] activation gives."""
+    if x.ndim == 4:
+        x = np.ascontiguousarray(_nchw(x))
+    return x.reshape(x.shape[0], -1)
 
 
 class _DenseLayer:
@@ -146,23 +170,22 @@ class _DenseLayer:
         self.group = group
 
     def forward(self, x, rng):
-        return self.infer(x), (x.reshape(x.shape[0], -1), x.shape)
+        return self.infer(x), (_flat(x), _nchw(x).shape)
 
     def infer(self, x):
-        flat = x.reshape(x.shape[0], -1)  # channel-major flatten
-        y = flat @ self.group.weights.ndarray
+        y = _flat(x) @ self.group.weights.ndarray
         y += self.group.bias.ndarray
         return y
 
     def backward(self, dy, cache, need_dx=True, out=None):
-        x, orig_shape = cache
+        x, x_shape = cache  # x_shape sample-major
         dw, db = (None, None) if out is None else out
         dw = np.matmul(x.T, dy, out=dw)
         db = dy.sum(axis=0, out=db)
         if not need_dx:
             return None, (dw, db)
-        dx = (dy @ self.group.weights.ndarray.T).reshape(orig_shape)
-        return dx, (dw, db)
+        dx = (dy @ self.group.weights.ndarray.T).reshape(x_shape)
+        return _chwn(dx), (dw, db)
 
 
 # The one unfold workspace of every conv layer (``_scratch``). A view of it is
@@ -181,42 +204,49 @@ def _scratch(rows: int, cols: int) -> np.ndarray:
     return _workspace[: rows * cols].reshape(rows, cols)
 
 
-def _im2col(x: np.ndarray, out: np.ndarray, start: int = 0) -> np.ndarray:
+def _im2col(x: np.ndarray, out: np.ndarray, start: int = 0, h0: int = 0) -> np.ndarray:
     """Unfold rows [start, start + len(out)) of the patch matrix of a
-    [N, C, H, W] batch, zero-padded for a same-size 5x5 conv, into ``out``.
-    The patch matrix is tap-major [C*25, N*H*W]: row (c, dy, dx), in the
-    order of a flattened kernel, holds input channel c shifted by tap (dy, dx)
-    at every output pixel (i, y, x). Each row is a run of whole image rows, so
-    the unfold copies contiguous stretches of the padded input: whole channels
-    at once, and single taps only at the edges of the row range. Only the
-    channels the range touches are padded."""
-    n, _, h, w = x.shape
+    [C, H, W, N] batch, zero-padded for a same-size 5x5 conv, at the output
+    rows from ``h0`` that fill ``out``'s columns, into ``out``. The patch
+    matrix is tap-major [C*25, H*W*N]: row (c, dy, dx), in the order of a
+    flattened kernel, holds input channel c shifted by tap (dy, dx) at every
+    output pixel (y, x, n). For one output row y that is W*N contiguous
+    values of the padded input, so each copy moves whole W*N runs: whole
+    channels at once, and single taps only at the edges of the row range.
+    Only the channels and input rows the range touches are padded."""
+    c, h, w, n = x.shape
     taps = KERNEL_SIZE**2
     stop = start + out.shape[0]
+    r = out.shape[1] // max(1, w * n)  # output rows [h0, h0 + r)
     c0, c1 = start // taps, -(-stop // taps)
-    xp = np.zeros((n, c1 - c0, h + 2 * CONV_PAD, w + 2 * CONV_PAD))
-    xp[:, :, CONV_PAD : CONV_PAD + h, CONV_PAD : CONV_PAD + w] = x[:, c0:c1]
-    windows = sliding_window_view(xp, (KERNEL_SIZE, KERNEL_SIZE), axis=(2, 3))
-    src = windows.transpose(1, 4, 5, 0, 2, 3)  # [C, 5, 5, N, H, W] from c0
-    dst = out.reshape(stop - start, n, h, w)
+    lo, hi = max(h0 - CONV_PAD, 0), min(h0 + r + CONV_PAD, h)  # input rows read
+    xp = np.zeros((c1 - c0, r + 2 * CONV_PAD, w + 2 * CONV_PAD, n))
+    top = lo - h0 + CONV_PAD
+    xp[:, top : top + hi - lo, CONV_PAD : CONV_PAD + w] = x[c0:c1, lo:hi]
+    windows = sliding_window_view(xp, (KERNEL_SIZE, KERNEL_SIZE), axis=(1, 2))
+    src = windows.transpose(0, 4, 5, 1, 2, 3)  # [C, 5, 5, R, W, N] from c0
+    dst = out.reshape(stop - start, r, w, n)
     a = min(-(-start // taps) * taps, stop)  # rows [a, b) are whole channels
     b = max(stop // taps * taps, a)
-    for r in (*range(start, a), *range(b, stop)):
-        c, t = divmod(r, taps)
-        dst[r - start] = src[c - c0, t // KERNEL_SIZE, t % KERNEL_SIZE]
+    for row in (*range(start, a), *range(b, stop)):
+        ch, t = divmod(row, taps)
+        dst[row - start] = src[ch - c0, t // KERNEL_SIZE, t % KERNEL_SIZE]
     whole = dst[a - start : b - start]
-    whole.reshape((b - a) // taps, KERNEL_SIZE, KERNEL_SIZE, n, h, w)[...] = (
+    whole.reshape((b - a) // taps, KERNEL_SIZE, KERNEL_SIZE, r, w, n)[...] = (
         src[a // taps - c0 : b // taps - c0]
     )
     return out
 
 
-def _unfold(x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows [start, stop) of the patch matrix of x, all by default, unfolded
-    into the workspace."""
-    n, c, h, w = x.shape
+def _unfold(
+    x: np.ndarray, start: int = 0, stop: int | None = None, h0: int = 0, h1: int | None = None
+) -> np.ndarray:
+    """Rows [start, stop) of the patch matrix of x at output rows [h0, h1),
+    all by default, unfolded into the workspace."""
+    c, h, w, n = x.shape
     stop = c * KERNEL_SIZE**2 if stop is None else stop
-    return _im2col(x, _scratch(stop - start, n * h * w), start)
+    h1 = h if h1 is None else h1
+    return _im2col(x, _scratch(stop - start, (h1 - h0) * w * n), start, h0)
 
 
 def _runs(count: int, unit: int, item_bytes: int) -> list[tuple[int, int]]:
@@ -225,7 +255,7 @@ def _runs(count: int, unit: int, item_bytes: int) -> list[tuple[int, int]]:
     that each fit, the units spread evenly, so every run starts on a unit.
     The last unit may be partial; alone in the last run it would be small if
     it held under a quarter of the bound, or one item (one patch row, or one
-    sample of one pixel, makes a matrix-vector product), so then it joins
+    output row of one pixel, makes a matrix-vector product), so then it joins
     the run before it. So no run is small, and a run passes the bound only
     when it holds one unit (and that partial one)."""
     if count * item_bytes <= SLICE_BYTES:
@@ -240,33 +270,33 @@ def _runs(count: int, unit: int, item_bytes: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [count]))
 
 
-def _sample_runs(x_shape: tuple, c_out: int) -> list[tuple[int, int]]:
-    """[start, stop) sample runs of a conv batch with ``c_out`` output maps,
-    each one column block of its GEMM in ``_conv``. Each run but the last
-    spans a multiple of 8 patch columns, because a block that ends inside a
-    kernel tile sums its last columns in another order. No run is small,
-    because a small block sums in another order too (OpenBLAS takes a
-    small-matrix kernel up to 10^6 multiply-adds, and numpy a matrix-vector
-    product for one column). numpy runs a one-map conv's GEMM as a
-    matrix-vector product, whose bits depend on the column count, so that
-    conv is one run. So every run computes each output bit for bit as one
-    whole-batch GEMM does (measured with OpenBLAS 0.3.31 at 1 and 2
+def _out_row_runs(x_shape: tuple, c_out: int) -> list[tuple[int, int]]:
+    """[h0, h1) runs of output rows of a conv of a [C, H, W, N] batch with
+    ``c_out`` output maps, each one column block of its GEMM in ``_conv``.
+    Each run but the last spans a multiple of 8 patch columns, because a
+    block that ends inside a kernel tile sums its last columns in another
+    order. No run is small, because a small block sums in another order too
+    (OpenBLAS takes a small-matrix kernel up to 10^6 multiply-adds, and numpy
+    a matrix-vector product for one column). numpy runs a one-map conv's
+    GEMM as a matrix-vector product, whose bits depend on the column count,
+    so that conv is one run. So every run computes each output bit for bit
+    as one whole-batch GEMM does (measured with OpenBLAS 0.3.31 at 1 and 2
     threads)."""
-    n, c, h, w = x_shape
+    c, h, w, n = x_shape
     if c_out == 1:
-        return [(0, n)]
-    # 8 // gcd(h*w, 8) samples span a multiple of 8 columns.
-    return _runs(n, 8 // math.gcd(h * w, 8), 8 * KERNEL_SIZE**2 * c * h * w)
+        return [(0, h)]
+    # 8 // gcd(w*n, 8) output rows span a multiple of 8 columns.
+    return _runs(h, 8 // math.gcd(w * n, 8), 8 * KERNEL_SIZE**2 * c * w * n)
 
 
 def _row_blocks(x_shape: tuple, c_out: int) -> list[tuple[int, int]]:
-    """[r0, r1) patch-row blocks of the dW GEMM of a conv with ``c_out``
-    output maps, each unfolded alone into whole columns of dW. A unit is
-    C_out rows rounded up to 8, so each block starts on an 8-column tile of
-    dW, and the dY each whole unit reads again is no larger than the unit.
-    N*H*W, which orders the sums, is never split. Two more rules follow
-    OpenBLAS 0.3.31's SkylakeX kernels and its thread split at 1 and 2
-    threads, where every block was measured to give the bits of one
+    """[r0, r1) patch-row blocks of the dW GEMM of a conv of a [C, H, W, N]
+    batch with ``c_out`` output maps, each unfolded alone into whole columns
+    of dW. A unit is C_out rows rounded up to 8, so each block starts on an
+    8-column tile of dW, and the dY each whole unit reads again is no larger
+    than the unit. H*W*N, which orders the sums, is never split. Two more
+    rules follow OpenBLAS 0.3.31's SkylakeX kernels and its thread split at
+    1 and 2 threads, where every block was measured to give the bits of one
     whole-batch GEMM; another BLAS build, core or thread count is not
     covered by that measurement:
     - A GEMM of at most 16 rows and under 32 columns runs on one thread,
@@ -279,7 +309,7 @@ def _row_blocks(x_shape: tuple, c_out: int) -> list[tuple[int, int]]:
       OpenBLAS block and the conv has at most 32 maps; otherwise dW is one
       block, so its patch matrix may pass SLICE_BYTES, as it is for one map
       (a vector-matrix product)."""
-    n, c, h, w = x_shape
+    c, h, w, n = x_shape
     rows = c * KERNEL_SIZE**2
     if c_out == 1 or rows % 8 and (rows > 192 or c_out > 32):
         return [(0, rows)]
@@ -291,23 +321,24 @@ def _row_blocks(x_shape: tuple, c_out: int) -> list[tuple[int, int]]:
 
 
 def _conv(x: np.ndarray, k: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
-    """Same-size 5x5 conv of a [N, C, H, W] batch with [C_out, C, 5, 5]
-    kernels ``k``, plus ``bias`` per output map unless it is None."""
-    (n, _, h, w), c_out = x.shape, k.shape[0]
+    """Same-size 5x5 conv of a [C, H, W, N] batch with [C_out, C, 5, 5]
+    kernels ``k``, plus ``bias`` per output map unless it is None. Each run
+    of output rows is one GEMM written straight into its columns of the
+    [C_out, H, W, N] output."""
+    (_, h, w, n), c_out = x.shape, k.shape[0]
     kmat = k.reshape(c_out, -1)
-    y = np.empty((n, c_out, h, w), dtype=np.float64)
-    for s, e in _sample_runs(x.shape, c_out):
+    y = np.empty((c_out, h * w * n), dtype=np.float64)
+    for h0, h1 in _out_row_runs(x.shape, c_out):
         # K @ cols, not cols.T @ K.T: the same products, but BLAS runs this
         # orientation about 3x faster on a CIFAR-sized batch.
-        g = kmat @ _unfold(x[s:e])
+        g = np.matmul(kmat, _unfold(x, h0=h0, h1=h1), out=y[:, h0 * w * n : h1 * w * n])
         if bias is not None:
             g += bias[:, None]
-        y[s:e] = g.reshape(c_out, e - s, h, w).transpose(1, 0, 2, 3)
-    return y
+    return y.reshape(c_out, h, w, n)
 
 
 def _maxpool2_even(x: np.ndarray) -> np.ndarray:
-    """2x2 stride-2 max pooling of an even-sized [N, C, H, W] batch.
+    """2x2 stride-2 max pooling of an even-sized [C, H, W, N] batch.
 
     Taps are folded in row-major window order with the later tap as the
     first operand of ``np.maximum``, which keeps the earlier tap on ties and
@@ -320,8 +351,9 @@ def _maxpool2_even(x: np.ndarray) -> np.ndarray:
 
 
 def _tap(x: np.ndarray, t: int) -> np.ndarray:
-    """Strided view of tap t (0..3, row-major) of every 2x2 window of x."""
-    return x[:, :, t // 2 :: 2, t % 2 :: 2]
+    """Strided view of tap t (0..3, row-major) of every 2x2 window of a
+    [C, H, W, N] x: its samples stay contiguous runs of N."""
+    return x[:, t // 2 :: 2, t % 2 :: 2]
 
 
 def _maxpool2_taps(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -339,12 +371,14 @@ def _maxpool2_taps(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _flat_argmax(taps: np.ndarray, x_shape: tuple) -> np.ndarray:
-    """Per-sample flat argmax positions within [C, H, W] of an unpadded
-    ``x_shape``, from int8 taps: ties resolve to the smallest flat index."""
-    _, c, h, w = x_shape
-    _, _, h2, w2 = taps.shape
-    corner = (np.arange(c)[:, None, None] * h + 2 * np.arange(h2)[:, None]) * w
-    return corner + 2 * np.arange(w2) + np.array([0, 1, w, w + 1])[taps]
+    """Flat argmax positions within an unpadded [C, H, W, N] ``x_shape``,
+    from int8 taps: ties resolve to the smallest flat index of each sample."""
+    c, h, w, n = x_shape
+    _, h2, w2, _ = taps.shape
+    idx = np.array([0, n, w * n, (w + 1) * n])[taps]  # the tap's offset
+    idx += ((np.arange(c)[:, None, None, None] * h + 2 * np.arange(h2)[:, None, None]) * w
+            + 2 * np.arange(w2)[:, None]) * n + np.arange(n)  # the window's corner
+    return idx
 
 
 class _ConvLayer:
@@ -359,22 +393,20 @@ class _ConvLayer:
     def infer(self, x):
         k = self.group.weights.ndarray
         if x.ndim != 4:
-            raise DimensionError(f"conv layer expects [N, C, H, W], got {x.shape}")
-        if x.shape[1] != k.shape[1]:
+            raise DimensionError(f"conv layer expects [C, H, W, N], got {x.shape}")
+        if x.shape[0] != k.shape[1]:
             raise DimensionError(
                 f"conv channel mismatch: input {x.shape} vs kernels {k.shape}"
             )
         return _conv(x, k, self.group.bias.ndarray)
 
     def backward(self, dy, x, need_dx=True, out=None):
-        c_out = dy.shape[1]
-        dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)  # [N*H*W, C_out]
+        c_out = dy.shape[0]
+        dyf = dy.reshape(c_out, -1)  # [C_out, H*W*N], in place
         dw, db = (np.empty(self.group.weights.shape), None) if out is None else out
         for r0, r1 in _row_blocks(x.shape, c_out):  # into whole columns of dw
-            np.matmul(dyf.T, _unfold(x, r0, r1).T, out=dw.reshape(c_out, -1)[:, r0:r1])
-        # Summed down the columns of this copy: a row sum of dyf.T would add
-        # pairwise and change db's last bits.
-        db = dyf.sum(axis=0, out=db)
+            np.matmul(dyf, _unfold(x, r0, r1).T, out=dw.reshape(c_out, -1)[:, r0:r1])
+        db = dyf.sum(axis=1, out=db)
         if not need_dx:
             return None, (dw, db)
         # dX is the same-size conv of dY with each kernel flipped in both
@@ -388,10 +420,10 @@ def _pool_input(x: np.ndarray) -> np.ndarray:
     of every window is real and padded taps come after it, so a pad never
     wins a tie or an argmax: an odd edge pools as a 1-wide window."""
     if x.ndim != 4:
-        raise DimensionError(f"pool layer expects [N, C, H, W], got {x.shape}")
-    _, _, h, w = x.shape
+        raise DimensionError(f"pool layer expects [C, H, W, N], got {x.shape}")
+    _, h, w, _ = x.shape
     if h % 2 or w % 2:
-        x = np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)), constant_values=-np.inf)
+        x = np.pad(x, ((0, 0), (0, h % 2), (0, w % 2), (0, 0)), constant_values=-np.inf)
     return x
 
 
@@ -408,12 +440,10 @@ class _MaxPool2Layer:
 
     def backward(self, dy, cache):
         taps, x_shape = cache
-        n = x_shape[0]
-        idx = _flat_argmax(taps, x_shape).reshape(n, -1)
-        dx = np.zeros((n, int(np.prod(x_shape[1:]))), dtype=np.float64)
+        dx = np.zeros(x_shape, dtype=np.float64)
         # Pool windows are disjoint, so plain assignment routes every gradient.
-        np.put_along_axis(dx, idx, dy.reshape(n, -1), axis=1)
-        return dx.reshape(x_shape), None
+        np.put(dx, _flat_argmax(taps, x_shape), dy)
+        return dx, None
 
 
 class _ReluLayer:
@@ -444,7 +474,7 @@ class _DropoutLayer:
     def forward(self, x, rng):
         if rng is None or self.rate == 0.0:
             return x, None
-        keep = rng.uniform(x.shape) >= self.rate
+        keep = _chwn(rng.uniform(_nchw(x).shape)) >= self.rate  # drawn sample-major
         mask = keep / (1.0 - self.rate)  # inverted dropout: eval path scales nothing
         return x * mask, mask
 
@@ -573,11 +603,23 @@ def classes(net: Network, batch: np.ndarray) -> np.ndarray:
 
 
 def _checked_batch(net: Network, x: np.ndarray) -> np.ndarray:
+    """The batch as the layers carry it: a [N, C, H, W] image batch as its
+    [C, H, W, N] view, any other batch as it is."""
     if x.shape[1:] != net.spec.input_shape:
         raise DimensionError(
             f"batch shape {x.shape} does not match input shape {net.spec.input_shape}"
         )
-    return x
+    return _chwn(x)
+
+
+def _chwn(x: np.ndarray) -> np.ndarray:
+    """A [N, C, H, W] array as its [C, H, W, N] view; any other rank as it is."""
+    return x.transpose(1, 2, 3, 0) if x.ndim == 4 else x
+
+
+def _nchw(x: np.ndarray) -> np.ndarray:
+    """A [C, H, W, N] array as its [N, C, H, W] view; any other rank as it is."""
+    return x.transpose(3, 0, 1, 2) if x.ndim == 4 else x
 
 
 def backward(
@@ -729,6 +771,42 @@ def ffdnn_group_names(hidden_layers: int) -> list[str]:
 def cnn_group_names(levels: int) -> list[str]:
     """Weight-group names of a CNN with ``levels`` conv stages: C1..Ck, FC, Out."""
     return [f"C{i}" for i in range(1, levels + 1)] + ["FC", "Out"]
+
+
+def is_group_name(name: str, family: str, depth: int) -> bool:
+    """Whether ``name`` is in ``cnn_group_names(depth)`` for a "cnn", else in
+    ``ffdnn_group_names(depth)``, tested against the naming rule without
+    building the list, so at any depth."""
+    if family == "cnn":
+        return name in ("FC", "Out") or name[:1] == "C" and _ordinal(name[1:], depth) is not None
+    # FFDNN nodes In, h1..h{L}, out are 0..L+1; a group joins node i to i + 1.
+    a, dash, b = name.partition("-")
+    i = _ffdnn_node(a, depth)
+    return bool(dash) and i is not None and _ffdnn_node(b, depth) == i + 1
+
+
+def group_name_pattern(family: str, depth: int) -> str:
+    """The names ``is_group_name`` accepts, in words: the pattern and at most
+    its first and last names."""
+    if family == "cnn":
+        return "C1, FC, Out" if depth == 1 else f"C1..C{depth}, FC, Out"
+    if depth < 2:
+        return ", ".join(ffdnn_group_names(depth))
+    return f"In-h1, h{{i}}-h{{i+1}} for i in 1..{depth - 1}, h{depth}-out"
+
+
+def _ffdnn_node(name: str, hidden_layers: int) -> int | None:
+    if name in ("In", "out"):
+        return 0 if name == "In" else hidden_layers + 1
+    return _ordinal(name[1:], hidden_layers) if name[:1] == "h" else None
+
+
+def _ordinal(s: str, limit: int) -> int | None:
+    """s as an integer in 1..limit, in plain decimal with no leading zero,
+    else None; a string longer than ``limit``'s is never parsed."""
+    if s.isascii() and s.isdigit() and s[0] != "0" and len(s) <= len(str(limit)):
+        return int(s) if int(s) <= limit else None
+    return None
 
 
 def build_ffdnn(

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -515,6 +516,21 @@ class TestExitCodes:
         assert _run("quantize", "--config", config) == 2
         err = capsys.readouterr().err
         assert "h9-out" in err and "In-h1" not in err.split("expected among")[0].split("[")[-1]
+
+    def test_quant_group_check_does_not_list_a_deep_network(self, tmp_path, capsys):
+        # The check tests each listed name against the naming rule, so a
+        # billion hidden layers cost nothing and the error stays short.
+        cfg = _base_config()
+        cfg["network"]["hidden_layers"] = 10**9
+        cfg["quant"] = {"n_bits": 2, "groups": ["x", "h1-h2"]}
+        config = _write_config(tmp_path, cfg)
+        start = time.perf_counter()
+        assert _run("quantize", "--config", config) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert "unknown group(s) ['x']" in err
+        assert "In-h1" in err and "h1000000000-out" in err
 
     def test_quant_groups_of_a_named_checkpoint_are_its_own(self, tmp_path, capsys):
         # A named checkpoint may hold another network than the declared one:

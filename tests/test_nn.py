@@ -1,5 +1,7 @@
 """Network assembly, the dense/conv/pool layer math against naive references,
-forward/backward passes, and parameter accounting."""
+forward/backward passes, and parameter accounting. The conv and pool layers
+take [C, H, W, N] activations; their naive references are written per
+sample, on [N, C, H, W] batches, and ``_chwn`` / ``_nchw`` convert."""
 
 import os
 import subprocess
@@ -62,6 +64,23 @@ class TestBuilders:
         for maps in ([2], [2, 3], [2, 3, 4]):
             net = build_cnn(maps, input_shape=(1, 8, 8), fc_units=4, classes=3)
             assert cnn_group_names(len(maps)) == list(net.groups)
+
+    def test_group_name_rule_matches_the_name_lists(self):
+        odd = ["", "-", "In", "In-", "-out", "In-out-", "h1-h2-h3", "h01-h2", "h0-h1",
+               "h1-h1", "h2-h1", "h-out", "h²-out", "h1 -h2", "In-h1 ", "C0", "C01", "C",
+               "c1", "C1.0", "C+1", "fc", "out", "Out-", "In-Out", "h99999999999999999999-out"]
+        for depth in range(5):
+            names = ffdnn_group_names(depth)
+            candidates = names + ffdnn_group_names(depth + 1) + odd + cnn_group_names(3)
+            for name in candidates:
+                assert nn.is_group_name(name, "ffdnn", depth) == (name in names), (name, depth)
+            pattern = nn.group_name_pattern("ffdnn", depth)
+            assert pattern.startswith(names[0]) and pattern.endswith(names[-1])
+        for levels in range(1, 4):
+            names = cnn_group_names(levels)
+            for name in names + cnn_group_names(levels + 1) + odd + ffdnn_group_names(2):
+                assert nn.is_group_name(name, "cnn", levels) == (name in names), (name, levels)
+            assert nn.group_name_pattern("cnn", levels).endswith(f"C{levels}, FC, Out")
 
     def test_group_names_stable_across_runs(self):
         assert list(build_ffdnn(8, 4, 2, 3, seed=1).groups) == list(
@@ -296,7 +315,7 @@ class TestBackward:
             nn, "_conv", lambda *a: dy_shapes.append(a[0].shape) or conv(*a)
         )
         grads = backward(net, cache, [0, 1, 1])
-        assert dy_shapes == [(3, 3, 4, 4)]  # C2's input gradient only, none for C1
+        assert dy_shapes == [(3, 4, 4, 3)]  # C2's input gradient only, none for C1
         assert list(grads) == ["Out", "FC", "C2", "C1"]
 
     @pytest.mark.parametrize("which", ["cnn", "relu-first", "ffdnn"])
@@ -400,13 +419,23 @@ class TestPredict:
         assert relu.infer(x).tobytes() == np.array([[0, 0, 0, 0, 1, np.inf, 0.0]]).tobytes()
 
     def test_pool_input_rank_checked(self):
-        with pytest.raises(DimensionError, match=r"pool layer expects \[N, C, H, W\]"):
+        with pytest.raises(DimensionError, match=r"pool layer expects \[C, H, W, N\]"):
             _pool_layer().infer(np.zeros((2, 4, 4)))
 
     def test_cnn_probabilities_match_eval_forward(self):
         net = build_cnn([3, 4], input_shape=(2, 10, 10), fc_units=6, classes=3, seed=7)
         x = Rng(4).uniform((3, 2, 10, 10), -1, 1)
         assert predict(net, x).tobytes() == forward(net, x)[0].tobytes()
+
+
+def _chwn(a):
+    """A [N, C, H, W] batch as the [C, H, W, N] view the conv and pool layers take."""
+    return a.transpose(1, 2, 3, 0)
+
+
+def _nchw(a):
+    """A [C, H, W, N] layer activation as its [N, C, H, W] view."""
+    return a.transpose(3, 0, 1, 2)
 
 
 def _conv_naive(x, k, pad):
@@ -484,8 +513,9 @@ class TestConv2d:
         x = rng.uniform((2, c_in, h, w), -1, 1)
         net = _conv_net(c_in, c_out, h, w, seed=c_in + c_out)
         k, b = net.groups["C1"].weights.ndarray, net.groups["C1"].bias.ndarray
-        got, _ = net.layers[0].forward(x, None)
-        assert got.shape == (2, c_out, h, w)
+        got, _ = net.layers[0].forward(_chwn(x), None)
+        assert got.shape == (c_out, h, w, 2)
+        got = _nchw(got)
         for i in range(2):
             want = _conv_naive(x[i], k, 2) + b[:, None, None]
             assert np.allclose(got[i], want, atol=1e-12)
@@ -497,8 +527,9 @@ class TestConv2d:
         x = Rng(h * 10 + w).uniform((2, c_in, h, w), -1, 1)
         dy = Rng(h * 10 + w + 1).uniform((2, c_out, h, w), -1, 1)
         conv = _conv_net(c_in, c_out, h, w, seed=c_in + c_out).layers[0]
-        _, cache = conv.forward(x, None)
-        dx, (dw, db) = conv.backward(dy, cache)
+        _, cache = conv.forward(_chwn(x), None)
+        dx, (dw, db) = conv.backward(_chwn(dy), cache)
+        dx = _nchw(dx)
         want_dw, want_dx = _conv_adjoint_naive(x, conv.group.weights.ndarray, dy, 2)
         assert np.allclose(dw, want_dw, rtol=0, atol=1e-12)
         assert np.allclose(dx, want_dx, rtol=0, atol=1e-12)
@@ -507,7 +538,7 @@ class TestConv2d:
     def test_channel_mismatch_raises(self):
         conv = _conv_net(2, 4, 6, 6).layers[0]
         with pytest.raises(DimensionError, match="channel mismatch"):
-            conv.forward(np.zeros((1, 3, 6, 6)), None)
+            conv.forward(np.zeros((3, 6, 6, 1)), None)
 
     def test_kernel_must_be_5x5(self, tmp_path):
         net = build_cnn([4, 3], input_shape=(2, 12, 12), fc_units=2, classes=2)
@@ -574,19 +605,19 @@ class TestConvWorkspace:
 # Real-size dW cases split into patch-row blocks, checked at one BLAS thread:
 # the thread split is one of the things that fix a GEMM's bits. The third is
 # cnn-train's C1, whose 3 input channels split into blocks of 32, 32 and 11.
+# Activations are [C, H, W, N], and dY is read in place as [C_out, H*W*N].
 _ONE_THREAD_DW = """
 import numpy as np
 from quantbench import nn
 from quantbench.tensor import Rng
 for c, h, w, c_out, n in ((32, 16, 16, 64, 64), (48, 27, 13, 3, 12), (3, 32, 32, 32, 64)):
     net = nn.build_cnn([c_out], input_shape=(c, h, w), fc_units=2, classes=2)
-    x = Rng(1).uniform((n, c, h, w), -1.0, 1.0)
-    dy = Rng(2).uniform((n, c_out, h, w), -1.0, 1.0)
+    x = Rng(1).uniform((c, h, w, n), -1.0, 1.0)
+    dy = Rng(2).uniform((c_out, h, w, n), -1.0, 1.0)
     assert len(nn._row_blocks(x.shape, c_out)) > 1
     dw = net.layers[0].backward(dy, x, need_dx=False)[1][0]
-    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
-    want = dyf.T @ nn._im2col(x, np.empty((c * 25, n * h * w))).T
-    assert dw.tobytes() == want.tobytes(), (c, h, w, c_out, n)
+    want = dy.reshape(c_out, -1) @ nn._im2col(x, np.empty((c * 25, h * w * n))).T
+    assert dw.tobytes() == want.reshape(dw.shape).tobytes(), (c, h, w, c_out, n)
 """
 
 
@@ -606,8 +637,8 @@ from quantbench import nn
 from quantbench.tensor import Rng
 for c, h, c_out in ((32, 16, 32), (32, 8, 64)):
     net = nn.build_cnn([c_out], input_shape=(c, h, h), fc_units=2, classes=2, seed=1)
-    x = Rng(1).uniform((64, c, h, h), -1.0, 1.0)
-    dy = Rng(2).uniform((64, c_out, h, h), -1.0, 1.0)
+    x = Rng(1).uniform((c, h, h, 64), -1.0, 1.0)
+    dy = Rng(2).uniform((c_out, h, h, 64), -1.0, 1.0)
     print(hashlib.sha256(net.layers[0].backward(dy, x)[0].tobytes()).hexdigest())
 """
 
@@ -628,9 +659,10 @@ def _assert_pool_pass_is_naive(x):
     """Training forward gives the naive pool's values, and backward puts each
     window's gradient on the naive argmax and zeros elsewhere; returns dx."""
     pool = _pool_layer()
-    out, cache = pool.forward(x, None)
+    out, cache = pool.forward(_chwn(x), None)
+    out = _nchw(out)
     dy = Rng(9).uniform(out.shape, 1, 2)
-    dx = pool.backward(dy, cache)[0]
+    dx = _nchw(pool.backward(_chwn(dy), cache)[0])
     for i in range(x.shape[0]):
         exp_out, exp_idx = _pool_naive(x[i])
         assert np.array_equal(out[i], exp_out)

@@ -1,7 +1,8 @@
 """Property tests for the grid rule, the step-size fit and its parabola
 minimum, the cache-free inference pass and its class rule, the conv input
-gradient and sample runs, the conv weight gradient and channel blocks, the
-training pool and ReLU, every file reader under a single mutation of a valid
+gradient and output-row runs, the conv weight gradient and channel blocks,
+the [C, H, W, N] conv stack against a sample-major [N, C, H, W] reference,
+the training pool and ReLU, every file reader under a single mutation of a valid
 file, ``derive_seed`` against its Python-integer form, and a check that a
 failing property reports under the repo's warning filters; skipped when
 hypothesis is not installed."""
@@ -14,6 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -358,6 +360,11 @@ def test_predict_leaves_its_batch_unmodified(net, n, seed):
     assert not np.shares_memory(out, x)
 
 
+def _chwn(a):
+    """A [N, C, H, W] batch as the [C, H, W, N] view the conv and pool layers take."""
+    return a.transpose(1, 2, 3, 0)
+
+
 def _maxpool2_batch(x):
     """Reference 2x2 stride-2 max pool over [N, C, H, W]: odd trailing rows
     and columns form 1-wide windows, and ties resolve to the smallest flat
@@ -379,6 +386,15 @@ def _maxpool2_batch(x):
     return out, ((chan * h + rows) * w + cols).astype(np.int64)
 
 
+def _scatter(dy, idx, x_shape):
+    """Reference pool backward on [N, C, H, W]: each window's gradient put on
+    its argmax position of the per-sample flattened ``idx``."""
+    n = x_shape[0]
+    dx = np.zeros((n, int(np.prod(x_shape[1:]))))
+    np.put_along_axis(dx, idx.reshape(n, -1), dy.reshape(n, -1), axis=1)
+    return dx.reshape(x_shape)
+
+
 special = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
 
 
@@ -392,7 +408,7 @@ special = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
 )
 def test_pool_inference_matches_argmax_rule_bit_for_bit(x):
     pool = build_cnn([1], input_shape=(1, 4, 4), fc_units=2, classes=2).layers[2]
-    assert pool.infer(x).tobytes() == _maxpool2_batch(x)[0].tobytes()
+    assert pool.infer(_chwn(x)).tobytes() == _chwn(_maxpool2_batch(x)[0]).tobytes()
 
 
 @SETTINGS
@@ -406,45 +422,44 @@ def test_pool_inference_matches_argmax_rule_bit_for_bit(x):
 )
 def test_pool_training_pass_matches_argmax_scatter_bit_for_bit(x, data):
     pool = build_cnn([1], input_shape=(1, 4, 4), fc_units=2, classes=2).layers[2]
-    out, cache = pool.forward(x, None)
+    out, cache = pool.forward(_chwn(x), None)
     expected_out, idx = _maxpool2_batch(x)
-    assert out.tobytes() == expected_out.tobytes()
-    dy = data.draw(arrays(np.float64, out.shape, elements=special))
-    n = x.shape[0]
-    expected_dx = np.zeros((n, x[0].size))
-    np.put_along_axis(expected_dx, idx.reshape(n, -1), dy.reshape(n, -1), axis=1)
-    assert pool.backward(dy, cache)[0].tobytes() == expected_dx.reshape(x.shape).tobytes()
+    assert out.tobytes() == _chwn(expected_out).tobytes()
+    dy = data.draw(arrays(np.float64, expected_out.shape, elements=special))
+    expected_dx = _chwn(_scatter(dy, idx, x.shape))
+    assert pool.backward(_chwn(dy), cache)[0].tobytes() == expected_dx.tobytes()
 
 
 def _fold(dcols, x_shape):
-    """Reference adjoint of nn._im2col: add the whole-batch [C*25, N*H*W]
-    patch gradient back onto the input, tap by tap in kernel order."""
-    n, c, h, w = x_shape
-    taps = dcols.reshape(c, 5, 5, n, h, w)
-    dxp = np.zeros((c, n, h + 4, w + 4), dtype=np.float64)
+    """Reference adjoint of nn._im2col: add the whole-batch [C*25, H*W*N]
+    patch gradient back onto the [C, H, W, N] input, tap by tap in kernel
+    order."""
+    c, h, w, n = x_shape
+    taps = dcols.reshape(c, 5, 5, h, w, n)
+    dxp = np.zeros((c, h + 4, w + 4, n), dtype=np.float64)
     for dy in range(5):
         for dx in range(5):
-            dxp[:, :, dy : dy + h, dx : dx + w] += taps[:, dy, dx]
-    return dxp[:, :, 2 : 2 + h, 2 : 2 + w].transpose(1, 0, 2, 3)
+            dxp[:, dy : dy + h, dx : dx + w] += taps[:, dy, dx]
+    return dxp[:, 2 : 2 + h, 2 : 2 + w]
 
 
 def _reference_input_grad(k, dyf, x_shape):
-    return _fold(k.reshape(k.shape[0], -1).T @ dyf.T, x_shape)
+    return _fold(k.reshape(k.shape[0], -1).T @ dyf, x_shape)
 
 
 def _reference_conv(k, x, bias=None):
-    """A same-size conv by one whole-batch GEMM over x's patch matrix."""
-    n, c, h, w = x.shape
-    cols = nn._im2col(x, np.empty((c * 25, n * h * w)))
-    g = k.reshape(k.shape[0], -1) @ cols
+    """A same-size conv of a [C, H, W, N] batch by one whole-batch GEMM over
+    its patch matrix."""
+    c, h, w, n = x.shape
+    g = k.reshape(k.shape[0], -1) @ nn._im2col(x, np.empty((c * 25, h * w * n)))
     if bias is not None:
         g += bias[:, None]
-    return np.ascontiguousarray(g.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
+    return g.reshape(-1, h, w, n)
 
 
 def _input_grad(conv, dy):
     """dX of the conv layer's backward pass for output gradient dy."""
-    x = np.zeros((dy.shape[0], conv.group.weights.shape[1], *dy.shape[2:]))
+    x = np.zeros((conv.group.weights.shape[1], *dy.shape[1:]))
     return conv.backward(dy, x)[0]
 
 
@@ -452,8 +467,8 @@ def _assert_matches_fold(conv, dy):
     """dX has the reference fold's NaNs and signed infs, and its finite
     values within the rounding bound of a sum of 25 * C_out products."""
     k = conv.group.weights.ndarray
-    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, k.shape[0])
-    x_shape = (dy.shape[0], k.shape[1], *dy.shape[2:])
+    dyf = dy.reshape(k.shape[0], -1)
+    x_shape = (k.shape[1], *dy.shape[1:])
     with np.errstate(all="ignore"):  # inf - inf and 0 * inf are part of the check
         got = _input_grad(conv, dy)
         want = _reference_input_grad(k, dyf, x_shape)
@@ -466,15 +481,15 @@ def _assert_matches_fold(conv, dy):
 
 @SETTINGS
 @given(
-    shape=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 9),
-                    st.integers(1, 9)),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9),
+                    st.integers(1, 5)),
     c_out=st.integers(1, 4),
     seed=st.integers(0, 99),
     data=st.data(),
 )
 def test_input_grad_matches_whole_batch_fold(shape, c_out, seed, data):
-    n, c, h, w = shape
-    dy = data.draw(arrays(np.float64, (n, c_out, h, w),
+    c, h, w, n = shape
+    dy = data.draw(arrays(np.float64, (c_out, h, w, n),
                           elements=st.one_of(special, st.floats(-4.0, 4.0))))
     _assert_matches_fold(_conv_layer(c, c_out, h, w, seed), dy)
 
@@ -483,39 +498,40 @@ def test_input_grad_matches_whole_batch_fold(shape, c_out, seed, data):
 def test_input_grad_matches_fold_with_inf_and_one_nan(nan_at):
     # dY all +inf but one NaN: almost every dX sum holds inf - inf. Which NaN
     # a sum keeps is not pinned, only where the NaNs and infs are.
-    dy = np.full((5, 2, 1, 2), np.inf)
+    dy = np.full((2, 1, 2, 5), np.inf)
     dy.flat[nan_at] = np.nan
     _assert_matches_fold(_conv_layer(2, 2, 1, 2, seed=0), dy)
 
 
-# Batches that split into sample runs under the real SLICE_BYTES, 2 to 3
-# bounds of patch matrix each. The rule never makes a small run
-# (test_sample_runs_are_aligned_and_never_small), and these cases keep runs
-# real-sized too: runs of a few KiB would change last bits, because OpenBLAS
-# sums a product that small with another kernel.
-def _patch_bytes(c, h, w):
-    return 8 * 25 * c * h * w
+# Batches whose conv splits into runs of output rows under the real
+# SLICE_BYTES, 2 to 3 bounds of patch matrix each. The rule never makes a
+# small run (test_out_row_runs_are_aligned_and_never_small), and these cases
+# keep runs real-sized too: runs of a few KiB would change last bits, because
+# OpenBLAS sums a product that small with another kernel.
+def _patch_bytes(c, a, b):
+    """Bytes of the patch matrix of ``c`` channels over a*b columns."""
+    return 8 * 25 * c * a * b
 
 
-def _split_batch_size(c, h, w, bounds):
-    """Samples in ``bounds`` bounds of patch matrix, and at least two runs of
-    the samples that span a multiple of 8 patch columns."""
-    unit = 8 // np.gcd(h * w, 8)
-    return max(int(bounds * nn.SLICE_BYTES / _patch_bytes(c, h, w)), 2 * unit)
+def _batch_size(c, h, w, bounds):
+    """Samples in ``bounds`` bounds of patch matrix."""
+    return max(1, int(bounds * nn.SLICE_BYTES / _patch_bytes(c, h, w)))
 
 
 sliced_cases = st.tuples(
     st.sampled_from([4, 8, 16]), st.integers(9, 40), st.integers(9, 40),
     st.sampled_from([2, 3, 8, 48, 64]), st.floats(2.0, 3.0), st.integers(0, 99),
-).map(lambda t: (*t[:4], _split_batch_size(*t[:3], t[4]), t[5]))
+).map(lambda t: (*t[:4], _batch_size(*t[:3], t[4]), t[5]))
 SLICE_SETTINGS = settings(max_examples=10, deadline=None)
 
 
 def _sliced_case(c, h, w, c_out, n, seed):
-    """(conv layer, input batch) of a batch that splits into two or more runs."""
-    assert len(nn._sample_runs((n, c, h, w), c_out)) >= 2
+    """(conv layer, [C, H, W, N] input batch) of a batch that splits into
+    two or more runs; a drawn case whose tail joins the one run before it is
+    discarded."""
+    assume(len(nn._out_row_runs((c, h, w, n), c_out)) >= 2)
     conv = _conv_layer(c, c_out, h, w, seed)
-    x = Rng(seed + 1).uniform((n, c, h, w), -1.0, 1.0)
+    x = Rng(seed + 1).uniform((c, h, w, n), -1.0, 1.0)
     x[np.abs(x) < 0.2] = -0.0
     return conv, x
 
@@ -527,8 +543,10 @@ def _conv_layer(c_in, c_out, h, w, seed):
 
 @SLICE_SETTINGS
 @given(case=sliced_cases)
-@example(case=(16, 52, 52, 48, 3, 0))  # three 1-sample runs
-@example(case=(16, 21, 23, 64, 21, 1))  # odd maps: runs of 8 and 13 samples
+@example(case=(16, 52, 52, 48, 3, 0))  # W*N 156: 2-row units, two runs of 26
+@example(case=(16, 21, 23, 64, 21, 1))  # odd W*N: 8-row units, a 5-row tail
+@example(case=(3, 32, 32, 32, 64, 2))  # cnn-train's C1: 10, 11 and 11 rows
+@example(case=(32, 16, 16, 32, 64, 3))  # cnn-train's C2: eight 2-row runs
 def test_sliced_conv_inference_matches_one_conv_bit_for_bit(case):
     conv, x = _sliced_case(*case)
     k, b = conv.group.weights.ndarray, conv.group.bias.ndarray
@@ -539,13 +557,14 @@ def test_sliced_conv_inference_matches_one_conv_bit_for_bit(case):
 @given(case=sliced_cases)
 @example(case=(16, 52, 52, 48, 3, 0))
 @example(case=(16, 21, 23, 64, 21, 1))
+@example(case=(32, 8, 8, 64, 64, 3))  # cnn-train's C3: four 2-row runs
 def test_sliced_input_grad_matches_one_conv_bit_for_bit(case):
     # The layer maps the case's C_out channels to its C, so dY has the
-    # channels of the case's input and its dX conv splits into sample runs.
+    # channels of the case's input and its dX conv splits into row runs.
     c, h, w, c_out, n, seed = case
     conv = _conv_layer(c_out, c, h, w, seed)
-    dy = Rng(seed + 2).uniform((n, c, h, w), -1.0, 1.0)
-    assert len(nn._sample_runs(dy.shape, c_out)) >= 2
+    dy = Rng(seed + 2).uniform((c, h, w, n), -1.0, 1.0)
+    assume(len(nn._out_row_runs(dy.shape, c_out)) >= 2)
     flipped = conv.group.weights.ndarray[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     assert _input_grad(conv, dy).tobytes() == _reference_conv(flipped, dy).tobytes()
 
@@ -585,27 +604,29 @@ def test_runs_are_aligned_bounded_even_and_never_small(count, unit, item_bytes):
     _assert_slice_rule(runs, count, unit, item_bytes)
 
 
-conv_shapes = st.tuples(st.integers(0, 3000), st.integers(1, 64), st.integers(1, 64),
-                        st.integers(1, 64))
+# [C, H, W, N] activation shapes.
+conv_shapes = st.tuples(st.integers(1, 64), st.integers(1, 64), st.integers(1, 64),
+                        st.integers(0, 3000))
 
 
 @SETTINGS
 @given(shape=conv_shapes, c_out=st.integers(1, 128))
-def test_sample_runs_are_aligned_and_never_small(shape, c_out):
-    n, c, h, w = shape
-    runs = nn._sample_runs(shape, c_out)
+@example(shape=(3, 32, 32, 64), c_out=32)  # cnn-train's C1: 3 runs
+def test_out_row_runs_are_aligned_and_never_small(shape, c_out):
+    c, h, w, n = shape
+    runs = nn._out_row_runs(shape, c_out)
     if c_out == 1:  # a one-map conv is never split
-        assert runs == [(0, n)]
+        assert runs == [(0, h)]
         return
-    _assert_slice_rule(runs, n, 8 // np.gcd(h * w, 8), _patch_bytes(c, h, w))
-    assert all(s * h * w % 8 == 0 for s, _ in runs)  # 8-column tiles
+    _assert_slice_rule(runs, h, 8 // np.gcd(w * n, 8), _patch_bytes(c, w, n))
+    assert all(s * w * n % 8 == 0 for s, _ in runs)  # 8-column tiles
 
 
 @SETTINGS
 @given(shape=conv_shapes, c_out=st.integers(1, 128))
-@example(shape=(64, 3, 32, 32), c_out=32)  # cnn-train's C1: 3 blocks, not one
+@example(shape=(3, 32, 32, 64), c_out=32)  # cnn-train's C1: 3 blocks, not one
 def test_row_blocks_are_aligned_and_never_small(shape, c_out):
-    n, c, h, w = shape
+    c, h, w, n = shape
     blocks = nn._row_blocks(shape, c_out)
     rows = c * 25
     # A one-map dW is never split, nor one whose last rows fall to tail
@@ -627,10 +648,6 @@ def test_row_blocks_are_aligned_and_never_small(shape, c_out):
 # patch rows, one unit each when one unit alone passes half the bound. The
 # rule never makes a small block (test_row_blocks_are_aligned_and_never_small):
 # a small GEMM may take another OpenBLAS kernel and change last bits.
-def _batch_size(c, h, w, bounds):
-    return max(1, int(bounds * nn.SLICE_BYTES / _patch_bytes(c, h, w)))
-
-
 blocked_cases = st.tuples(
     st.sampled_from([1, 3, 8, 12, 16, 32, 48, 64]), st.integers(9, 40),
     st.integers(9, 40), st.sampled_from([1, 2, 3, 32, 48, 64, 96]),
@@ -652,23 +669,23 @@ blocked_cases = st.tuples(
 def test_blocked_weight_grad_matches_one_gemm_bit_for_bit(case):
     c, h, w, c_out, n, seed = case
     conv = _conv_layer(c, c_out, h, w, seed)
-    x = Rng(seed + 1).uniform((n, c, h, w), -1.0, 1.0)
+    x = Rng(seed + 1).uniform((c, h, w, n), -1.0, 1.0)
     x[np.abs(x) < 0.2] = -0.0
-    dy = Rng(seed + 2).uniform((n, c_out, h, w), -1.0, 1.0)
+    dy = Rng(seed + 2).uniform((c_out, h, w, n), -1.0, 1.0)
     dw = conv.backward(dy, x, need_dx=False)[1][0]
-    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
-    want = dyf.T @ nn._im2col(x, np.empty((c * 25, n * h * w))).T
-    assert dw.tobytes() == want.tobytes()
+    want = dy.reshape(c_out, -1) @ nn._im2col(x, np.empty((c * 25, h * w * n))).T
+    assert dw.tobytes() == want.reshape(dw.shape).tobytes()
 
 
 def test_one_map_conv_is_never_sliced(monkeypatch):
     # numpy runs a one-row GEMM as a matrix-vector product whose bits depend
-    # on the column count; split into samples, this batch changes bits.
+    # on the column count; split into row runs, this batch changes bits.
     monkeypatch.setattr(nn, "SLICE_BYTES", 1)
     conv = _conv_layer(8, 1, 17, 18, seed=3)
-    x = Rng(4).uniform((9, 8, 17, 18), -1.0, 1.0)
-    assert nn._sample_runs(x.shape, 2) == [(0, 4), (4, 9)]  # two maps: 2 runs
-    assert nn._sample_runs(x.shape, 1) == [(0, 9)]
+    x = Rng(4).uniform((8, 17, 18, 9), -1.0, 1.0)
+    # two maps: 4-row units, the 1-row tail joins the last run
+    assert nn._out_row_runs(x.shape, 2) == [(0, 4), (4, 8), (8, 12), (12, 17)]
+    assert nn._out_row_runs(x.shape, 1) == [(0, 17)]
     k, b = conv.group.weights.ndarray, conv.group.bias.ndarray
     assert conv.infer(x).tobytes() == _reference_conv(k, x, b).tobytes()
 
@@ -676,9 +693,107 @@ def test_one_map_conv_is_never_sliced(monkeypatch):
 def test_predict_is_eval_forward_across_conv_slices():
     net = build_cnn([8, 4], input_shape=(16, 32, 32), fc_units=8, classes=3, seed=5)
     x = Rng(6).uniform((11, 16, 32, 32), -1.0, 1.0)
-    assert nn._sample_runs(x.shape, 8) == [(0, 3), (3, 7), (7, 11)]  # C1's runs
+    assert nn._out_row_runs((16, 32, 32, 11), 8) == [(0, 10), (10, 21), (21, 32)]  # C1's
     probs, _ = forward(net, x)
     assert predict(net, x).tobytes() == probs.tobytes()
+
+
+def _nchw_cols(x):
+    """The [C*25, N*H*W] patch matrix of a [N, C, H, W] batch, its columns in
+    sample-major (n, h, w) order."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 4, w + 4))
+    xp[:, :, 2 : 2 + h, 2 : 2 + w] = x
+    windows = sliding_window_view(xp, (5, 5), axis=(2, 3))  # [N, C, H, W, 5, 5]
+    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))  # as GEMMs read it
+    return cols.reshape(c * 25, n * h * w)
+
+
+def _nchw_conv(k, x, bias=None):
+    """Same-size conv of a [N, C, H, W] batch by one GEMM over ``_nchw_cols``."""
+    n, _, h, w = x.shape
+    g = k.reshape(k.shape[0], -1) @ _nchw_cols(x)
+    if bias is not None:
+        g += bias[:, None]
+    return g.reshape(-1, n, h, w).transpose(1, 0, 2, 3)
+
+
+def _nchw_pass(net, x, targets):
+    """Logits and {group: (dW, db)} of a build_cnn network by a sample-major
+    reference: every activation [N, C, H, W], each conv one GEMM over
+    ``_nchw_cols``, and conv dW and db summed in (n, h, w) order."""
+    caches, a = [], x
+    for layer in net.layers[:-1]:
+        kind = type(layer).__name__
+        caches.append(a)
+        if kind == "_ConvLayer":
+            a = _nchw_conv(layer.group.weights.ndarray, a, layer.group.bias.ndarray)
+        elif kind == "_ReluLayer":
+            a = np.where(a > 0, a, 0.0)
+        elif kind == "_MaxPool2Layer":
+            a = _maxpool2_batch(a)[0]
+        else:
+            a = a.reshape(a.shape[0], -1) @ layer.group.weights.ndarray
+            a += layer.group.bias.ndarray
+    logits, n = a, x.shape[0]
+    dy = net.layers[-1].infer(logits)
+    dy[np.arange(n), targets] -= 1.0
+    dy /= n
+    grads = {}
+    for layer, a in zip(net.layers[-2::-1], caches[::-1]):
+        kind = type(layer).__name__
+        if kind == "_ReluLayer":
+            dy = dy * (a > 0)
+        elif kind == "_MaxPool2Layer":
+            dy = _scatter(dy, _maxpool2_batch(a)[1], a.shape)
+        elif kind == "_DenseLayer":
+            flat = a.reshape(n, -1)
+            grads[layer.group.name] = (flat.T @ dy, dy.sum(axis=0))
+            dy = (dy @ layer.group.weights.ndarray.T).reshape(a.shape)
+        else:
+            k = layer.group.weights.ndarray
+            dyf = dy.transpose(0, 2, 3, 1).reshape(-1, k.shape[0])  # [N*H*W, C_out]
+            grads[layer.group.name] = ((dyf.T @ _nchw_cols(a).T).reshape(k.shape),
+                                       dyf.sum(axis=0))
+            dy = _nchw_conv(k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), dy)
+    return logits, grads
+
+
+# Networks whose every conv has W*N a multiple of 8: each output row of the
+# [C, H, W, N] layout, and the whole batch in both layouts, fills whole
+# 8-column GEMM tiles, so the layouts' GEMMs give the same bits.
+aligned_cases = st.tuples(
+    st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12)),
+    st.integers(1, 6), st.integers(2, 4), st.sampled_from([8, 16, 24, 40]),
+    st.integers(0, 2**16),
+)
+
+
+@SLICE_SETTINGS
+@given(case=aligned_cases)
+@example(case=([4, 8], (3, 12, 12), 8, 3, 32, 7))  # demo_cnn's training batch
+@example(case=([4, 8], (3, 12, 12), 8, 3, 12, 7))  # ... its last, 12 samples
+@example(case=([4, 8], (3, 12, 12), 8, 3, 100, 7))  # ... its evaluation chunk
+@example(case=([32, 32, 64], (3, 32, 32), 64, 10, 64, 1))  # cnn-train's step
+def test_layouts_give_the_same_logits_and_dense_grads(case):
+    maps, shape, fc, classes, n, seed = case
+    net = build_cnn(maps, input_shape=shape, fc_units=fc, classes=classes, seed=seed)
+    for g in net.groups.values():
+        g.bias = Tensor(Rng(seed + 1).uniform(g.bias.shape, -0.1, 0.1))
+    x = Rng(seed + 2).uniform((n, *shape), -1.0, 1.0)
+    targets = np.arange(n) % classes
+    want_logits, want = _nchw_pass(net, x, targets)
+    assert nn.logits(net, x).tobytes() == want_logits.tobytes()
+    _, cache = forward(net, x)
+    got = nn.backward(net, cache, targets)
+    for name in ("FC", "Out"):
+        assert got[name][0].tobytes() == want[name][0].tobytes()
+        assert got[name][1].tobytes() == want[name][1].tobytes()
+    # Conv dW and db sum in (h, w, n) order, the reference in (n, h, w).
+    for name in nn.cnn_group_names(len(maps))[:-2]:
+        for g, r in zip(got[name], want[name]):
+            assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
 
 
 relu_inputs = arrays(

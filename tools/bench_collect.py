@@ -32,7 +32,8 @@ SECONDS = {"full": 25.0, "tiny": 1.0}  # full matches BENCHMARK.json's run_secon
 
 def run_once(workload: str, seed: int, scale: str, root: Path = ROOT) -> tuple[dict, dict, dict]:
     """(env, run, result) of one perfbench run of the checkout at ``root``;
-    raises if it printed none."""
+    raises RuntimeError, naming the command and its last line, if the run
+    failed or printed no ``env`` line, no ``run`` line or no JSON result."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(SECONDS[scale]), "--trace", "0",
            "--scale", scale]
@@ -40,9 +41,15 @@ def run_once(workload: str, seed: int, scale: str, root: Path = ROOT) -> tuple[d
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}: {done.stderr.strip()}")
-    env = next(json.loads(x[4:]) for x in lines if x.startswith("env "))
-    run = next(json.loads(x[4:]) for x in lines if x.startswith("run "))
-    return env, run, json.loads(lines[-1])
+    try:
+        env = next(json.loads(x[4:]) for x in lines if x.startswith("env "))
+        run = next(json.loads(x[4:]) for x in lines if x.startswith("run "))
+        return env, run, json.loads(lines[-1])
+    except StopIteration:
+        problem = "no env or run line"
+    except ValueError as exc:  # json.JSONDecodeError
+        problem = f"a line that is not JSON ({exc})"
+    raise RuntimeError(f"{' '.join(cmd)} printed {problem}; last line: {lines[-1]!r}")
 
 
 def revision() -> str | None:
