@@ -12,7 +12,8 @@ every seed in the config; without one, the "seed" of the dataset or train
 block beats the top-level "seed" for that block.
 
 Exit code 0 is success; an error exits with its class's ``exit_code`` (see
-``errors``), and running out of memory exits as a ConfigError.
+``errors``), and running out of memory or an output path that cannot be
+written exits as a ConfigError.
 """
 
 from __future__ import annotations
@@ -232,10 +233,19 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class RecordsConfig:
-    """An ``ecr`` or ``report`` block; ``records`` None is ``<out>/records.csv``."""
+    """The ``report`` block; ``records`` None is ``<out>/records.csv``."""
 
     records: str | None = None
+
+
+@dataclass(frozen=True)
+class EcrConfig(RecordsConfig):
+    """The ``ecr`` block: ``records`` and the interpolation ``scale``."""
+
     scale: str = "linear"
+
+    def __post_init__(self):
+        _at("ecr.scale", check_scale, self.scale)
 
 
 @dataclass(frozen=True)
@@ -249,12 +259,10 @@ class Config:
     train: TrainConfig = TrainConfig()
     quant: QuantConfig = QuantConfig()
     sweep: SweepConfig | None = None
-    ecr: RecordsConfig = RecordsConfig()
+    ecr: EcrConfig = EcrConfig()
     report: RecordsConfig = RecordsConfig()
 
     def __post_init__(self):
-        for key in ("ecr", "report"):
-            _at(f"{key}.scale", check_scale, getattr(self, key).scale)
         # A named checkpoint may hold another network: direct_quantize checks it.
         groups, nw = self.quant.groups, self.network
         if isinstance(groups, list) and nw is not None and self.quant.checkpoint is None:
@@ -460,22 +468,22 @@ def cmd_sweep(cfg: Config, out_dir: str, jobs: int) -> int:
     return 0
 
 
-def _load_records(cfg: Config, key: str, out_dir: str) -> tuple[list[SweepRecord], str]:
+def _load_records(cfg: Config, key: str, out_dir: str) -> list[SweepRecord]:
     block = getattr(cfg, key)
     path = os.path.join(out_dir, "records.csv") if block.records is None else block.records
     if not os.path.exists(path):
         raise ConfigError(
             f"{key}.records: no records at {path}; run `quantbench sweep` first"
         )
-    return parse_records_csv(path), block.scale
+    return parse_records_csv(path)
 
 
 def cmd_ecr(cfg: Config, out_dir: str, jobs: int) -> int:
     """Compute compression ratios; write ecr.csv."""
-    records, scale = _load_records(cfg, "ecr", out_dir)
+    records = _load_records(cfg, "ecr", out_dir)
     quantized = [r for r in records if r.mode != "float"]
     path = os.path.join(out_dir, "ecr.csv")
-    write_ecr_csv(quantized, baseline_curves(records, scale), path)
+    write_ecr_csv(quantized, baseline_curves(records, cfg.ecr.scale), path)
     print(f"{len(quantized)} quantized records")
     print(f"wrote {path}")
     return 0
@@ -483,9 +491,7 @@ def cmd_ecr(cfg: Config, out_dir: str, jobs: int) -> int:
 
 def cmd_report(cfg: Config, out_dir: str, jobs: int) -> int:
     """Write summary.md and plot CSVs from the records."""
-    records, scale = _load_records(cfg, "report", out_dir)
-    files = emit_report(records, out_dir, scale=scale)
-    for f in files:
+    for f in emit_report(_load_records(cfg, "report", out_dir), out_dir):
         print(f"wrote {f}")
     return 0
 
@@ -530,6 +536,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
+    except OSError as exc:  # reads raise their own errors: an output path is at fault
+        print(f"error: {exc}", file=sys.stderr)
         return ConfigError.exit_code
 
 

@@ -562,25 +562,17 @@ def _median_by(records: Sequence[SweepRecord], metric: str):
     return {k: float(np.median(v)) for k, v in acc.items()}
 
 
-def emit_report(
-    records: Sequence[SweepRecord],
-    out_dir: str,
-    scale: str = "linear",
-) -> list[str]:
-    """Write records.csv, ecr.csv, plot-data CSVs, and summary.md.
+def emit_report(records: Sequence[SweepRecord], out_dir: str) -> list[str]:
+    """Write the plot-data CSVs and summary.md, files no other command writes.
 
     Returns the list of file paths written.
     """
     os.makedirs(out_dir, exist_ok=True)
-    records = sorted(records, key=SweepRecord.sort_key)
     written = [
         os.path.join(out_dir, name)
-        for name in ("records.csv", "ecr.csv", "plot_bits_vs_error.csv",
-                     "plot_size_vs_error.csv", "summary.md")
+        for name in ("plot_bits_vs_error.csv", "plot_size_vs_error.csv", "summary.md")
     ]
-    records_path, ecr_path, bits_path, size_path, summary_path = written
-    write_records_csv(records, records_path)
-    write_ecr_csv(records, baseline_curves(records, scale), ecr_path)
+    bits_path, size_path, summary_path = written
     med_val = _median_by(records, "val_metric")
     _write_csv(
         bits_path,

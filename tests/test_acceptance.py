@@ -29,6 +29,7 @@ from quantbench.experiments import (
     emit_report,
     run_depth_sweep,
     run_width_sweep,
+    write_records_csv,
 )
 from quantbench.nn import Network, Tensor, build_cnn, build_ffdnn, count_params
 from quantbench.quantizer import QuantizerSpec, apply, bits_to_levels, direct_quantize, optimize_delta
@@ -401,6 +402,7 @@ def test_criterion_06_depth_report_difference_column(tmp_path):
     )
     out = tmp_path / "report"
     emit_report(records, str(out))
+    write_records_csv(records, str(out / "records.csv"))
 
     # Hand arithmetic straight off the emitted CSV.
     by_key = {}

@@ -25,6 +25,7 @@ from quantbench.cli import (
     SEED_ENV,
     Config,
     DatasetConfig,
+    EcrConfig,
     QuantConfig,
     RecordsConfig,
     SweepConfig,
@@ -41,7 +42,7 @@ from quantbench.trainer import TrainConfig
 # Each block of a config and its dataclass; "" is the document's own fields.
 BLOCKS = {"": Config, "dataset": DatasetConfig, "network": NetworkConfig,
           "train": TrainConfig, "quant": QuantConfig, "sweep": SweepConfig,
-          "ecr": RecordsConfig, "report": RecordsConfig}
+          "ecr": EcrConfig, "report": RecordsConfig}
 CONFIG_FIELDS = [
     (block, f) for block, cls in BLOCKS.items() for f in dataclasses.fields(cls)
     if not (cls is Config and f.name in BLOCKS)
@@ -257,6 +258,55 @@ class TestPipeline:
         split = _build_split(Config(dataset=DatasetConfig(kind="csv", seed=0, **paths)))
         assert [p.class_count for p in (split.train, split.valid, split.test)] == [5] * 3
         assert not split.valid.labels.flags.writeable
+
+
+REPORT_FILES = ("plot_bits_vs_error.csv", "plot_size_vs_error.csv", "summary.md")
+
+
+class TestOneWriterPerFile:
+    """Each file of the six-command chain is written by one command only."""
+
+    def _config(self, tmp_path, **blocks):
+        cfg = _base_config(out_dir=str(tmp_path / "out"), **blocks)
+        cfg["sweep"] = {"sizes": [4, 8], "seed_reps": 1}
+        cfg["quant"] = {"n_bits": 2, "bits": [2]}
+        return _write_config(tmp_path, cfg)
+
+    def test_chain_writes_each_path_from_one_command(self, tmp_path, capsys):
+        writers = {}
+        config = self._config(tmp_path)
+        for command in ("train", "quantize", "retrain", "sweep", "ecr", "report"):
+            assert _run(command, "--config", config) == 0
+            for line in capsys.readouterr().out.splitlines():
+                if line.startswith("wrote "):
+                    writers.setdefault(line.removeprefix("wrote "), []).append(command)
+        out = tmp_path / "out"
+        assert {path: by for path, by in writers.items() if len(by) > 1} == {}
+        assert sorted(Path(path).name for path in writers) == sorted(os.listdir(out))
+        assert sorted(p for p, by in writers.items() if by == ["report"]) == [
+            str(out / name) for name in REPORT_FILES
+        ]
+
+    def test_report_leaves_a_log2_ecr_table_alone(self, tmp_path):
+        config = self._config(tmp_path, ecr={"scale": "log2"})
+        for command in ("sweep", "ecr"):
+            assert _run(command, "--config", config) == 0
+        table = (tmp_path / "out" / "ecr.csv").read_bytes()
+        assert _run("report", "--config", config) == 0
+        assert (tmp_path / "out" / "ecr.csv").read_bytes() == table
+
+    def test_report_of_other_records_leaves_records_csv_alone(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        committed = Path(__file__).resolve().parent.parent / "out"
+        own = (committed / "demo" / "records.csv").read_bytes()
+        (out / "records.csv").write_bytes(own)
+        other = str(committed / "demo_cnn" / "records.csv")
+        config = _write_config(tmp_path, _base_config(out_dir=str(out),
+                                                      report={"records": other}))
+        assert _run("report", "--config", config) == 0
+        assert (out / "records.csv").read_bytes() == own
+        assert sorted(os.listdir(out)) == sorted(("records.csv",) + REPORT_FILES)
 
 
 class TestExitCodes:
@@ -666,7 +716,7 @@ class TestExitCodes:
         ("sweep", {"axis": "diagonal"}, "sweep.axis: expected 'width' or 'depth'"),
         ("sweep", {"seed_reps": 0}, "sweep.seed_reps must be >= 1, got 0"),
         ("ecr", {"scale": "cubic"}, "ecr.scale: unknown interpolation scale 'cubic'"),
-        ("report", {"scale": "log10"}, "report.scale: unknown interpolation scale"),
+        ("report", {"scale": "log10"}, "report.scale: unknown key"),
         ("network", {"family": "cnn"}, "network.map_counts: required key is missing"),
     ])
     def test_whole_document_checks_at_load(self, tmp_path, capsys, block, value, message):
@@ -988,6 +1038,24 @@ class TestReadersInAProcess:
         code, err = _cli(tmp_path, "train", "--config", _write_config(tmp_path, cfg))
         assert (code, "Traceback" in err) == (2, False)
         assert err.startswith("error: out of memory: ")
+
+
+class TestOutputPathsInAProcess:
+    """An output path that cannot be created or written exits 2, never a traceback."""
+
+    @pytest.mark.parametrize("out_dir, flags", [
+        ("out", ["--out", "file"]),
+        ("out", ["--out", "file/sub"]),
+        ("", []),
+        ("out", []),  # out/train_log.csv is a directory
+    ], ids=["out-is-a-file", "out-under-a-file", "empty-out-dir", "log-is-a-directory"])
+    def test_unwritable_output_path(self, tmp_path, out_dir, flags):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "out" / "train_log.csv").mkdir(parents=True)
+        config = _write_config(tmp_path, _base_config(out_dir=out_dir))
+        code, err = _cli(tmp_path, "train", "--config", config, *flags)
+        assert (code, "Traceback" in err) == (2, False)
+        assert err.startswith("error: ")
 
 
 def test_help_lists_every_command_with_its_summary(capsys):

@@ -529,20 +529,8 @@ class TestEmitReport:
     def test_writes_all_outputs(self, tmp_path):
         paths = emit_report(self._sweep(), tmp_path)
         names = [p.split("/")[-1] for p in paths]
-        assert names == [
-            "records.csv",
-            "ecr.csv",
-            "plot_bits_vs_error.csv",
-            "plot_size_vs_error.csv",
-            "summary.md",
-        ]
-        for p in paths:
-            assert (tmp_path / p.split("/")[-1]).exists()
-
-    def test_records_round_trip_through_report(self, tmp_path):
-        records = self._sweep()
-        emit_report(records, tmp_path)
-        assert parse_records_csv(tmp_path / "records.csv") == records
+        assert names == ["plot_bits_vs_error.csv", "plot_size_vs_error.csv", "summary.md"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
     def test_summary_difference_column(self, tmp_path):
         records = self._sweep()
@@ -562,8 +550,3 @@ class TestEmitReport:
             ln for ln in text.splitlines() if ln.startswith("| ffdnn | 4 |")
         )
         assert row.rstrip().endswith(f"| {expected} |")
-
-    def test_missing_baseline_rejected(self, tmp_path):
-        quantized_only = [r for r in self._sweep() if r.mode != "float"]
-        with pytest.raises(ConfigError, match="float"):
-            emit_report(quantized_only, tmp_path)
